@@ -116,9 +116,15 @@ def _k0_k1_cf(z):
     """K0, K1 for z >= SERIES_CUTOFF via the Temme/Thompson-Barnett CF.
 
     Modified Lentz evaluation of the second continued fraction for order
-    mu = 0; converges rapidly for z >= 2 and is accurate to ~1e-15.
+    mu = 0; converges rapidly for z >= 2 and is accurate to ~1e-15.  Each
+    element leaves the loop once its own test |dels| <= 1e-17 |s| passes
+    (~90 steps just above z = 2, 6-12 for most z): the terms it would still
+    add are below half an ulp of s and h, so the result is unchanged.
     """
     a1 = 0.25
+    s_out = np.empty_like(z)
+    h_out = np.empty_like(z)
+    live = np.arange(z.size)
     b = 2.0 * (1.0 + z)
     d = 1.0 / b
     h = d.copy()
@@ -126,8 +132,9 @@ def _k0_k1_cf(z):
     q1 = np.zeros_like(z)
     q2 = np.ones_like(z)
     q = np.full_like(z, a1)
-    c = np.full_like(z, a1)
-    a = np.full_like(z, -a1)
+    # a and c do not depend on z, so they stay scalars
+    c = a1
+    a = -a1
     s = 1.0 + q * delh
     for i in range(2, _CF_MAX_ITER):
         a -= 2.0 * (i - 1)
@@ -141,12 +148,20 @@ def _k0_k1_cf(z):
         h = h + delh
         dels = q * delh
         s = s + dels
-        if np.all(np.abs(dels) <= 1e-17 * np.abs(s)):
-            break
-    h = a1 * h
+        done = np.abs(dels) <= 1e-17 * np.abs(s)
+        if done.any():
+            s_out[live[done]] = s[done]
+            h_out[live[done]] = h[done]
+            keep = ~done
+            live, b, d, h, delh, q1, q2, q, s = (
+                v[keep] for v in (live, b, d, h, delh, q1, q2, q, s))
+            if not live.size:
+                break
+    s_out[live] = s
+    h_out[live] = h
     with np.errstate(under="ignore"):
-        k0 = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z) / s
-    k1 = k0 * (z + 0.5 - h) / z
+        k0 = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z) / s_out
+    k1 = k0 * (z + 0.5 - a1 * h_out) / z
     return k0, k1
 
 
@@ -155,7 +170,9 @@ def _k1_over_k0(z):
 
     The continued fraction yields the ratio as (z + 1/2 - h)/z with no
     exp(-z) prefactor, so the ratio functions stay finite for huge z where
-    the K values themselves have underflowed to 0.
+    the K values themselves have underflowed to 0.  As in ``_k0_k1_cf``,
+    each large-z element leaves the loop once its own test
+    |delh| <= 1e-17 |h| passes.
     """
     z = np.atleast_1d(_validate_z(z))
     out = np.empty_like(z)
@@ -166,21 +183,28 @@ def _k1_over_k0(z):
     if np.any(~small):
         zl = z[~small]
         a1 = 0.25
+        h_out = np.empty_like(zl)
+        live = np.arange(zl.size)
         b = 2.0 * (1.0 + zl)
         d = 1.0 / b
         h = d.copy()
         delh = d.copy()
-        a = np.full_like(zl, -a1)
+        a = -a1
         for i in range(2, _CF_MAX_ITER):
             a -= 2.0 * (i - 1)
             b = b + 2.0
             d = 1.0 / (b + a * d)
             delh = (b * d - 1.0) * delh
             h = h + delh
-            if np.all(np.abs(delh) <= 1e-17 * np.abs(h)):
-                break
-        h = a1 * h
-        out[~small] = (zl + 0.5 - h) / zl
+            done = np.abs(delh) <= 1e-17 * np.abs(h)
+            if done.any():
+                h_out[live[done]] = h[done]
+                keep = ~done
+                live, b, d, h, delh = (v[keep] for v in (live, b, d, h, delh))
+                if not live.size:
+                    break
+        h_out[live] = h
+        out[~small] = (zl + 0.5 - a1 * h_out) / zl
     return out
 
 

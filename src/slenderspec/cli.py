@@ -248,7 +248,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,10 @@ from .spectra import EigenFamily, eigenvalues
 _NORMAL_PDE = EigenFamily("stokes", "normal", "pde")
 
 
+class BracketError(ArithmeticError):
+    """The empirical stability bisection has no growth boundary in its bracket."""
+
+
 def nu(eps, k):
     """Decay rate of the wavenumber-k normal perturbation; nu_1 = 0 exactly."""
     k_arr = np.atleast_1d(np.asarray(k))
@@ -121,7 +125,8 @@ def max_stable_dt(eps, k_max, empirical=False, n_steps=200, amp_window=1e6):
         return amp > amp_window
 
     lo, hi = 0.5 * analytic, 4.0 * analytic
-    assert not grows(lo) and grows(hi)
+    if grows(lo) or not grows(hi):
+        raise BracketError(f"no {amp_window:g}-fold growth boundary for dt in [{lo:.6g}, {hi:.6g}]")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if grows(mid):

@@ -36,7 +36,6 @@ class PeriodicField:
     """components x (2 K_max + 1) complex coefficient table, k = -K..K."""
 
     coeffs: np.ndarray
-    eps: float | None = None  # optional bookkeeping; operators take eps from the family call
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -73,7 +72,7 @@ class PeriodicField:
         return bool(np.max(np.abs(self.coeffs - flipped)) <= tol * scale)
 
     def with_coeffs(self, coeffs):
-        return PeriodicField(coeffs, eps=self.eps)
+        return PeriodicField(coeffs)
 
 
 def analyze(samples):
@@ -149,15 +148,22 @@ def apply_operator(family, field, eps, inverse):
     direction per component: z -> tangential, x/y -> normal, with the
     family's setting/method/parameters shared.  ``inverse=True`` is the
     velocity-to-force direction.
+
+    Eigenvalues depend on |k| only: each distinct component family (x and y
+    share the normal one) is evaluated once on k = 1..K_max and mirrored.
     """
     if not field.mean_free:
         raise MeanModeError("k = 0 coefficient must vanish before applying operators")
     k = field.k_values
     nonzero = k != 0
+    spectra = {}
     out = np.zeros_like(field.coeffs)
     for ci in range(field.n_components):
         fam = _component_family(family, ci, field.n_components)
-        lam = eigenvalues(fam, eps, k[nonzero])
+        if fam not in spectra:
+            lam_pos = eigenvalues(fam, eps, np.arange(1, field.k_max + 1))
+            spectra[fam] = np.concatenate([lam_pos[::-1], lam_pos])
+        lam = spectra[fam]
         if inverse:
             out[ci, nonzero] = field.coeffs[ci, nonzero] * lam
         else:

@@ -24,8 +24,9 @@ integral operators.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -317,7 +318,6 @@ def eigenvalues(family, eps, k, allow_past_singularity=True):
     elif family.method in ("sbt", "sbt_truncated"):
         fam = _SBT_FAMILY[family.direction]
         pole = SBT_SINGULARITY[family.direction]
-        out = np.empty_like(z)
         at_pole = z == pole
         if np.any(at_pole):
             raise PoleError(f"{fam} evaluated exactly at its pole z = {pole:.6f}")
@@ -371,6 +371,10 @@ def gronwall_constants():
             "c_l2": c_l2, "c_t2": c_t2, "c_n2": c_n2}
 
 
+#: the same constants, computed once per process; callers only read this dict
+_gronwall_constants = functools.cache(gronwall_constants)
+
+
 @dataclass(frozen=True)
 class DifferenceMargin:
     observed_diff: float
@@ -412,7 +416,7 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
     lam_2 = eigenvalues(approx, eps, k)
     observed = abs(lam_pde - lam_2)
 
-    c = gronwall_constants()
+    c = _gronwall_constants()
     ek2 = (eps * k) ** 2
     pi3 = math.pi ** 3
     if method2 == "sbt":

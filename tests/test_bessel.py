@@ -148,3 +148,28 @@ def test_property_ratio_bounds_everywhere(z):
 def test_property_recurrence(z):
     k0, k1, k2 = (bessel.bessel_k(n, z) for n in (0, 1, 2))
     assert abs(k2 - k0 - 2.0 * k1 / z) <= 1e-12 * k2
+
+
+_NEAR_CUTOFF = st.floats(min_value=bessel.SERIES_CUTOFF, max_value=bessel.SERIES_CUTOFF + 1e-6,
+                         exclude_min=True)
+_ANY_Z = st.floats(min_value=1e-8, max_value=1500.0)
+
+
+@st.composite
+def _mixed_z(draw):
+    zs = (draw(st.lists(_NEAR_CUTOFF, min_size=1, max_size=8))
+          + draw(st.lists(_ANY_Z, min_size=1, max_size=32)) + [1500.0])
+    return np.array(draw(st.permutations(zs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_z())
+def test_property_array_call_matches_scalar_calls_bitwise(z):
+    # each element of an array call runs exactly the arithmetic of its own
+    # scalar call, whatever its neighbours need (slow-converging z just
+    # above the cutoff next to fast large z)
+    for order in (0, 1, 2):
+        scalar = np.array([bessel.bessel_k(order, float(x)) for x in z])
+        assert np.array_equal(bessel.bessel_k(order, z), scalar)
+    for fn in (bessel.ratio_A, bessel.ratio_B):
+        assert np.array_equal(fn(z), np.array([fn(float(x)) for x in z]))

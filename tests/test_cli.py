@@ -120,6 +120,14 @@ def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "bare.csv").read_text() == text
 
 
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    code = main(["spectrum", "--setting", "laplace", "--direction", "longitudinal",
+                 "--eps", "0.01", "--k", "1..3",
+                 "--output", str(tmp_path / "missing" / "spec.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("setting = laplace\ndirection = longitudinal\neps = 0.01\nk = 1..4\n")

@@ -110,6 +110,13 @@ def test_max_stable_dt_analytic():
         dynamics.max_stable_dt(eps, 4)
 
 
+def test_max_stable_dt_bracket_error():
+    # the n_steps-step amplification at 4x the analytic dt is 7^200 < 1e300,
+    # so the bisection bracket holds no growth boundary
+    with pytest.raises(dynamics.BracketError):
+        dynamics.max_stable_dt(0.01, 32, empirical=True, amp_window=1e300)
+
+
 @pytest.mark.parametrize("eps,K", [(1e-2, 32), (1e-1, 512)])
 def test_max_stable_dt_empirical(eps, K):
     a = dynamics.max_stable_dt(eps, K)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,8 +135,44 @@ def test_forward_through_truncation_is_pole():
     f = ops.make_test_field("h1_rough", 16, seed=0)
     # inverse is fine (high band simply zeroed)
     ops.apply_operator(fam, f, eps, inverse=True)
-    with pytest.raises(PoleError):
+    msg = "forward map undefined at k in [-16, -15, -14, -13, -12] (1/lambda = 0)"
+    with pytest.raises(PoleError, match=re.escape(msg)):
         ops.apply_operator(fam, f, eps, inverse=False)
+
+
+def _component_families(setting, method, params, n_components):
+    if n_components == 1:
+        return [EigenFamily(setting, "longitudinal", method, **params)]
+    normal = EigenFamily(setting, "normal", method, **params)
+    return [normal, normal, EigenFamily(setting, "tangential", method, **params)]
+
+
+@pytest.mark.parametrize("inverse", [True, False])
+@pytest.mark.parametrize("method,params", [
+    ("pde", {}), ("sbt_truncated", {"cutoff": 30}), ("sbt_truncated", {"cutoff": 40}),
+    ("delta_reg", {"delta": 2.0})])
+@pytest.mark.parametrize("setting,n_components", [("laplace", 1), ("stokes", 3)])
+def test_apply_operator_matches_signed_k_spectrum_bitwise(setting, n_components, method,
+                                                          params, inverse):
+    # reference: each component multiplied or divided by its own family's
+    # spectrum, evaluated over the full signed k range
+    eps, k_max = 0.004, 40
+    f = ops.make_test_field("h1_rough", k_max, seed=8, n_components=n_components)
+    nonzero = f.k_values != 0
+    k = f.k_values[nonzero]
+    fams = _component_families(setting, method, params, n_components)
+    expected = np.zeros_like(f.coeffs)
+    for ci, fam in enumerate(fams):
+        lam = eigenvalues(fam, eps, k)
+        if not inverse and np.any(lam == 0.0):
+            msg = f"forward map undefined at k in {k[lam == 0.0][:5].tolist()} (1/lambda = 0)"
+            with pytest.raises(PoleError, match=re.escape(msg)):
+                ops.apply_operator(fams[-1], f, eps, inverse)
+            return
+        c = f.coeffs[ci, nonzero]
+        expected[ci, nonzero] = c * lam if inverse else c / lam
+    got = ops.apply_operator(fams[-1], f, eps, inverse)
+    assert np.array_equal(got.coeffs, expected)
 
 
 def test_band_limited_inverse_exact():
