@@ -260,16 +260,14 @@ def bessel_i0(z):
 
 def ratio_B(z):
     """B(z) = z K1(z)/K0(z); the Dirichlet-to-Neumann symbol of the Laplace map."""
-    z = np.atleast_1d(_validate_z(z))
-    out = z * _k1_over_k0(z)
-    return float(out[0]) if out.size == 1 else out
+    out = np.asarray(z, dtype=float) * _k1_over_k0(z)
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def ratio_A(z):
     """A(z) = K0(z)/K1(z) in (0, 1), monotone increasing to 1."""
-    z = np.atleast_1d(_validate_z(z))
     out = 1.0 / _k1_over_k0(z)
-    return float(out[0]) if out.size == 1 else out
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +285,22 @@ def _gauss_panels(n_panels, n_nodes):
     return nodes, weights
 
 
-def _oracle_quad(order, z, n_panels, n_nodes=40, chunk=256):
-    """Composite GL evaluation of int_0^T exp(-z cosh t) cosh(order t) dt."""
-    z = np.atleast_1d(z)
+def _oracle_quad(orders, z, n_panels, n_nodes=40, chunk=256):
+    """Composite GL of int_0^T exp(-z cosh t) cosh(order t) dt, one row per order."""
     # truncation point: z (cosh T - 1) = 120 makes the tail utterly negligible
     # relative to K_nu(z) ~ exp(-z), even with the cosh(order t) growth.
     T = np.arccosh(1.0 + 120.0 / z)
     u, w = _gauss_panels(n_panels, n_nodes)
-    out = np.empty_like(z)
+    out = np.empty((len(orders), z.size))
     for lo in range(0, z.size, chunk):
         hi = min(lo + chunk, z.size)
         t = T[lo:hi, None] * u[None, :]
         with np.errstate(under="ignore", over="ignore"):
-            f = np.exp(-z[lo:hi, None] * np.cosh(t))
-            if order:
-                f *= np.cosh(order * t)
-        out[lo:hi] = T[lo:hi] * (f @ w)
+            cosh_t = np.cosh(t)
+            f0 = np.exp(-z[lo:hi, None] * cosh_t)
+            for row, order in enumerate(orders):
+                f = f0 * (cosh_t if order == 1 else np.cosh(order * t)) if order else f0
+                out[row, lo:hi] = T[lo:hi] * (f @ w)
     return out
 
 
@@ -312,22 +310,38 @@ def oracle_bessel_k(order, z, rtol=1e-14):
     Adaptive in the panel count: the composite rule is refined (doubling)
     until two successive levels agree to ``rtol`` relative, and the final
     refinement difference is the certified error estimate.
+
+    ``order`` is 0, 1 or 2, or a tuple of them such as ``(0, 1, 2)``; a
+    tuple shares one quadrature and returns one row per order (shape
+    ``(len(order),)`` for scalar z, ``(len(order), z.size)`` otherwise).
+    Each order retires at the first level where its own points agree, so
+    every row equals the single-order call bit for bit.
     """
-    if order not in (0, 1, 2):
+    orders = (order,) if np.ndim(order) == 0 else tuple(order)
+    if any(o not in (0, 1, 2) for o in orders):
         raise ValueError("order must be 0, 1 or 2")
     zarr = np.atleast_1d(_validate_z(z)).astype(float)
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    coarse = _oracle_quad(order, zarr, 32)
+    scalar = np.ndim(z) == 0
+    out = np.empty((len(orders), zarr.size))
+    live = np.arange(len(orders))
+    coarse = _oracle_quad(orders, zarr, 32)
     for n_panels in (64, 128, 256, 512):
-        fine = _oracle_quad(order, zarr, n_panels)
+        fine = _oracle_quad([orders[i] for i in live], zarr, n_panels)
         err = np.abs(fine - coarse)
-        if np.all(err <= rtol * np.abs(fine)):
-            return float(fine[0]) if scalar else fine
-        coarse = fine
-    worst = float(np.max(err / np.abs(fine)))
-    raise BesselAccuracyError(
-        f"oracle quadrature stalled at relative error {worst:.3e} (target {rtol:.1e})"
-    )
+        done = np.all(err <= rtol * np.abs(fine), axis=1)
+        out[live[done]] = fine[done]
+        live, coarse = live[~done], fine[~done]
+        if not live.size:
+            break
+    else:
+        worst = float(np.max(err / np.abs(fine)))
+        raise BesselAccuracyError(
+            f"oracle quadrature stalled at relative error {worst:.3e} (target {rtol:.1e})"
+        )
+    out = out[:, 0] if scalar else out
+    if np.ndim(order) == 0:
+        return float(out[0]) if scalar else out[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .operators import PeriodicField, apply_operator, make_test_field, sobolev_norm
 from .spectra import SQRT_E, EigenFamily
@@ -153,14 +152,20 @@ def _root_lhs(setting, delta):
 
 def optimal_delta(setting, ratio):
     """delta* solving the monotone optimality equation at C2/C1 = ratio."""
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
     lo = (SQRT_E if setting == "stokes" else 1.0) * (1.0 + 1e-12)
+    floor = _root_lhs(setting, lo)
+    if not floor < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and above {floor:.3g}")
     hi = 10.0
     while _root_lhs(setting, hi) < ratio:
         hi *= 2.0
-    return float(optimize.brentq(lambda d: _root_lhs(setting, d) - ratio,
-                                 lo, hi, xtol=1e-12, rtol=1e-12))
+    # _root_lhs increases on [lo, hi]: bisect until lo, hi are adjacent doubles
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _root_lhs(setting, mid) < ratio:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def cdelta_profile(setting, delta_grid, c1, c2):

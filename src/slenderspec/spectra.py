@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
-from .bessel import EULER_GAMMA, bessel_k, ratio_A, ratio_B
+from .bessel import EULER_GAMMA, _gauss_panels, bessel_k, ratio_A, ratio_B
 
 SQRT_E = math.sqrt(math.e)
 
@@ -52,6 +51,11 @@ class WindowError(ValueError):
     """Wavenumber outside the validity window of a difference bound."""
 
 
+def _check_eps(eps):
+    if not (0.0 < eps < 0.5):
+        raise ValueError("fiber radius must lie in (0, 1/2)")
+
+
 @dataclass(frozen=True)
 class Mode:
     """A single periodic wavenumber paired with a fiber radius."""
@@ -62,8 +66,7 @@ class Mode:
     def __post_init__(self):
         if self.k == 0:
             raise ValueError("k = 0 is excluded (2D fundamental-solution mode)")
-        if not (0.0 < self.eps < 0.5):
-            raise ValueError("fiber radius must lie in (0, 1/2)")
+        _check_eps(self.eps)
 
     @property
     def z(self):
@@ -142,11 +145,11 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
         out = ratio_B(z)
     elif fam == "B_t":
         # K1^2-normalized form, finite even where K itself underflows
-        a = np.atleast_1d(ratio_A(z))
+        a = ratio_A(z)
         out = z / (2.0 * a + z * (a * a - 1.0))
     elif fam == "B_n":
         # K1^3-normalized form with C = K2/K1 = A + 2/z (exact recurrence)
-        a = np.atleast_1d(ratio_A(z))
+        a = ratio_A(z)
         c = a + 2.0 / z
         num = 4.0 * z * c + z * z * (1.0 - a * c)
         den = 2.0 * a * c + z * (a + c - 2.0 * a * a * c)
@@ -220,7 +223,7 @@ def h_function(z):
     z = np.atleast_1d(z)
     if np.any(z <= 0):
         raise ValueError("h_function requires z > 0")
-    a = np.atleast_1d(ratio_A(z))
+    a = ratio_A(z)
     n3 = _n3_of_a(z, a)
     d3 = _d3_of_a(z, a)
     out = 0.125 * z * n3 / d3
@@ -248,7 +251,7 @@ def _d3_of_a(z, a):
 def appendix_c_margins(z):
     """(9 D3 - N3, 9 D3 + N3); strict positivity of both is |h| < 9z/8."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    a = np.atleast_1d(ratio_A(z))
+    a = ratio_A(z)
     n3 = _n3_of_a(z, a)
     d3 = _d3_of_a(z, a)
     return 9.0 * d3 - n3, 9.0 * d3 + n3
@@ -312,6 +315,7 @@ def eigenvalues(family, eps, k, allow_past_singularity=True):
     k = np.atleast_1d(k)
     if np.any(k == 0):
         raise ValueError("k = 0 is excluded")
+    _check_eps(eps)
     z = math.pi * eps * np.abs(k).astype(float)
     if family.method == "pde":
         out = _PREFACTOR[family.direction] * b_function(_PDE_FAMILY[family.direction], z)
@@ -377,8 +381,8 @@ _gronwall_constants = functools.cache(gronwall_constants)
 
 @dataclass(frozen=True)
 class DifferenceMargin:
-    observed_diff: float
-    paper_bound: float
+    observed_diff: float | np.ndarray
+    paper_bound: float | np.ndarray
 
     @property
     def margin(self):
@@ -399,14 +403,16 @@ def _difference_window(setting, direction, method2, eps):
 def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
     """Observed |lambda_pde - lambda_approx| against its proof-constant bound.
 
-    method2 is 'sbt' or 'delta_reg'.  Raises :class:`WindowError` if |k|
-    lies outside the bound's validity window.
+    method2 is 'sbt' or 'delta_reg'.  k is a nonzero integer or an integer
+    array; an array gives one entry per k, each equal bit for bit to the
+    scalar call.  Raises :class:`WindowError` if any |k| lies outside the
+    bound's validity window.
     """
     if method2 not in ("sbt", "delta_reg"):
         raise ValueError("method2 must be 'sbt' or 'delta_reg'")
     kmax = _difference_window(setting, direction, method2, eps)
-    if abs(k) > kmax:
-        raise WindowError(f"|k| = {abs(k)} exceeds the validity window |k| <= {kmax:.2f}")
+    if np.any(np.abs(k) > kmax):
+        raise WindowError(f"|k| = {np.abs(k).max()} exceeds the validity window |k| <= {kmax:.2f}")
     pde = EigenFamily(setting, direction, "pde")
     if method2 == "sbt":
         approx = EigenFamily(setting, direction, "sbt")
@@ -417,7 +423,7 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
     observed = abs(lam_pde - lam_2)
 
     c = _gronwall_constants()
-    ek2 = (eps * k) ** 2
+    ek2 = np.square(eps * k)
     pi3 = math.pi ** 3
     if method2 == "sbt":
         const = {"longitudinal": 2.0 * pi3 / (2.0 - c["c_B"]),
@@ -430,7 +436,9 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
                  "tangential": 24.0 * pi3 / (1.0 - c["c_t2"]),
                  "normal": 40.0 * pi3 / (4.0 - c["c_n2"])}[direction]
         bound = const * dfac * ek2
-    return DifferenceMargin(float(observed), float(bound))
+    if np.ndim(k) == 0:
+        return DifferenceMargin(float(observed), float(bound))
+    return DifferenceMargin(observed, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +545,25 @@ def periodization_identity_check(tol=1e-10):
     """Quadrature of int_-1^1 (pi/|2 sin(pi z/2)| - 1/|z|) dz vs -2 log(pi/4).
 
     The integrand has a removable singularity at z = 0, handled by a series
-    branch for small |z|.  Returns (value, closed_form, abs_error).
+    branch for small |z|; composite Gauss-Legendre panels are doubled until
+    two levels agree to ``tol``.  Returns (value, closed_form, abs_error).
     """
 
-    def integrand(z):
-        # f(z) = (u/sin u - 1)/z with u = pi z / 2
+    def integral(n_panels):
+        z, w = _gauss_panels(n_panels, 20)
+        # f(z) = (u/sin u - 1)/z with u = pi z / 2; below z = 0.02 the first
+        # dropped series term, 127 u^8/604800, is under 2e-16
         u = 0.5 * math.pi * z
-        if abs(z) < 0.1:
-            u2 = u * u
-            series = u2 / 6.0 + 7.0 * u2 * u2 / 360.0 + 31.0 * u2 * u2 * u2 / 15120.0
-            return series / z
-        return (u / math.sin(u) - 1.0) / z
+        u2 = u * u
+        series = u2 / 6.0 + 7.0 * u2 * u2 / 360.0 + 31.0 * u2 * u2 * u2 / 15120.0
+        return (np.where(z < 0.02, series, u / np.sin(u) - 1.0) / z) @ w
 
-    val, est = integrate.quad(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    total = 2.0 * val
+    coarse = integral(16)
+    for n_panels in (32, 64, 128, 256):
+        val = integral(n_panels)
+        if abs(val - coarse) <= tol:
+            break
+        coarse = val
+    total = 2.0 * float(val)
     closed = -2.0 * math.log(math.pi / 4.0)
     return total, closed, abs(total - closed)

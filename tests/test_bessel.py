@@ -43,6 +43,34 @@ def test_accuracy_vs_oracle_grid():
         assert np.max(np.abs(mine - ref) / ref) <= 1e-12
 
 
+def test_scaled_values_vs_scipy_to_underflow():
+    # a third route, independent of both the kernel and the quadrature
+    # oracle, reaching past the oracle sweep's z = 100 up to z = 700
+    special = pytest.importorskip("scipy.special")
+    z = np.geomspace(2.0, 700.0, 5000)
+    for order, ref in ((0, special.k0e(z)), (1, special.k1e(z))):
+        scaled = bessel.bessel_k(order, z) * np.exp(z)
+        assert np.max(np.abs(scaled - ref) / ref) <= 1e-13
+    z = np.geomspace(1e-8, 1500.0, 5000)
+    ref = special.k0e(z) / special.k1e(z)
+    assert np.max(np.abs(bessel.ratio_A(z) - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("z", [np.geomspace(1e-8, 100.0, 10_000),  # verify_bessel grid
+                               np.geomspace(1e-6, 90.0, 200),       # verify_oracle grid
+                               50.0])
+def test_oracle_orders_tuple_matches_single_order_bitwise(z):
+    rows = bessel.oracle_bessel_k((0, 1, 2), z)
+    assert rows.shape == (3,) + np.shape(z)
+    for order in (0, 1, 2):
+        single = bessel.oracle_bessel_k(order, z)
+        assert type(single) is (float if np.ndim(z) == 0 else np.ndarray)
+        assert np.array_equal(rows[order], single)
+    assert np.array_equal(bessel.oracle_bessel_k((2,), z)[0], rows[2])
+    with pytest.raises(ValueError):
+        bessel.oracle_bessel_k((0, 3), z)
+
+
 def test_recurrence_identity():
     z = np.geomspace(1e-6, 300.0, 500)
     k0, k1, k2 = (bessel.bessel_k(n, z) for n in (0, 1, 2))
@@ -98,6 +126,15 @@ def test_ratio_A_values():
         a = bessel.ratio_A(z)
         assert 2.0 * z / (2.0 * z + 1.0) < a < 1.0
     assert 0.99 < bessel.ratio_A(100.0) < 1.0
+
+
+def test_ratios_return_float_only_for_scalar_input():
+    for fn in (bessel.ratio_A, bessel.ratio_B):
+        assert type(fn(3.0)) is float
+        assert type(fn(np.float64(3.0))) is float
+        assert type(fn(np.array(3.0))) is float
+        out = fn(np.array([3.0]))
+        assert type(out) is np.ndarray and out.shape == (1,)
 
 
 def test_ratios_beyond_underflow():

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import slenderspec
 from slenderspec.cli import main
 
 
@@ -101,6 +104,30 @@ def test_domain_error_exit_2(capsys):
     code = main(["spectrum", "--setting", "stokes", "--direction", "tangential",
                  "--eps", "0.01", "--methods", "delta_reg", "--delta", "1.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("eps", ["0.9", "-0.1"])
+def test_spectrum_eps_outside_domain_exit_2(capsys, eps):
+    code = main(["spectrum", "--setting", "laplace", "--direction", "longitudinal",
+                 "--eps", eps, "--methods", "pde"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fiber radius must lie in (0, 1/2)\n"
+
+
+def test_cli_never_imports_scipy():
+    script = (
+        "import contextlib, io, sys\n"
+        "import slenderspec.cli as cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'all']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(slenderspec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300)
 
 
 def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):

@@ -130,6 +130,17 @@ def test_optimal_delta_is_root():
         assert xp._root_lhs(setting, d) == pytest.approx(ratio, rel=1e-9)
 
 
+def test_optimal_delta_brackets_root_to_one_ulp():
+    for setting in ("laplace", "stokes"):
+        for ratio in np.geomspace(1e-6, 1e6, 25):
+            d = xp.optimal_delta(setting, ratio)
+            assert xp._root_lhs(setting, d) < ratio <= xp._root_lhs(
+                setting, np.nextafter(d, math.inf))
+        for bad in (0.0, math.nan, math.inf, 1e-40):
+            with pytest.raises(ValueError):
+                xp.optimal_delta(setting, bad)
+
+
 def test_optimal_delta_minimizes_cdelta():
     c1, c2 = 1.0, 2.0
     for setting, lo in (("stokes", SQRT_E), ("laplace", 1.0)):

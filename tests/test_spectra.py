@@ -26,6 +26,13 @@ def test_mode_validation():
         Mode(1, -0.1)
 
 
+@pytest.mark.parametrize("eps", [0.9, 0.5, 0.0, -0.1, math.nan])
+def test_eigenvalues_reject_eps_outside_domain(eps):
+    for method in ("pde", "sbt", "sbt_truncated"):
+        with pytest.raises(ValueError, match=r"fiber radius must lie in \(0, 1/2\)"):
+            spectra.eigenvalues(EigenFamily("laplace", "longitudinal", method), eps, [1, 2])
+
+
 def test_family_validation():
     EigenFamily("laplace", "longitudinal", "pde")
     EigenFamily("stokes", "tangential", "sbt")
@@ -259,6 +266,26 @@ def test_difference_window_error():
         spectra.eigen_difference_margin("laplace", "longitudinal", eps, 1, "midpoint")
 
 
+@pytest.mark.parametrize("method2,delta", [("sbt", None), ("delta_reg", 1.7), ("delta_reg", 3.0)])
+@pytest.mark.parametrize("setting,direction", [
+    ("laplace", "longitudinal"), ("stokes", "tangential"), ("stokes", "normal")])
+def test_difference_margin_array_k_matches_scalar_calls_bitwise(setting, direction,
+                                                                method2, delta):
+    for eps in (1e-1, 1e-2, 1e-3):
+        kmax = int(spectra._difference_window(setting, direction, method2, eps))
+        ks = np.arange(1, kmax + 1)
+        arr = spectra.eigen_difference_margin(setting, direction, eps, ks, method2, delta)
+        scalar = [spectra.eigen_difference_margin(setting, direction, eps, k, method2, delta)
+                  for k in range(1, kmax + 1)]
+        assert type(arr.observed_diff) is np.ndarray and arr.paper_bound.shape == ks.shape
+        assert np.array_equal(arr.observed_diff, [m.observed_diff for m in scalar])
+        assert np.array_equal(arr.paper_bound, [m.paper_bound for m in scalar])
+        assert all(type(m.paper_bound) is float for m in scalar)
+        with pytest.raises(WindowError):
+            spectra.eigen_difference_margin(setting, direction, eps,
+                                            np.append(ks, kmax + 1), method2, delta)
+
+
 # ---------------------------------------------------------------------------
 # line / periodic singular operators
 # ---------------------------------------------------------------------------
@@ -341,6 +368,10 @@ def test_periodization_identity():
     # halving the tolerance keeps the result stable
     v2, _, err2 = spectra.periodization_identity_check(tol=5e-11)
     assert abs(v2 - value) < 1e-9 and err2 < 1e-8
+
+
+def test_periodization_identity_to_rounding():
+    assert spectra.periodization_identity_check()[2] < 1e-12
 
 
 # ---------------------------------------------------------------------------
