@@ -32,7 +32,8 @@ EULER_GAMMA = 0.57721566490153286061
 #: crossover between the ascending series and the continued fraction
 SERIES_CUTOFF = 2.0
 
-#: exp(-z) underflows past here; K values are returned as a flagged 0.0
+#: exp(-z) leaves the normal double range past here; K values are subnormal,
+#: then 0.0, and ``bessel_k_detail`` flags them
 UNDERFLOW_Z = 705.0
 
 _CF_MAX_ITER = 4000
@@ -52,7 +53,8 @@ class BesselEval:
     """One K_nu evaluation with provenance.
 
     ``method_tag`` is ``series``, ``cf`` (large-argument continued fraction)
-    or ``oracle``; ``underflowed`` marks a graceful 0.0 for huge z.
+    or ``oracle``; ``underflowed`` marks z > UNDERFLOW_Z, where the value
+    is subnormal or 0.0.
     """
 
     z: float
@@ -220,34 +222,49 @@ def _k0_k1(z):
     return k0, k1
 
 
+def _check_orders(order):
+    """Orders as a tuple; ``order`` is 0, 1 or 2, or a tuple of them."""
+    orders = (order,) if np.ndim(order) == 0 else tuple(order)
+    if any(o not in (0, 1, 2) for o in orders):
+        raise ValueError("order must be 0, 1 or 2")
+    return orders
+
+
+def _shape_orders(order, rows, scalar):
+    """Rows per order, shaped for the call: a float (scalar z) or an array for
+    an int order; for a tuple the rows, or one value per order for scalar z."""
+    rows = rows[:, 0] if scalar else rows
+    if np.ndim(order) == 0:
+        return float(rows[0]) if scalar else rows[0]
+    return rows
+
+
 def bessel_k(order, z):
     """K_order(z) for order in {0, 1, 2}; scalar in, scalar out.
 
-    z past ~705 underflows gracefully to 0.0 (see ``bessel_k_detail`` for
-    the flag).  K2 is produced through the recurrence
-    K2(z) = K0(z) + 2 K1(z)/z, which is exact for the recurrence residual.
+    A tuple of orders, e.g. ``(0, 1, 2)``, shares one pass and returns one
+    row per order (shape ``(len(order),)`` for scalar z, ``(len(order),
+    z.size)`` otherwise), each bitwise equal to the single-order call.
+    Past UNDERFLOW_Z values underflow gracefully to subnormals, then 0.0
+    (``bessel_k_detail`` flags them).  K2 comes from the recurrence
+    K2 = K0 + 2 K1/z, which makes the recurrence residual exact.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    scalar = np.isscalar(z) or np.ndim(z) == 0
+    orders = _check_orders(order)
     k0, k1 = _k0_k1(z)
-    if order == 0:
-        out = k0
-    elif order == 1:
-        out = k1
-    else:
-        out = k0 + 2.0 * k1 / np.atleast_1d(np.asarray(z, dtype=float))
-    return float(out[0]) if scalar else out
+    by_order = (k0, k1)
+    if 2 in orders:
+        by_order += (k0 + 2.0 * k1 / np.atleast_1d(np.asarray(z, dtype=float)),)
+    return _shape_orders(order, np.array([by_order[o] for o in orders]), np.ndim(z) == 0)
 
 
 def bessel_k_detail(order, z):
-    """Like ``bessel_k`` but returns a :class:`BesselEval` with provenance."""
+    """Like ``bessel_k``, with a :class:`BesselEval` per order for provenance."""
     z = float(z)
-    value = bessel_k(order, z)
-    if z > UNDERFLOW_Z and value == 0.0:
-        return BesselEval(z, order, 0.0, "cf", underflowed=True)
     tag = "series" if z <= SERIES_CUTOFF else "cf"
-    return BesselEval(z, order, value, tag)
+    orders = _check_orders(order)
+    evals = tuple(BesselEval(z, o, float(v), tag, underflowed=z > UNDERFLOW_Z)
+                  for o, v in zip(orders, bessel_k(orders, z)))
+    return evals[0] if np.ndim(order) == 0 else evals
 
 
 def bessel_i0(z):
@@ -312,16 +329,12 @@ def oracle_bessel_k(order, z, rtol=1e-14):
     refinement difference is the certified error estimate.
 
     ``order`` is 0, 1 or 2, or a tuple of them such as ``(0, 1, 2)``; a
-    tuple shares one quadrature and returns one row per order (shape
-    ``(len(order),)`` for scalar z, ``(len(order), z.size)`` otherwise).
-    Each order retires at the first level where its own points agree, so
-    every row equals the single-order call bit for bit.
+    tuple shares one quadrature and returns rows shaped as in ``bessel_k``.
+    Each order retires at the first level where its own
+    points agree, so every row equals the single-order call bit for bit.
     """
-    orders = (order,) if np.ndim(order) == 0 else tuple(order)
-    if any(o not in (0, 1, 2) for o in orders):
-        raise ValueError("order must be 0, 1 or 2")
+    orders = _check_orders(order)
     zarr = np.atleast_1d(_validate_z(z)).astype(float)
-    scalar = np.ndim(z) == 0
     out = np.empty((len(orders), zarr.size))
     live = np.arange(len(orders))
     coarse = _oracle_quad(orders, zarr, 32)
@@ -338,10 +351,7 @@ def oracle_bessel_k(order, z, rtol=1e-14):
         raise BesselAccuracyError(
             f"oracle quadrature stalled at relative error {worst:.3e} (target {rtol:.1e})"
         )
-    out = out[:, 0] if scalar else out
-    if np.ndim(order) == 0:
-        return float(out[0]) if scalar else out[0]
-    return out
+    return _shape_orders(order, out, np.ndim(z) == 0)
 
 
 # ---------------------------------------------------------------------------

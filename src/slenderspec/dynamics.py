@@ -70,6 +70,8 @@ class DynamicsState:
 
 def single_mode_state(eps, k_max, k, amplitude=1.0):
     """A state holding one conjugate-symmetric mode pair in the x component."""
+    if not 1 <= abs(k) <= k_max:
+        raise ValueError(f"mode k must satisfy 1 <= |k| <= k_max = {k_max}")
     coeffs = np.zeros((2, 2 * k_max + 1), dtype=complex)
     coeffs[0, k_max + abs(k)] = amplitude
     coeffs[0, k_max - abs(k)] = np.conj(amplitude)

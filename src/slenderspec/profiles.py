@@ -36,7 +36,7 @@ _FAMILY_OF = {
 
 
 class UnderflowError(ArithmeticError):
-    """eps*k so large that the boundary K-values underflow to zero."""
+    """z > UNDERFLOW_Z, or profile constants (~|k|/K1) past the largest double."""
 
 
 class AccuracyError(ArithmeticError):
@@ -56,39 +56,55 @@ class RadialModeSolution:
 
 
 def _boundary_k(mode):
-    z = mode.z
-    evals = [bessel_k_detail(order, z) for order in (0, 1, 2)]
-    if any(e.underflowed or e.value == 0.0 for e in evals):
-        raise UnderflowError(f"K underflow at z = pi*eps*|k| = {z:.3f}")
-    return tuple(e.value for e in evals)
+    """(K0, K1, K2) at z = pi eps |k| times 2**-e, with K1 * 2**-e in [0.5, 1), and e.
+
+    The constants are homogeneous of degree -1 in the K values, so forming
+    them from the scaled values and scaling back by 2**-e keeps the products
+    of K values normal up to UNDERFLOW_Z, and the constants bitwise
+    unchanged wherever the raw products were normal.
+    """
+    evals = bessel_k_detail((0, 1, 2), mode.z)
+    if any(ev.underflowed for ev in evals):
+        raise UnderflowError(f"K underflow at z = pi*eps*|k| = {mode.z:.3f}")
+    e = math.frexp(evals[1].value)[1]
+    return tuple(math.ldexp(ev.value, -e) for ev in evals), e
 
 
 def solve_mode(direction, mode):
     """Compute the profile constants for one (direction, mode) pair."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    k0, k1, k2 = _boundary_k(mode)
+    (k0, k1, k2), e = _boundary_k(mode)
     eps, k = mode.eps, mode.k
     z = mode.z
     sgn = 1.0 if k > 0 else -1.0
 
     if direction == "laplace_scalar":
         # c0 stores the normalization 1/K0(pi eps |k|); no pressure
-        return RadialModeSolution(mode, direction, c_p=0.0 + 0.0j, c0=1.0 / k0)
-
-    if direction == "tangential":
+        consts = {"c_p": 0.0 + 0.0j, "c0": 1.0 / k0}
+    elif direction == "tangential":
         c_p = -1j * 2.0 * math.pi * k * k1 / (2.0 * k0 * k1 + z * (k0 * k0 - k1 * k1))
-        c1 = -c_p * eps * k0 / (2.0 * k1)
-        c0 = 1.0 / k0 + 1j * c_p * eps * k1 * sgn / (2.0 * k0)
-        return RadialModeSolution(mode, direction, c_p=c_p, c0=c0, c1=c1)
+        consts = {"c_p": c_p, "c0": 1.0 / k0 + 1j * c_p * eps * k1 * sgn / (2.0 * k0),
+                  "c1": -c_p * eps * k0 / (2.0 * k1)}
+    else:
+        den = 2.0 * k0 * k1 * k2 + z * (k1 * k1 * (k0 + k2) - 2.0 * k0 * k0 * k2)
+        c_p = 4.0 * math.pi * abs(k) * k1 * k2 / den
+        consts = {"c_p": c_p, "c0": 2.0 / k0 - c_p * eps * k1 / (2.0 * k0),
+                  "c1": 1j * c_p * eps * k0 * sgn / (2.0 * k1),
+                  "c2": -c_p * eps * k1 / (2.0 * k2)}
+    try:
+        consts = {name: _unscale(c, e) for name, c in consts.items()}
+    except OverflowError:
+        raise UnderflowError(
+            f"profile constants overflow at z = pi*eps*|k| = {z:.3f}") from None
+    return RadialModeSolution(mode, direction, **consts)
 
-    # normal
-    den = 2.0 * k0 * k1 * k2 + z * (k1 * k1 * (k0 + k2) - 2.0 * k0 * k0 * k2)
-    c_p = 4.0 * math.pi * abs(k) * k1 * k2 / den
-    c1 = 1j * c_p * eps * k0 * sgn / (2.0 * k1)
-    c0 = 2.0 / k0 - c_p * eps * k1 / (2.0 * k0)
-    c2 = -c_p * eps * k1 / (2.0 * k2)
-    return RadialModeSolution(mode, direction, c_p=c_p, c0=c0, c1=c1, c2=c2)
+
+def _unscale(c, e):
+    """c * 2**-e; each part of a complex c on its own, so no zero changes sign."""
+    if isinstance(c, complex):
+        return complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+    return math.ldexp(c, -e)
 
 
 def evaluate_profile(sol, r):
@@ -101,8 +117,7 @@ def evaluate_profile(sol, r):
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
         raise ValueError("profiles are defined for r >= eps only")
     a = math.pi * abs(sol.mode.k)
-    k0r = bessel_k(0, a * r)
-    k1r = bessel_k(1, a * r)
+    k0r, k1r, k2r = bessel_k((0, 1, 2), a * r)
     sgn = 1.0 if sol.mode.k > 0 else -1.0
 
     if sol.direction == "laplace_scalar":
@@ -114,7 +129,6 @@ def evaluate_profile(sol, r):
         u_z = sol.c0 * k0r - 0.5j * sol.c_p * r * k1r * sgn
         return {"U_r": u_r, "U_z": u_z, "p": p}
 
-    k2r = bessel_k(2, a * r)
     p = sol.c_p * k1r
     u_z = sol.c1 * k1r - 0.5j * sol.c_p * r * k0r * sgn
     u_plus = sol.c0 * k0r + 0.5 * sol.c_p * r * k1r
@@ -129,12 +143,8 @@ def evaluate_profile(sol, r):
     }
 
 
-def _deriv_at_eps(values_fn, eps, h):
-    """One-sided 4-point first derivative at r = eps, O(h^3)."""
-    if h < eps * 1e-12:
-        raise AccuracyError("finite-difference step below precision floor")
-    r = eps + h * np.arange(4)
-    f = values_fn(r)
+def _deriv_at_eps(f, h):
+    """One-sided 4-point first derivative at r = eps, O(h^3), from f(eps + h*[0, 1, 2, 3])."""
     return (-11.0 * f[0] + 18.0 * f[1] - 9.0 * f[2] + 2.0 * f[3]) / (6.0 * h)
 
 
@@ -148,20 +158,19 @@ def traction_eigenvalue_numeric(direction, mode, h_rel=1e-5):
     sol = solve_mode(direction, mode)
     eps = mode.eps
     h = eps * h_rel
-    k = mode.k
+    if h < eps * 1e-12:
+        raise AccuracyError("finite-difference step below precision floor")
+    prof = evaluate_profile(sol, eps + h * np.arange(4))
 
     if direction == "laplace_scalar":
-        dU = _deriv_at_eps(lambda r: evaluate_profile(sol, r)["U"], eps, h)
-        lam = -2.0 * math.pi * eps * dU
+        lam = -2.0 * math.pi * eps * _deriv_at_eps(prof["U"], h)
     elif direction == "tangential":
-        prof = evaluate_profile(sol, np.array([eps]))
-        dUz = _deriv_at_eps(lambda r: evaluate_profile(sol, r)["U_z"], eps, h)
+        dUz = _deriv_at_eps(prof["U_z"], h)
         # sigma_rz = dU_z/dr + dU_r/dz with U_z(eps) = 1 normalization
-        lam = -2.0 * math.pi * eps * (dUz + 1j * math.pi * k * prof["U_r"][0])
+        lam = -2.0 * math.pi * eps * (dUz + 1j * math.pi * mode.k * prof["U_r"][0])
     else:
-        prof = evaluate_profile(sol, np.array([eps]))
-        dUr = _deriv_at_eps(lambda r: evaluate_profile(sol, r)["U_r"], eps, h)
-        dUth = _deriv_at_eps(lambda r: evaluate_profile(sol, r)["U_theta"], eps, h)
+        dUr = _deriv_at_eps(prof["U_r"], h)
+        dUth = _deriv_at_eps(prof["U_theta"], h)
         lam = -math.pi * eps * (2.0 * dUr + dUth - prof["p"][0])
 
     lam = complex(lam)
@@ -209,14 +218,6 @@ def incompressibility_residual(sol, r, h_rel=1e-6):
     return np.abs(div) / scale
 
 
-def _second_deriv(fn, r, h):
-    return (fn(r + h) - 2.0 * fn(r) + fn(r - h)) / (h * h)
-
-
-def _first_deriv(fn, r, h):
-    return (fn(r + h) - fn(r - h)) / (2.0 * h)
-
-
 def residual_momentum(sol, r, h_rel=1e-3):
     """Relative residuals of the radial momentum/pressure equations at r > eps.
 
@@ -233,53 +234,32 @@ def residual_momentum(sol, r, h_rel=1e-3):
     h = np.minimum(h, 0.5 * (r - sol.mode.eps))
     a2 = (math.pi * sol.mode.k) ** 2
     k = sol.mode.k
+    dn, mid, up = (evaluate_profile(sol, rr) for rr in (r - h, r, r + h))
 
-    def get(key):
-        return lambda rr: evaluate_profile(sol, rr)[key]
+    def d1(key):
+        return (up[key] - dn[key]) / (2.0 * h)
 
-    def lop(key, m):
-        f = get(key)
-        val = f(r)
-        d2 = _second_deriv(f, r, h)
-        d1 = _first_deriv(f, r, h)
-        out = d2 + d1 / r - (m * m / (r * r) + a2) * val
+    # (m, forcing) of each profile's equation L_m f = forcing
+    dp, p = d1("p"), mid["p"]
+    if sol.direction == "laplace_scalar":
+        equations = {"U": (0, 0.0)}
+    elif sol.direction == "tangential":
+        equations = {"p": (0, 0.0), "U_r": (1, dp), "U_z": (0, 1j * math.pi * k * p)}
+    else:
+        equations = {"p": (1, 0.0), "U_plus": (0, dp + p / r), "U_minus": (2, dp - p / r),
+                     "U_z": (1, 1j * math.pi * k * p)}
+
+    res = {}
+    for key, (m, rhs) in equations.items():
+        val, first = mid[key], d1(key)
+        d2 = (up[key] - 2.0 * val + dn[key]) / (h * h)
+        out = d2 + first / r - (m * m / (r * r) + a2) * val
         # scale from the pre-cancellation term sizes: for small pi|k|r the
         # Laplacian pieces cancel to O((pi k r)^2) of their own magnitude,
         # and a residual relative to that cancellation is the honest FD
         # figure of merit
-        scale = np.abs(d2) + np.abs(d1) / r + (m * m / (r * r) + a2) * np.abs(val)
-        return out, scale
-
-    res = {}
-    if sol.direction == "laplace_scalar":
-        out, scale = lop("U", 0)
-        res["U"] = np.abs(out) / scale
-        return res
-
-    if sol.direction == "tangential":
-        out, scale = lop("p", 0)
-        res["p"] = np.abs(out) / np.maximum(scale, 1e-300)
-        dp = _first_deriv(get("p"), r, h)
-        out, scale = lop("U_r", 1)
-        res["U_r"] = np.abs(out - dp) / np.maximum(scale + np.abs(dp), 1e-300)
-        out, scale = lop("U_z", 0)
-        rhs = 1j * math.pi * k * get("p")(r)
-        res["U_z"] = np.abs(out - rhs) / np.maximum(scale + np.abs(rhs), 1e-300)
-        return res
-
-    out, scale = lop("p", 1)
-    res["p"] = np.abs(out) / np.maximum(scale, 1e-300)
-    dp = _first_deriv(get("p"), r, h)
-    pval = get("p")(r)
-    out, scale = lop("U_plus", 0)
-    rhs = dp + pval / r
-    res["U_plus"] = np.abs(out - rhs) / np.maximum(scale + np.abs(rhs), 1e-300)
-    out, scale = lop("U_minus", 2)
-    rhs = dp - pval / r
-    res["U_minus"] = np.abs(out - rhs) / np.maximum(scale + np.abs(rhs), 1e-300)
-    out, scale = lop("U_z", 1)
-    rhs = 1j * math.pi * k * pval
-    res["U_z"] = np.abs(out - rhs) / np.maximum(scale + np.abs(rhs), 1e-300)
+        scale = np.abs(d2) + np.abs(first) / r + (m * m / (r * r) + a2) * np.abs(val)
+        res[key] = np.abs(out - rhs) / np.maximum(scale + np.abs(rhs), 1e-300)
     return res
 
 

@@ -5,15 +5,13 @@ summary lines when everything passes).  Each criterion prints a single
 ``[PASS]``/``[FAIL]`` line with its headline number before asserting.
 """
 
-import math
+import functools
 import time
-from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from slenderspec import bessel, checks, dynamics, experiments, profiles, spectra
-from slenderspec.spectra import SQRT_E, EigenFamily, Mode
+from slenderspec import bessel, checks, experiments, profiles, spectra
+from slenderspec.spectra import Mode
 
 
 def _report(n, label, ok, detail):
@@ -21,45 +19,34 @@ def _report(n, label, ok, detail):
     assert ok, f"criterion {n} failed: {detail}"
 
 
+@functools.cache
+def _suite(name):
+    """One run of a ``checks`` suite, shared by the criteria that read it."""
+    return checks.SUITES[name]()
+
+
 def test_criterion_01_bessel_accuracy():
     t0 = time.perf_counter()
-    z = np.geomspace(1e-8, 100.0, 10_000)
-    worst = 0.0
-    for order in (0, 1, 2):
-        mine = bessel.bessel_k(order, z)
-        ref = bessel.oracle_bessel_k(order, z)
-        worst = max(worst, float(np.max(np.abs(mine - ref) / ref)))
+    ok, worst = checks.verify_bessel().checks["rel_error_vs_oracle"]
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and elapsed < 10.0
+    ok = ok and elapsed < 10.0
     _report(1, "bessel vs oracle", ok,
             f"max rel err {worst:.2e} (<= 1e-12), {elapsed:.1f}s (< 10s)")
 
 
 def test_criterion_02_ratio_and_small_z_bounds():
-    rb = bessel.check_ratio_bounds(np.geomspace(1e-6, 100.0, 100_000))
     # below z ~ 1e-4 both sides of the small-z bounds round to the same
-    # double, so the grid starts where the margin is resolvable
-    m0, m1 = bessel.check_small_z_bounds(np.linspace(1e-4, 1.0, 10_000, endpoint=False))
-    worst = min(float(rb.lower_margin.min()), float(rb.upper_margin.min()),
-                float(m0.min()), float(m1.min()))
-    ok = rb.ok and np.all(m0 >= 0) and np.all(m1 >= 0)
+    # double, so the suite's small-z grid starts where the margin is resolvable
+    res = _suite("inequalities").checks
+    names = ("ratio_lower_bound", "ratio_upper_bound", "small_z_k0_bound", "small_z_zk1_bound")
+    ok = all(res[n][0] for n in names)
+    worst = min(res[n][1] for n in names)
     _report(2, "two-sided ratio + small-z bounds", ok, f"worst margin {worst:.3e} (> 0)")
 
 
 def test_criterion_03_growth_bounds():
-    ks = np.arange(1, 10_001)
-    worst = math.inf
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        base = math.pi**2 * eps * ks
-        for setting, direction, lo_f, width in (
-            ("laplace", "longitudinal", 2.0, math.pi),
-            ("stokes", "tangential", 4.0, 2.0 * math.pi),
-            ("stokes", "normal", 3.0, 3.0 * math.pi),
-        ):
-            lam = spectra.eigenvalues(EigenFamily(setting, direction, "pde"), eps, ks)
-            lo = lo_f * base
-            worst = min(worst, float(np.min(lam - lo)), float(np.min(lo + width - lam)))
-    _report(3, "two-sided eigenvalue growth bounds", worst > 0,
+    ok, worst = _suite("inequalities").checks["growth_bounds_margin"]
+    _report(3, "two-sided eigenvalue growth bounds", ok,
             f"worst margin {worst:.3e} over eps in {{1e-1..1e-4}}, k <= 1e4")
 
 
@@ -179,32 +166,20 @@ def test_criterion_10_singular_integral_spectra():
 
 
 def test_criterion_11_h_bound_and_spot_values():
-    z = np.linspace(20.0 / 10_000, 20.0, 10_000)
-    margin = float(np.min(1.125 * z - np.abs(spectra.h_function(z))))
-    g2_ok = spectra.g2_polynomial(Fraction(3, 2)) == Fraction(646907, 163840)
-    g3_ok = spectra.g3_polynomial(Fraction(1)) == Fraction(3881062, 455625)
-    ok = margin > 0 and g2_ok and g3_ok
-    _report(11, "forcing bound + exact spot values", ok,
+    margin_ok, margin = _suite("inequalities").checks["h_bound_margin"]
+    spots = _suite("appendixC").checks
+    exact = spots["g2_spot_value"][0] and spots["g3_spot_value"][0]
+    _report(11, "forcing bound + exact spot values", margin_ok and exact,
             f"|h| < 9z/8 margin {margin:.3e}, rational spot values "
-            f"{'exact' if g2_ok and g3_ok else 'WRONG'}")
+            f"{'exact' if exact else 'WRONG'}")
 
 
 def test_criterion_12_dynamics():
-    nu1 = dynamics.nu(1e-3, 1)
-    ks = np.arange(2, 10_001)
-    neg_ok = all(np.all(dynamics.nu(e, ks) < 0) for e in (1e-1, 1e-2, 1e-3))
-    gaps = []
-    for eps, K in ((1e-2, 32), (1e-1, 512)):
-        a = dynamics.max_stable_dt(eps, K)
-        e = dynamics.max_stable_dt(eps, K, empirical=True)
-        gaps.append(abs(e - a) / a)
-    # quartic regime needs ds >> eps throughout: eps = 1e-3, K up to 128;
-    # cubic regime needs ds << eps: eps = 1e-1, K from 512
-    s4 = dynamics.stability_slope(1e-3, [8, 16, 32, 64, 128])
-    s3 = dynamics.stability_slope(1e-1, [512, 1024, 2048, 4096])
-    ok = (nu1 == 0.0 and neg_ok and max(gaps) < 0.1
-          and abs(s4 - 4.0) <= 0.3 and abs(s3 - 3.0) <= 0.3)
-    _report(12, "relaxation dynamics", ok,
-            f"nu_1 = {nu1}, nu_k < 0 {'ok' if neg_ok else 'VIOLATED'}, "
-            f"dt gap {max(gaps):.2%} (< 10%), slopes {s4:.2f} (4 +/- 0.3) "
-            f"and {s3:.2f} (3 +/- 0.3)")
+    res = _suite("dynamics")
+    c = res.checks
+    gap = max(v[1] for name, v in c.items() if name.startswith("empirical_dt_"))
+    _report(12, "relaxation dynamics", res.ok,
+            f"nu_1 = {c['nu_1_is_zero'][1]}, nu_k < 0 "
+            f"{'ok' if c['nu_negative_k_ge_2'][0] else 'VIOLATED'}, "
+            f"dt gap {gap:.2%} (< 10%), slopes {c['quartic_regime_slope'][1]:.2f} (4 +/- 0.3) "
+            f"and {c['cubic_regime_slope'][1]:.2f} (3 +/- 0.3)")

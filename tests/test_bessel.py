@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,19 +57,21 @@ def test_scaled_values_vs_scipy_to_underflow():
     assert np.max(np.abs(bessel.ratio_A(z) - ref) / ref) <= 1e-13
 
 
+@pytest.mark.parametrize("route", [bessel.bessel_k, bessel.oracle_bessel_k],
+                         ids=["bessel_k", "oracle"])
 @pytest.mark.parametrize("z", [np.geomspace(1e-8, 100.0, 10_000),  # verify_bessel grid
                                np.geomspace(1e-6, 90.0, 200),       # verify_oracle grid
                                50.0])
-def test_oracle_orders_tuple_matches_single_order_bitwise(z):
-    rows = bessel.oracle_bessel_k((0, 1, 2), z)
+def test_oracle_orders_tuple_matches_single_order_bitwise(route, z):
+    rows = route((0, 1, 2), z)
     assert rows.shape == (3,) + np.shape(z)
     for order in (0, 1, 2):
-        single = bessel.oracle_bessel_k(order, z)
+        single = route(order, z)
         assert type(single) is (float if np.ndim(z) == 0 else np.ndarray)
         assert np.array_equal(rows[order], single)
-    assert np.array_equal(bessel.oracle_bessel_k((2,), z)[0], rows[2])
+    assert np.array_equal(route((2,), z)[0], rows[2])
     with pytest.raises(ValueError):
-        bessel.oracle_bessel_k((0, 3), z)
+        route((0, 3), z)
 
 
 def test_recurrence_identity():
@@ -102,6 +105,13 @@ def test_domain_errors():
 def test_underflow_flagged():
     ev = bessel.bessel_k_detail(0, 800.0)
     assert ev.value == 0.0 and ev.underflowed
+    # past UNDERFLOW_Z the values are subnormal before they reach 0.0
+    evs = bessel.bessel_k_detail((0, 1, 2), 720.0)
+    assert [e.order for e in evs] == [0, 1, 2]
+    assert all(e.underflowed and 0.0 < e.value < sys.float_info.min for e in evs)
+    evs = bessel.bessel_k_detail((0, 1, 2), 700.0)
+    assert [e.value for e in evs] == [bessel.bessel_k(n, 700.0) for n in (0, 1, 2)]
+    assert not any(e.underflowed for e in evs)
 
 
 def test_oracle_deep_decay():
@@ -205,8 +215,10 @@ def test_property_array_call_matches_scalar_calls_bitwise(z):
     # each element of an array call runs exactly the arithmetic of its own
     # scalar call, whatever its neighbours need (slow-converging z just
     # above the cutoff next to fast large z)
+    rows = bessel.bessel_k((0, 1, 2), z)
     for order in (0, 1, 2):
         scalar = np.array([bessel.bessel_k(order, float(x)) for x in z])
         assert np.array_equal(bessel.bessel_k(order, z), scalar)
+        assert np.array_equal(rows[order], scalar)
     for fn in (bessel.ratio_A, bessel.ratio_B):
         assert np.array_equal(fn(z), np.array([fn(float(x)) for x in z]))

@@ -77,6 +77,15 @@ def test_dynamics_energy_mode(capsys):
     assert all(b <= a for a, b in zip(energies, energies[1:]))
 
 
+@pytest.mark.parametrize("mode", ["100", "-65", "0"])
+def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
+    code = main(["dynamics", "--eps", "0.01", "--energy-mode", mode, "--k-max", "64"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mode k must satisfy 1 <= |k| <= k_max = 64\n"
+
+
 def test_profile_csv(capsys):
     code, out = run(capsys, "profile", "--direction", "tangential",
                     "--eps", "0.05", "--k", "2", "--points", "10")
@@ -84,6 +93,15 @@ def test_profile_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "r,U_r_re,U_r_im,U_z_re,U_z_im,p_re,p_im"
     assert len(lines) == 11
+
+
+def test_profile_past_underflow_exit_2(capsys):
+    # z = pi * 0.4 * 570 = 716.3, past bessel.UNDERFLOW_Z
+    code = main(["profile", "--direction", "normal", "--eps", "0.4", "--k", "570"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: K underflow at z = pi*eps*|k| = 716.283\n"
 
 
 def test_converge_json(capsys):

@@ -103,6 +103,33 @@ def test_underflow_guard():
         profiles.solve_mode("tangential", Mode(100_000, 0.01))
 
 
+@pytest.mark.parametrize("direction", ["tangential", "normal"])
+@pytest.mark.parametrize("z", [250.0, 400.0, 600.0])
+def test_traction_where_boundary_products_underflow(direction, z):
+    # products of two (tangential) or three (normal) K values at the boundary
+    # leave the normal double range from z ~ 354 and ~ 236
+    eps = 0.01
+    mode = Mode(round(z / (math.pi * eps)), eps)
+    _, _, gap = profiles.traction_vs_closed_form(direction, mode)
+    assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("direction", profiles.DIRECTIONS)
+def test_underflow_error_past_underflow_z(direction):
+    mode = Mode(22_918, 0.01)  # z = 719.99
+    assert mode.z > bessel.UNDERFLOW_Z
+    with pytest.raises(profiles.UnderflowError):
+        profiles.traction_vs_closed_form(direction, mode)
+
+
+def test_constants_overflow_is_underflow_error():
+    # z = 691.6 is below UNDERFLOW_Z, but the constants, of size ~|k|/K1,
+    # exceed the largest double for this |k|
+    mode = Mode(-2_053_101, 1.0722229706726456e-4)
+    with pytest.raises(profiles.UnderflowError, match="overflow"):
+        profiles.traction_vs_closed_form("normal", mode)
+
+
 def test_normal_plus_minus_split():
     mode = Mode(2, 0.1)
     sol = profiles.solve_mode("normal", mode)
