@@ -125,12 +125,19 @@ def cmd_delta_opt(args):
 
 def cmd_dynamics(args):
     if args.energy_mode is not None:
+        if args.steps < 0:
+            raise ValueError("--steps must be >= 0")
+        if args.dt is not None and args.dt <= 0:
+            raise ValueError("--dt must be positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
-        dt = args.dt or 0.5 * dynamics.max_stable_dt(args.eps, args.k_max)
+        dt = args.dt
+        if dt is None:
+            dt = 0.5 * dynamics.max_stable_dt(args.eps, args.k_max)
         rows = ["step,t,energy"]
         for i in range(args.steps + 1):
+            if i:
+                state = dynamics.step(state, dt, args.scheme)
             rows.append(f"{i},{_FMT.format(state.t)},{_FMT.format(dynamics.energy(state))}")
-            state = dynamics.step(state, dt, args.scheme)
         _emit("\n".join(rows) + "\n", args.output)
         return 0
     k_list = _parse_krange(args.sweep)
@@ -143,6 +150,8 @@ def cmd_dynamics(args):
 
 
 def cmd_profile(args):
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
     mode = Mode(args.k, args.eps)
     sol = profiles.solve_mode(args.direction, mode)
     r = np.linspace(args.eps, args.eps * args.r_mult, args.points)

@@ -107,7 +107,8 @@ def convergence_study(setting, method, regularity, eps_grid=None, seed=11,
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
     if len(eps_grid) < 4 or not all(a > b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing with >= 4 points")
-    k_max = k_max or _required_k_max(min(eps_grid))
+    if k_max is None:
+        k_max = _required_k_max(min(eps_grid))
     if k_max < 2.0 / (math.pi * min(eps_grid)):
         raise ValueError("k_max does not resolve the 1/eps truncation scale")
     u = _input_field(setting, regularity, k_max, seed)
@@ -125,7 +126,8 @@ def wellposedness_constant(setting, eps_grid=None, seed=11, profile="h1_rough",
                            k_max=None):
     """Per-eps values of ||L_eps^{-1} u||_{L^2} |log eps| / ||u||_{H^1}."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
-    k_max = k_max or _required_k_max(min(eps_grid))
+    if k_max is None:
+        k_max = _required_k_max(min(eps_grid))
     direction = "longitudinal" if setting == "laplace" else "tangential"
     pde = EigenFamily(setting, direction, "pde")
     n_comp = 1 if setting == "laplace" else 3
@@ -187,7 +189,8 @@ def cdelta_profile(setting, delta_grid, c1, c2):
 def measured_delta_error(setting, eps, delta_grid, regularity="H1", seed=11,
                          k_max=None):
     """Measured approximation error as a function of delta at fixed eps."""
-    k_max = k_max or _required_k_max(eps)
+    if k_max is None:
+        k_max = _required_k_max(eps)
     u = _input_field(setting, regularity, k_max, seed)
     return [approximation_error(setting, "delta_reg", u, eps, delta=d)
             for d in delta_grid]

@@ -149,32 +149,34 @@ def apply_operator(family, field, eps, inverse):
     family's setting/method/parameters shared.  ``inverse=True`` is the
     velocity-to-force direction.
 
-    Eigenvalues depend on |k| only: each distinct component family (x and y
-    share the normal one) is evaluated once on k = 1..K_max and mirrored.
+    Eigenvalues depend on |k| only: the distinct component families (x and
+    y share the normal one) are evaluated together on k = 1..K_max, and
+    each spectrum is written to k > 0 as is and to k < 0 reversed.
     """
     if not field.mean_free:
         raise MeanModeError("k = 0 coefficient must vanish before applying operators")
-    k = field.k_values
-    nonzero = k != 0
-    spectra = {}
-    out = np.zeros_like(field.coeffs)
-    for ci in range(field.n_components):
-        fam = _component_family(family, ci, field.n_components)
-        if fam not in spectra:
-            lam_pos = eigenvalues(fam, eps, np.arange(1, field.k_max + 1))
-            spectra[fam] = np.concatenate([lam_pos[::-1], lam_pos])
+    k_max = field.k_max
+    fams = [_component_family(family, ci, field.n_components)
+            for ci in range(field.n_components)]
+    distinct = tuple(dict.fromkeys(fams))
+    spectra = dict(zip(distinct, eigenvalues(distinct, eps, np.arange(1, k_max + 1))))
+    c = field.coeffs
+    out = np.zeros_like(c)
+    op = np.multiply if inverse else np.divide
+    for ci, fam in enumerate(fams):
         lam = spectra[fam]
-        if inverse:
-            out[ci, nonzero] = field.coeffs[ci, nonzero] * lam
-        else:
-            if np.any(lam == 0.0) or not np.all(np.isfinite(lam)):
-                bad = k[nonzero][(lam == 0.0) | ~np.isfinite(lam)]
+        if not inverse:
+            bad = (lam == 0.0) | ~np.isfinite(lam)
+            if np.any(bad):
+                k_bad = np.flatnonzero(bad) + 1
+                k_bad = np.concatenate([-k_bad[::-1], k_bad])
                 # truncated families legitimately zero out the high band;
                 # forward application there is division by zero = a pole hit
                 raise PoleError(
-                    f"forward map undefined at k in {bad[:5].tolist()} (1/lambda = 0)"
+                    f"forward map undefined at k in {k_bad[:5].tolist()} (1/lambda = 0)"
                 )
-            out[ci, nonzero] = field.coeffs[ci, nonzero] / lam
+        out[ci, k_max + 1:] = op(c[ci, k_max + 1:], lam)
+        out[ci, :k_max] = op(c[ci, :k_max], lam[::-1])
     return field.with_coeffs(out)
 
 

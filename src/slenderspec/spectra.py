@@ -128,58 +128,72 @@ ODE_FAMILIES = (
 )
 
 
+_SBT_DIRECTION = {"B_SB": "longitudinal", "B_SB_t": "tangential", "B_SB_n": "normal"}
+_DELTA_B = frozenset(("B_delta", "B_delta_t", "B_delta_n"))
+
+
 def b_function(fam, z, delta=None, allow_past_singularity=False):
     """Evaluate one of the scalar eigenvalue profiles at z > 0.
 
     sbt families blow up at their singularity (see ``SBT_SINGULARITY``);
     evaluation there raises :class:`PoleError` unless
     ``allow_past_singularity`` is set (needed to plot the blow-up).
+
+    A tuple of families, e.g. ``("B_t", "B_n")``, shares one kernel pass
+    (one ``ratio_A`` call for B_t/B_n, one ``bessel_k(0, delta z)`` call
+    for the delta families) and returns one row per family, shaped as in
+    ``bessel_k``; each row is bitwise equal to the single-family call.
     """
+    fams = (fam,) if isinstance(fam, str) else tuple(fam)
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise ValueError("b_function requires finite z > 0")
+    needs_delta = _DELTA_B.intersection(fams)
+    if needs_delta and delta is None:
+        raise ValueError(f"{min(needs_delta)} requires delta")
 
-    if fam == "B":
-        out = ratio_B(z)
-    elif fam == "B_t":
-        # K1^2-normalized form, finite even where K itself underflows
-        a = ratio_A(z)
-        out = z / (2.0 * a + z * (a * a - 1.0))
-    elif fam == "B_n":
-        # K1^3-normalized form with C = K2/K1 = A + 2/z (exact recurrence)
-        a = ratio_A(z)
-        c = a + 2.0 / z
-        num = 4.0 * z * c + z * z * (1.0 - a * c)
-        den = 2.0 * a * c + z * (a + c - 2.0 * a * a * c)
-        out = num / den
-    elif fam in ("B_SB", "B_SB_t", "B_SB_n"):
-        direction = {"B_SB": "longitudinal", "B_SB_t": "tangential", "B_SB_n": "normal"}[fam]
-        pole = SBT_SINGULARITY[direction]
-        if not allow_past_singularity and np.any(z >= pole):
-            raise PoleError(f"{fam} has a pole at z = {pole:.6f}; pass allow_past_singularity")
-        lg = np.log(0.5 * z)
-        if fam == "B_SB":
-            out = -1.0 / (lg + EULER_GAMMA)
-        elif fam == "B_SB_t":
-            out = -1.0 / (1.0 + 2.0 * lg + 2.0 * EULER_GAMMA)
-        else:
-            out = 4.0 / (1.0 - 2.0 * lg - 2.0 * EULER_GAMMA)
-    elif fam in ("B_delta", "B_delta_t", "B_delta_n"):
-        if delta is None:
-            raise ValueError(f"{fam} requires delta")
-        k0d = bessel_k(0, delta * z)
-        if fam == "B_delta":
+    # the kernels the families share, one pass each
+    a = ratio_A(z) if {"B_t", "B_n"}.intersection(fams) else None
+    k0d = bessel_k(0, delta * z) if needs_delta else None
+    rows = []
+    for f in fams:
+        if f == "B":
+            out = ratio_B(z)
+        elif f == "B_t":
+            # K1^2-normalized form, finite even where K itself underflows
+            out = z / (2.0 * a + z * (a * a - 1.0))
+        elif f == "B_n":
+            # K1^3-normalized form with C = K2/K1 = A + 2/z (exact recurrence)
+            c = a + 2.0 / z
+            num = 4.0 * z * c + z * z * (1.0 - a * c)
+            den = 2.0 * a * c + z * (a + c - 2.0 * a * a * c)
+            out = num / den
+        elif f in _SBT_DIRECTION:
+            pole = SBT_SINGULARITY[_SBT_DIRECTION[f]]
+            if not allow_past_singularity and np.any(z >= pole):
+                raise PoleError(f"{f} has a pole at z = {pole:.6f}; pass allow_past_singularity")
+            lg = np.log(0.5 * z)
+            if f == "B_SB":
+                out = -1.0 / (lg + EULER_GAMMA)
+            elif f == "B_SB_t":
+                out = -1.0 / (1.0 + 2.0 * lg + 2.0 * EULER_GAMMA)
+            else:
+                out = 4.0 / (1.0 - 2.0 * lg - 2.0 * EULER_GAMMA)
+        elif f == "B_delta":
             out = 1.0 / (math.log(delta) + k0d)
-        elif fam == "B_delta_t":
+        elif f == "B_delta_t":
             out = 1.0 / (-1.0 + 2.0 * math.log(delta) + 2.0 * k0d)
-        else:
+        elif f == "B_delta_n":
             out = 4.0 / (1.0 + 2.0 * math.log(delta) + 2.0 * k0d)
-    else:
-        raise ValueError(f"unknown B-family {fam!r}")
-    out = np.atleast_1d(np.asarray(out, dtype=float))
-    return float(out[0]) if scalar else out
+        else:
+            raise ValueError(f"unknown B-family {f!r}")
+        rows.append(np.atleast_1d(np.asarray(out, dtype=float)))
+    if isinstance(fam, str):
+        return float(rows[0][0]) if scalar else rows[0]
+    rows = np.array(rows)
+    return rows[:, 0] if scalar else rows
 
 
 def ode_rhs(fam, z, b_value, delta=None):
@@ -309,7 +323,17 @@ def eigenvalues(family, eps, k, allow_past_singularity=True):
     integer array.  sbt values past the blow-up are returned as-is by
     default (callers interpret the sign change); sbt_truncated zeroes
     modes beyond the cutoff.
+
+    A tuple of families sharing setting, method and delta (e.g. the Stokes
+    normal and tangential ones) shares one kernel pass and returns one row
+    per family, shaped as in ``bessel_k``; each row is bitwise equal to the
+    single-family call.
     """
+    families = (family,) if isinstance(family, EigenFamily) else tuple(family)
+    first = families[0]
+    if any((f.setting, f.method, f.delta) != (first.setting, first.method, first.delta)
+           for f in families):
+        raise ValueError("families evaluated together must share setting, method and delta")
     k = np.asarray(k)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
@@ -317,25 +341,28 @@ def eigenvalues(family, eps, k, allow_past_singularity=True):
         raise ValueError("k = 0 is excluded")
     _check_eps(eps)
     z = math.pi * eps * np.abs(k).astype(float)
-    if family.method == "pde":
-        out = _PREFACTOR[family.direction] * b_function(_PDE_FAMILY[family.direction], z)
-    elif family.method in ("sbt", "sbt_truncated"):
-        fam = _SBT_FAMILY[family.direction]
-        pole = SBT_SINGULARITY[family.direction]
-        at_pole = z == pole
-        if np.any(at_pole):
-            raise PoleError(f"{fam} evaluated exactly at its pole z = {pole:.6f}")
-        out = _PREFACTOR[family.direction] * b_function(
-            fam, z, allow_past_singularity=allow_past_singularity
-        )
-        if family.method == "sbt_truncated":
-            cutoff = family.cutoff if family.cutoff is not None else family.default_cutoff(eps)
-            out = np.where(np.abs(k) <= cutoff, out, 0.0)
-    else:  # delta_reg
-        out = _PREFACTOR[family.direction] * b_function(
-            _DELTA_FAMILY[family.direction], z, delta=family.delta
-        )
-    return float(out[0]) if scalar else out
+    if first.method in ("sbt", "sbt_truncated"):
+        rows = []
+        for f in families:
+            fam = _SBT_FAMILY[f.direction]
+            pole = SBT_SINGULARITY[f.direction]
+            if np.any(z == pole):
+                raise PoleError(f"{fam} evaluated exactly at its pole z = {pole:.6f}")
+            out = _PREFACTOR[f.direction] * b_function(
+                fam, z, allow_past_singularity=allow_past_singularity
+            )
+            if f.method == "sbt_truncated":
+                cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
+                out = np.where(np.abs(k) <= cutoff, out, 0.0)
+            rows.append(out)
+    else:  # pde, delta_reg: the families share one kernel pass
+        names = _PDE_FAMILY if first.method == "pde" else _DELTA_FAMILY
+        b_rows = b_function(tuple(names[f.direction] for f in families), z, delta=first.delta)
+        rows = [_PREFACTOR[f.direction] * b for f, b in zip(families, b_rows)]
+    if isinstance(family, EigenFamily):
+        return float(rows[0][0]) if scalar else rows[0]
+    rows = np.array(rows)
+    return rows[:, 0] if scalar else rows
 
 
 def eigenvalue(family, mode):

@@ -86,6 +86,33 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
     assert captured.err == "error: mode k must satisfy 1 <= |k| <= k_max = 64\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--setting", "laplace", "--method", "sbt_truncated", "--k-max", "0"],
+     "k_max does not resolve the 1/eps truncation scale"),
+    (["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8", "--steps", "2",
+      "--dt", "0"], "--dt must be positive"),
+    (["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8", "--steps", "-1"],
+     "--steps must be >= 0"),
+    (["profile", "--direction", "normal", "--eps", "0.05", "--k", "3", "--points", "0"],
+     "--points must be >= 1"),
+])
+def test_degenerate_count_or_step_exit_2(capsys, argv, message):
+    # zero or negative sizes used to fall back to defaults or print a bare header
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_smallest_step_and_point_counts_are_valid(capsys):
+    code, out = run(capsys, "dynamics", "--eps", "0.01", "--energy-mode", "3",
+                    "--k-max", "8", "--steps", "0")
+    assert code == 0 and len(out.strip().split("\n")) == 2
+    code, out = run(capsys, "profile", "--direction", "normal", "--eps", "0.05",
+                    "--k", "3", "--points", "1")
+    assert code == 0 and len(out.strip().split("\n")) == 2
+
+
 def test_profile_csv(capsys):
     code, out = run(capsys, "profile", "--direction", "tangential",
                     "--eps", "0.05", "--k", "2", "--points", "10")

@@ -155,6 +155,57 @@ def test_eigenvalue_prefactors():
     assert lam == pytest.approx(2.0 * math.pi * spectra.b_function("B_n", z), rel=1e-13)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_eigenvalues_family_tuple_matches_single_calls_bitwise(monkeypatch):
+    calls = []
+    for name in ("ratio_A", "bessel_k"):
+        fn = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    z = np.geomspace(1e-3, 40.0, 300)
+    for fams, delta in ((("B_t", "B_n"), None),
+                        (("B_delta_t", "B_delta_n"), 1.7),
+                        (("B", "B_SB_n", "B_delta_t", "B_n"), 3.0)):
+        for zz in (z, 0.37):
+            calls.clear()
+            rows = spectra.b_function(fams, zz, delta=delta, allow_past_singularity=True)
+            # one kernel pass per kind of kernel, whatever the number of families
+            assert sorted(calls) == sorted(set(calls))
+            assert rows.shape == (len(fams),) + np.shape(zz)
+            for fam, row in zip(fams, rows):
+                single = spectra.b_function(fam, zz, delta=delta, allow_past_singularity=True)
+                assert _bits(row) == _bits(single)
+
+    eps = 0.004
+    for method, kw in (("pde", {}), ("sbt", {}), ("sbt_truncated", {}),
+                       ("sbt_truncated", {"cutoff": 25}), ("delta_reg", {"delta": 1.7}),
+                       ("delta_reg", {"delta": 3.0})):
+        fams = tuple(EigenFamily("stokes", d, method, **kw) for d in ("normal", "tangential"))
+        for k in (np.arange(1, 401), np.array([-90, 3, -3, 250]), 7, -140):
+            calls.clear()
+            rows = spectra.eigenvalues(fams, eps, k)
+            assert calls.count("ratio_A") <= 1 and calls.count("bessel_k") <= 1
+            assert rows.shape == (2,) + np.shape(k)
+            for fam, row in zip(fams, rows):
+                single = spectra.eigenvalues(fam, eps, k)
+                assert type(single) is (float if np.ndim(k) == 0 else np.ndarray)
+                assert _bits(row) == _bits(single)
+
+    normal = EigenFamily("stokes", "normal", "pde")
+    for other in (EigenFamily("stokes", "tangential", "sbt"),
+                  EigenFamily("stokes", "tangential", "delta_reg", delta=2.0),
+                  EigenFamily("laplace", "longitudinal", "pde")):
+        with pytest.raises(ValueError, match="must share setting, method and delta"):
+            spectra.eigenvalues((normal, other), eps, [1, 2])
+    mixed_delta = (EigenFamily("stokes", "normal", "delta_reg", delta=2.0),
+                   EigenFamily("stokes", "tangential", "delta_reg", delta=3.0))
+    with pytest.raises(ValueError, match="must share setting, method and delta"):
+        spectra.eigenvalues(mixed_delta, eps, [1, 2])
+
+
 def test_eigenvalues_depend_on_abs_k():
     fam = EigenFamily("stokes", "normal", "pde")
     lam = spectra.eigenvalues(fam, 0.02, np.array([-7, 7]))
