@@ -1,7 +1,7 @@
 """Modified Bessel functions of the second kind, built from scratch.
 
-Provides K0, K1, K2 (and an internal I0 for series cross-checks) accurate to
-~1e-13 relative over z in [1e-8, 700], together with the ratios
+Provides K0, K1, K2 accurate to ~1e-13 relative over z in [1e-8, 700],
+together with the ratios
 
     B(z) = z K1(z) / K0(z)    and    A(z) = K0(z) / K1(z)
 
@@ -69,19 +69,6 @@ def _validate_z(z):
     if z.size and (not np.all(np.isfinite(z)) or np.any(z <= 0.0)):
         raise BesselDomainError("K_nu requires finite z > 0")
     return z
-
-
-def _i0_series(z):
-    """I0 by its ascending series; all terms positive, no cancellation."""
-    t = 0.25 * z * z
-    term = np.ones_like(t)
-    total = np.ones_like(t)
-    for m in range(1, 4 * _SERIES_MAX_TERMS):
-        term = term * t / (m * m)
-        total += term
-        if np.all(term <= 1e-18 * total):
-            break
-    return total
 
 
 def _k0_k1_series(z):
@@ -267,14 +254,6 @@ def bessel_k_detail(order, z):
     return evals[0] if np.ndim(order) == 0 else evals
 
 
-def bessel_i0(z):
-    """I0(z) by ascending series; internal cross-check companion to K0."""
-    z = _validate_z(z)
-    scalar = np.ndim(z) == 0
-    out = _i0_series(np.atleast_1d(z))
-    return float(out[0]) if scalar else out
-
-
 def ratio_B(z):
     """B(z) = z K1(z)/K0(z); the Dirichlet-to-Neumann symbol of the Laplace map."""
     out = np.asarray(z, dtype=float) * _k1_over_k0(z)
@@ -363,40 +342,18 @@ def oracle_bessel_k(order, z, rtol=1e-14):
 # inequality margins
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioBoundReport:
-    """Margins of the two-sided K1/K0 bound over a grid."""
-
-    z_grid: np.ndarray
-    lower_margin: np.ndarray
-    upper_margin: np.ndarray
-
-    @property
-    def ok(self):
-        return bool(np.all(self.lower_margin > 0) and np.all(self.upper_margin > 0))
-
-    @property
-    def worst(self):
-        """(z, margin) of the tightest margin, over both sides."""
-        i = int(np.argmin(self.lower_margin))
-        j = int(np.argmin(self.upper_margin))
-        if self.lower_margin[i] <= self.upper_margin[j]:
-            return float(self.z_grid[i]), float(self.lower_margin[i])
-        return float(self.z_grid[j]), float(self.upper_margin[j])
-
-
 def check_ratio_bounds(z_grid):
-    """Evaluate both strict bounds on K1/K0 over ``z_grid``.
+    """Margins of both strict bounds on K1/K0 over ``z_grid``.
 
-    Returns a :class:`RatioBoundReport`; ``report.ok`` is True iff every
-    margin is strictly positive.
+    Returns (lower_margin, upper_margin) arrays; the bounds hold iff both
+    are strictly positive everywhere.
     """
     z = np.asarray(_validate_z(z_grid), dtype=float)
     k0, k1 = _k0_k1(z)
     ratio = k1 / k0
     lower = ratio - (np.sqrt(z * z + z + 1.0) + 1.0) / (z + 1.0)
     upper = 1.0 + 0.5 / z - ratio
-    return RatioBoundReport(z, lower, upper)
+    return lower, upper
 
 
 def check_small_z_bounds(z_grid):

@@ -77,9 +77,9 @@ def verify_inequalities(n_ratio=100_000, n_small=10_000, k_top=10_000):
     """Ratio bounds, small-z bounds, eigenvalue growth bounds, |h| < 9z/8."""
     res = SuiteResult("inequalities")
     grid = np.geomspace(1e-6, 100.0, n_ratio)
-    rb = bessel.check_ratio_bounds(grid)
-    res.add("ratio_lower_bound", np.all(rb.lower_margin > 0), float(rb.lower_margin.min()))
-    res.add("ratio_upper_bound", np.all(rb.upper_margin > 0), float(rb.upper_margin.min()))
+    lower, upper = bessel.check_ratio_bounds(grid)
+    res.add("ratio_lower_bound", np.all(lower > 0), float(lower.min()))
+    res.add("ratio_upper_bound", np.all(upper > 0), float(upper.min()))
 
     zs = np.linspace(1e-4, 1.0, n_small, endpoint=False)
     m0, m1 = bessel.check_small_z_bounds(zs)
@@ -127,19 +127,15 @@ def verify_difference_bounds(deltas=(1.7, 2.0, 3.0)):
         ("laplace", "longitudinal"), ("stokes", "tangential"), ("stokes", "normal"),
     ):
         for eps in (1e-1, 1e-2, 1e-3):
-            kmax = int(spectra._difference_window(setting, direction, "sbt", eps))
-            if kmax >= 1:  # at eps = 0.1 some windows admit no k at all
-                worst = spectra.eigen_difference_margin(
-                    setting, direction, eps, np.arange(1, kmax + 1), "sbt").margin.min()
-                res.add(f"sbt_{setting}_{direction}_eps{eps:g}", worst >= 0, worst)
-            for delta in deltas:
-                kmax = int(spectra._difference_window(setting, direction, "delta_reg", eps))
-                if kmax < 1:
+            for method2, delta, label in [("sbt", None, "sbt")] + [
+                    ("delta_reg", d, f"delta{d:g}") for d in deltas]:
+                kmax = int(spectra._difference_window(setting, direction, method2, eps))
+                if kmax < 1:  # at eps = 0.1 some windows admit no k at all
                     continue
                 worst = spectra.eigen_difference_margin(
-                    setting, direction, eps, np.arange(1, kmax + 1), "delta_reg",
+                    setting, direction, eps, np.arange(1, kmax + 1), method2,
                     delta=delta).margin.min()
-                res.add(f"delta{delta:g}_{setting}_{direction}_eps{eps:g}", worst >= 0, worst)
+                res.add(f"{label}_{setting}_{direction}_eps{eps:g}", worst >= 0, worst)
     return res
 
 

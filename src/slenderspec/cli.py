@@ -26,13 +26,15 @@ class UsageError(Exception):
 
 
 def _parse_krange(text):
-    """'1..50' or '3' or '1,4,9' -> list of ints."""
+    """'1..50' or '3' or '1,4,9' -> nonempty list of ints."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return [int(p) for p in text.split(",")]
-    return [int(text)]
+        ks = list(range(int(lo), int(hi) + 1))
+    else:
+        ks = [int(p) for p in text.split(",")]
+    if not ks:
+        raise ValueError(f"k range {text!r} selects no wavenumber")
+    return ks
 
 
 def _resolve_output(path):

@@ -15,16 +15,12 @@ a single unit mode has L2 norm sqrt(2) and H1 norm sqrt(2(1 + pi^2)).
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectra import EigenFamily, PoleError, eigenvalues
-
-_COMPONENT_NAMES = {1: ("value",), 3: ("x", "y", "z")}
 
 
 class MeanModeError(ValueError):
@@ -66,56 +62,8 @@ class PeriodicField:
     def mean_free(self):
         return bool(np.all(self.coeffs[:, self.k_max] == 0))
 
-    def is_real(self, tol=1e-12):
-        flipped = np.conj(self.coeffs[:, ::-1])
-        scale = np.max(np.abs(self.coeffs)) or 1.0
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= tol * scale)
-
     def with_coeffs(self, coeffs):
         return PeriodicField(coeffs)
-
-
-def analyze(samples):
-    """Fourier-analyze samples on the uniform grid z_j = -1 + 2j/n.
-
-    n must be even and >= 4; the result holds modes |k| <= n/2 - 1.  A
-    sample set with Nyquist-frequency content cannot be represented in the
-    symmetric coefficient table and is rejected.
-    """
-    x = np.asarray(samples, dtype=complex)
-    if x.ndim == 1:
-        x = x[None, :]
-    n = x.shape[1]
-    if n % 2 or n < 4:
-        raise ValueError("grid size must be even and >= 4")
-    spec = np.fft.fft(x, axis=1) / n
-    shifted = np.fft.fftshift(spec, axes=1)  # frequencies -n/2 .. n/2-1
-    nyq = np.abs(shifted[:, 0]).max()
-    scale = max(np.abs(shifted).max(), 1e-300)
-    if nyq > 1e-9 * scale:
-        raise ValueError("samples carry Nyquist-mode content; use a larger grid")
-    coeffs = shifted[:, 1:]
-    k = np.arange(-(n // 2 - 1), n // 2)
-    # grid phase: e^{i pi k z_j} = (-1)^k e^{2 pi i j k / n}
-    coeffs = coeffs * ((-1.0) ** np.abs(k))[None, :]
-    return PeriodicField(coeffs)
-
-
-def synthesize(field, grid_size):
-    """Evaluate the field on the uniform grid z_j = -1 + 2j/grid_size."""
-    n = int(grid_size)
-    if n % 2 or n < 2 * field.k_max + 2:
-        raise ValueError("grid size must be even and >= 2*K_max+2")
-    spec = np.zeros((field.n_components, n), dtype=complex)
-    k = field.k_values
-    spec[:, np.mod(k, n)] = field.coeffs * ((-1.0) ** np.abs(k))[None, :]
-    return np.squeeze(np.fft.ifft(spec, axis=1) * n)
-
-
-def grid(grid_size):
-    """The synthesis grid z_j = -1 + 2j/n on [-1, 1)."""
-    n = int(grid_size)
-    return -1.0 + 2.0 * np.arange(n) / n
 
 
 def sobolev_norm(field, s):
@@ -124,13 +72,6 @@ def sobolev_norm(field, s):
         raise ValueError("s >= 0 required")
     w = (1.0 + (math.pi * field.k_values) ** 2) ** s
     return math.sqrt(2.0 * float(np.sum(w[None, :] * np.abs(field.coeffs) ** 2)))
-
-
-def l2_inner(f, g):
-    """<f, g>_{L^2} = 2 sum_k fhat_k conj(ghat_k), summed over components."""
-    if f.k_max != g.k_max or f.n_components != g.n_components:
-        raise ValueError("fields must share shape")
-    return 2.0 * complex(np.sum(f.coeffs * np.conj(g.coeffs)))
 
 
 def _component_family(family, component_index, n_components):
@@ -215,43 +156,4 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
         pos = amp * np.exp(1j * phase)
         coeffs[ci, k_max + 1:] = pos
         coeffs[ci, :k_max] = np.conj(pos[::-1])
-    return PeriodicField(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def field_to_csv(field):
-    """CSV rows component,k,re,im at full double precision."""
-    buf = io.StringIO()
-    buf.write("component,k,re,im\n")
-    names = _COMPONENT_NAMES[field.n_components]
-    for ci, name in enumerate(names):
-        for j, k in enumerate(field.k_values):
-            c = field.coeffs[ci, j]
-            buf.write(f"{name},{k},{c.real:.17g},{c.imag:.17g}\n")
-    return buf.getvalue()
-
-
-def field_to_json(field):
-    names = _COMPONENT_NAMES[field.n_components]
-    return json.dumps({
-        "k_max": field.k_max,
-        "components": {
-            name: {"re": field.coeffs[ci].real.tolist(),
-                   "im": field.coeffs[ci].imag.tolist()}
-            for ci, name in enumerate(names)
-        },
-    })
-
-
-def field_from_json(text):
-    data = json.loads(text)
-    k_max = data["k_max"]
-    comps = data["components"]
-    names = _COMPONENT_NAMES[3 if len(comps) == 3 else 1]
-    coeffs = np.zeros((len(comps), 2 * k_max + 1), dtype=complex)
-    for ci, name in enumerate(names):
-        coeffs[ci] = np.array(comps[name]["re"]) + 1j * np.array(comps[name]["im"])
     return PeriodicField(coeffs)

@@ -101,7 +101,8 @@ class EigenFamily:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "delta_reg":
             threshold = 1.0 if self.setting == "laplace" else SQRT_E
-            if self.delta is None or self.delta <= threshold:
+            # the chained test also turns away nan and +/-inf
+            if self.delta is None or not threshold < self.delta < math.inf:
                 raise ValueError(
                     f"delta_reg in the {self.setting} setting needs delta > {threshold:.4f}"
                 )
@@ -128,8 +129,17 @@ ODE_FAMILIES = (
 )
 
 
-_SBT_DIRECTION = {"B_SB": "longitudinal", "B_SB_t": "tangential", "B_SB_n": "normal"}
-_DELTA_B = frozenset(("B_delta", "B_delta_t", "B_delta_n"))
+#: the B-family behind each (method, direction) eigenvalue formula
+_B_FAMILY = {
+    "pde": {"longitudinal": "B", "tangential": "B_t", "normal": "B_n"},
+    "sbt": {"longitudinal": "B_SB", "tangential": "B_SB_t", "normal": "B_SB_n"},
+    "delta_reg": {"longitudinal": "B_delta", "tangential": "B_delta_t",
+                  "normal": "B_delta_n"},
+}
+_B_FAMILY["sbt_truncated"] = _B_FAMILY["sbt"]
+
+_SBT_DIRECTION = {f: d for d, f in _B_FAMILY["sbt"].items()}
+_DELTA_B = frozenset(_B_FAMILY["delta_reg"].values())
 
 
 def b_function(fam, z, delta=None, allow_past_singularity=False):
@@ -214,7 +224,7 @@ def ode_rhs(fam, z, b_value, delta=None):
         out = 0.5 * b * b / z - h_function(z)
     elif fam == "B_SB_n":
         out = 0.5 * b * b / z
-    elif fam in ("B_delta", "B_delta_t", "B_delta_n"):
+    elif fam in _DELTA_B:
         if delta is None:
             raise ValueError(f"{fam} requires delta")
         dk1 = delta * bessel_k(1, delta * z)
@@ -310,11 +320,6 @@ def g3_polynomial(z):
 _PREFACTOR = {"longitudinal": 2.0 * math.pi, "tangential": 4.0 * math.pi,
               "normal": 2.0 * math.pi}
 
-_PDE_FAMILY = {"longitudinal": "B", "tangential": "B_t", "normal": "B_n"}
-_SBT_FAMILY = {"longitudinal": "B_SB", "tangential": "B_SB_t", "normal": "B_SB_n"}
-_DELTA_FAMILY = {"longitudinal": "B_delta", "tangential": "B_delta_t",
-                 "normal": "B_delta_n"}
-
 
 def eigenvalues(family, eps, k, allow_past_singularity=True):
     """Vectorized eigenvalue of ``family`` at radius ``eps`` and wavenumbers ``k``.
@@ -341,24 +346,21 @@ def eigenvalues(family, eps, k, allow_past_singularity=True):
         raise ValueError("k = 0 is excluded")
     _check_eps(eps)
     z = math.pi * eps * np.abs(k).astype(float)
+    names = tuple(_B_FAMILY[f.method][f.direction] for f in families)
     if first.method in ("sbt", "sbt_truncated"):
-        rows = []
-        for f in families:
-            fam = _SBT_FAMILY[f.direction]
+        for f, name in zip(families, names):
             pole = SBT_SINGULARITY[f.direction]
             if np.any(z == pole):
-                raise PoleError(f"{fam} evaluated exactly at its pole z = {pole:.6f}")
-            out = _PREFACTOR[f.direction] * b_function(
-                fam, z, allow_past_singularity=allow_past_singularity
-            )
-            if f.method == "sbt_truncated":
-                cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
-                out = np.where(np.abs(k) <= cutoff, out, 0.0)
-            rows.append(out)
-    else:  # pde, delta_reg: the families share one kernel pass
-        names = _PDE_FAMILY if first.method == "pde" else _DELTA_FAMILY
-        b_rows = b_function(tuple(names[f.direction] for f in families), z, delta=first.delta)
-        rows = [_PREFACTOR[f.direction] * b for f, b in zip(families, b_rows)]
+                raise PoleError(f"{name} evaluated exactly at its pole z = {pole:.6f}")
+    b_rows = b_function(names, z, delta=first.delta,
+                        allow_past_singularity=allow_past_singularity)
+    rows = []
+    for f, b in zip(families, b_rows):
+        out = _PREFACTOR[f.direction] * b
+        if f.method == "sbt_truncated":
+            cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
+            out = np.where(np.abs(k) <= cutoff, out, 0.0)
+        rows.append(out)
     if isinstance(family, EigenFamily):
         return float(rows[0][0]) if scalar else rows[0]
     rows = np.array(rows)

@@ -163,12 +163,12 @@ def test_b_ode_consistency():
 
 
 def test_check_ratio_bounds_grid():
-    rep = bessel.check_ratio_bounds(np.geomspace(1e-6, 100.0, 5000))
-    assert rep.ok
-    assert rep.worst[1] > 0
+    lower, upper = bessel.check_ratio_bounds(np.geomspace(1e-6, 100.0, 5000))
+    assert lower.shape == upper.shape == (5000,)
+    assert np.all(lower > 0) and np.all(upper > 0)
     # tiny z: upper margin dominated by 1/(2z)
-    rep2 = bessel.check_ratio_bounds(np.array([1e-8]))
-    assert rep2.upper_margin[0] > 1e7
+    _, upper = bessel.check_ratio_bounds(np.array([1e-8]))
+    assert upper[0] > 1e7
 
 
 def test_check_small_z_bounds():
@@ -176,11 +176,6 @@ def test_check_small_z_bounds():
     assert np.all(m0 >= 0) and np.all(m1 >= 0)
     with pytest.raises(ValueError):
         bessel.check_small_z_bounds(np.array([1.5]))
-
-
-def test_i0_cross_check():
-    # K0 series uses I0 internally; spot check the companion directly
-    assert bessel.bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-13)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +151,51 @@ def test_domain_error_exit_2(capsys):
     code = main(["spectrum", "--setting", "stokes", "--direction", "tangential",
                  "--eps", "0.01", "--methods", "delta_reg", "--delta", "1.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--setting", "stokes", "--direction", "tangential", "--eps", "0.01",
+     "--k", "1..3", "--methods", "delta_reg"],
+    ["converge", "--setting", "stokes", "--method", "delta_reg", "--eps-min", "0.01"],
+])
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_non_finite_delta_exit_2(capsys, argv, delta):
+    # EigenFamily rejects the value before any Bessel call, with its own message
+    assert main(argv + [f"--delta={delta}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: delta_reg in the stokes setting needs delta > 1.6487\n"
+
+
+@pytest.mark.parametrize("krange", ["5..1", "2..1"])
+def test_empty_k_range_exit_2(capsys, krange):
+    # a reversed range selects nothing: a usage error, not an empty table
+    code = main(["spectrum", "--setting", "stokes", "--direction", "tangential",
+                 "--eps", "0.01", "--k", krange])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k range {krange!r} selects no wavenumber\n"
+
+
+@pytest.mark.parametrize("krange, ks", [("3", [3]), ("1,4,9", [1, 4, 9]), ("2..2", [2])])
+def test_single_and_listed_k_ranges(capsys, krange, ks):
+    code, out = run(capsys, "spectrum", "--setting", "stokes", "--direction", "tangential",
+                    "--eps", "0.01", "--k", krange, "--methods", "pde")
+    assert code == 0
+    assert [int(row.split(",")[5]) for row in out.strip().split("\n")[1:]] == ks
+
+
+_CLI_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "cli_reference"
+_README_CALLS = json.loads((_CLI_REFERENCE / "manifest.json").read_text())["calls"]
+
+
+@pytest.mark.parametrize("name", sorted(_README_CALLS))
+def test_readme_cli_outputs_are_pinned(capsys, name):
+    # the README promises byte-identical output; the references are only read
+    code = main(_README_CALLS[name][1:])
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (_CLI_REFERENCE / f"{name}.out").read_bytes()
 
 
 @pytest.mark.parametrize("eps", ["0.9", "-0.1"])

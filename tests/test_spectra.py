@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,16 @@ def test_delta_thresholds():
         EigenFamily("stokes", "tangential", "delta_reg", delta=1.6)
     with pytest.raises(ValueError):
         EigenFamily("stokes", "normal", "delta_reg")
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("setting,direction,threshold", [
+    ("laplace", "longitudinal", "1.0000"), ("stokes", "tangential", "1.6487"),
+    ("stokes", "normal", "1.6487")])
+def test_delta_must_be_finite(setting, direction, threshold, delta):
+    # nan fails every comparison, so "delta <= threshold" alone would accept it
+    with pytest.raises(ValueError, match=re.escape(f"needs delta > {threshold}")):
+        EigenFamily(setting, direction, "delta_reg", delta=delta)
 
 
 def test_default_cutoffs():
