@@ -101,67 +101,65 @@ def _k0_k1_series(z):
     return k0, k1
 
 
-def _k0_k1_cf(z):
-    """K0, K1 for z >= SERIES_CUTOFF via the Temme/Thompson-Barnett CF.
+def _cf(z, with_s):
+    """Temme/Thompson-Barnett continued fraction (modified Lentz, order 0).
 
-    Modified Lentz evaluation of the second continued fraction for order
-    mu = 0; converges rapidly for z >= 2 and is accurate to ~1e-15.  Each
-    element leaves the loop once its own test |dels| <= 1e-17 |s| passes
-    (~90 steps just above z = 2, 6-12 for most z): the terms it would still
-    add are below half an ulp of s and h, so the result is unchanged.
+    Returns h, with K1/K0 = (z + 1/2 - h/4)/z, and with ``with_s`` also s,
+    with K0 = sqrt(pi/(2z)) e^{-z} / s, for z >= SERIES_CUTOFF.  An element
+    retires once its own test passes, |dels| <= 1e-17 |s| with s and
+    |delh| <= 1e-17 |h| without (~90 steps just above z = 2, 6-12 for most
+    z): what it would still add is below half an ulp.  Large z retires
+    first, so on an ascending grid the retired elements are a suffix and
+    the live arrays shrink by slicing; otherwise by boolean compaction.
     """
-    a1 = 0.25
-    s_out = np.empty_like(z)
     h_out = np.empty_like(z)
     live = np.arange(z.size)
     b = 2.0 * (1.0 + z)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros_like(z)
-    q2 = np.ones_like(z)
-    q = np.full_like(z, a1)
-    # a and c do not depend on z, so they stay scalars
-    c = a1
-    a = -a1
-    s = 1.0 + q * delh
+    h = delh = d = 1.0 / b  # the loop rebinds, never writes in place
+    if with_s:
+        s_out = np.empty_like(z)
+        q1, q2, q = np.zeros_like(z), np.ones_like(z), np.full_like(z, 0.25)
+        s = 1.0 + q * delh
+    c, a = 0.25, -0.25  # independent of z, so scalars
     for i in range(2, _CF_MAX_ITER):
         a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q = q + c * qnew
+        if with_s:
+            c = -a * c / i
+            q1, q2 = q2, (q1 - b * q2) / a
+            q = q + c * q2
         b = b + 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
         h = h + delh
-        dels = q * delh
-        s = s + dels
-        done = np.abs(dels) <= 1e-17 * np.abs(s)
+        if with_s:
+            dels = q * delh
+            s = s + dels
+            done = np.abs(dels) <= 1e-17 * np.abs(s)
+        else:
+            done = np.abs(delh) <= 1e-17 * np.abs(h)
         if done.any():
-            s_out[live[done]] = s[done]
-            h_out[live[done]] = h[done]
-            keep = ~done
-            live, b, d, h, delh, q1, q2, q, s = (
-                v[keep] for v in (live, b, d, h, delh, q1, q2, q, s))
+            n = live.size - np.count_nonzero(done)
+            keep, gone = (slice(n), slice(n, None)) if done[n:].all() else (~done, done)
+            h_out[live[gone]] = h[gone]
+            if with_s:
+                s_out[live[gone]] = s[gone]
+                q1, q2, q, s = q1[keep], q2[keep], q[keep], s[keep]
+            live, b, d, h, delh = live[keep], b[keep], d[keep], h[keep], delh[keep]
             if not live.size:
                 break
-    s_out[live] = s
     h_out[live] = h
-    with np.errstate(under="ignore"):
-        k0 = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z) / s_out
-    k1 = k0 * (z + 0.5 - a1 * h_out) / z
-    return k0, k1
+    if not with_s:
+        return h_out
+    s_out[live] = s
+    return h_out, s_out
 
 
 def _k1_over_k0(z):
     """K1/K0 for any z > 0, stable far past the underflow point of K itself.
 
-    The continued fraction yields the ratio as (z + 1/2 - h)/z with no
+    The continued fraction yields the ratio as (z + 1/2 - h/4)/z with no
     exp(-z) prefactor, so the ratio functions stay finite for huge z where
-    the K values themselves have underflowed to 0.  As in ``_k0_k1_cf``,
-    each large-z element leaves the loop once its own test
-    |delh| <= 1e-17 |h| passes.
+    the K values themselves have underflowed to 0.
     """
     z = np.atleast_1d(_validate_z(z))
     out = np.empty_like(z)
@@ -171,29 +169,7 @@ def _k1_over_k0(z):
         out[small] = k1 / k0
     if np.any(~small):
         zl = z[~small]
-        a1 = 0.25
-        h_out = np.empty_like(zl)
-        live = np.arange(zl.size)
-        b = 2.0 * (1.0 + zl)
-        d = 1.0 / b
-        h = d.copy()
-        delh = d.copy()
-        a = -a1
-        for i in range(2, _CF_MAX_ITER):
-            a -= 2.0 * (i - 1)
-            b = b + 2.0
-            d = 1.0 / (b + a * d)
-            delh = (b * d - 1.0) * delh
-            h = h + delh
-            done = np.abs(delh) <= 1e-17 * np.abs(h)
-            if done.any():
-                h_out[live[done]] = h[done]
-                keep = ~done
-                live, b, d, h, delh = (v[keep] for v in (live, b, d, h, delh))
-                if not live.size:
-                    break
-        h_out[live] = h
-        out[~small] = (zl + 0.5 - a1 * h_out) / zl
+        out[~small] = (zl + 0.5 - 0.25 * _cf(zl, with_s=False)) / zl
     return out
 
 
@@ -205,7 +181,11 @@ def _k0_k1(z):
     if np.any(small):
         k0[small], k1[small] = _k0_k1_series(z[small])
     if np.any(~small):
-        k0[~small], k1[~small] = _k0_k1_cf(z[~small])
+        zl = z[~small]
+        h, s = _cf(zl, with_s=True)
+        with np.errstate(under="ignore"):
+            k0[~small] = np.sqrt(np.pi / (2.0 * zl)) * np.exp(-zl) / s
+        k1[~small] = k0[~small] * (zl + 0.5 - 0.25 * h) / zl
     return k0, k1
 
 

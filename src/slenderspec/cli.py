@@ -129,8 +129,8 @@ def cmd_dynamics(args):
     if args.energy_mode is not None:
         if args.steps < 0:
             raise ValueError("--steps must be >= 0")
-        if args.dt is not None and args.dt <= 0:
-            raise ValueError("--dt must be positive")
+        if args.dt is not None and not 0.0 < args.dt < np.inf:
+            raise ValueError("--dt must be finite and positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
         dt = args.dt
         if dt is None:
@@ -154,6 +154,8 @@ def cmd_dynamics(args):
 def cmd_profile(args):
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    if not np.isfinite(args.r_mult):
+        raise ValueError("--r-mult must be finite")
     mode = Mode(args.k, args.eps)
     sol = profiles.solve_mode(args.direction, mode)
     r = np.linspace(args.eps, args.eps * args.r_mult, args.points)

@@ -80,8 +80,8 @@ def single_mode_state(eps, k_max, k, amplitude=1.0):
 
 def step(state, dt, scheme):
     """One time step: explicit_euler (1 + dt nu) or implicit_exact (e^{dt nu})."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     k = state.k_values
     mult = np.ones_like(k, dtype=float)
     nz = k != 0

@@ -114,6 +114,8 @@ def evaluate_profile(sol, r):
     tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p.
     """
     r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("profile radii must be finite")
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
         raise ValueError("profiles are defined for r >= eps only")
     a = math.pi * abs(sol.mode.k)

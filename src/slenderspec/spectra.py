@@ -139,7 +139,21 @@ _B_FAMILY = {
 _B_FAMILY["sbt_truncated"] = _B_FAMILY["sbt"]
 
 _SBT_DIRECTION = {f: d for d, f in _B_FAMILY["sbt"].items()}
-_DELTA_B = frozenset(_B_FAMILY["delta_reg"].values())
+#: each delta family is num / (c0 + m log(delta) + m K0(delta z)): family -> (num, c0, m)
+_DELTA_TERMS = {"B_delta": (1.0, 0.0, 1.0), "B_delta_t": (1.0, -1.0, 2.0),
+                "B_delta_n": (4.0, 1.0, 2.0)}
+
+
+def _k0_delta(z, delta, fams):
+    """K0(delta z), 0 where no family in ``fams`` can see it (see ``b_function``)."""
+    x = delta * z
+    limit = min(math.ulp(c0 + m * math.log(delta)) / (4.0 * m)
+                for _, c0, m in map(_DELTA_TERMS.get, fams))
+    with np.errstate(under="ignore"):
+        live = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) >= limit
+    k0d = np.zeros_like(x)
+    k0d[live] = bessel_k(0, x[live])
+    return k0d
 
 
 def b_function(fam, z, delta=None, allow_past_singularity=False):
@@ -153,6 +167,13 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     (one ``ratio_A`` call for B_t/B_n, one ``bessel_k(0, delta z)`` call
     for the delta families) and returns one row per family, shaped as in
     ``bessel_k``; each row is bitwise equal to the single-family call.
+
+    A delta family adds m K0(x), x = delta z, to c = c0 + m log(delta).
+    The kernel's K0 is P/s with P = sqrt(pi/(2x)) e^{-x} and s >= 1, so the
+    computed K0 <= P.  Where m P < ulp(c)/4, c + m K0 is within a quarter
+    ulp of c (the spacing below a power of two is half an ulp) and rounds
+    to c, as c + m*0 does; K0 is evaluated only elsewhere, and no bit moves.
+    As c <= 1 + 2*709.8, only x > 28 is skipped, far past SERIES_CUTOFF.
     """
     fams = (fam,) if isinstance(fam, str) else tuple(fam)
     z = np.asarray(z, dtype=float)
@@ -160,13 +181,13 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     z = np.atleast_1d(z)
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise ValueError("b_function requires finite z > 0")
-    needs_delta = _DELTA_B.intersection(fams)
+    needs_delta = [f for f in fams if f in _DELTA_TERMS]
     if needs_delta and delta is None:
         raise ValueError(f"{min(needs_delta)} requires delta")
 
     # the kernels the families share, one pass each
     a = ratio_A(z) if {"B_t", "B_n"}.intersection(fams) else None
-    k0d = bessel_k(0, delta * z) if needs_delta else None
+    k0d = _k0_delta(z, delta, needs_delta) if needs_delta else None
     rows = []
     for f in fams:
         if f == "B":
@@ -191,12 +212,9 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
                 out = -1.0 / (1.0 + 2.0 * lg + 2.0 * EULER_GAMMA)
             else:
                 out = 4.0 / (1.0 - 2.0 * lg - 2.0 * EULER_GAMMA)
-        elif f == "B_delta":
-            out = 1.0 / (math.log(delta) + k0d)
-        elif f == "B_delta_t":
-            out = 1.0 / (-1.0 + 2.0 * math.log(delta) + 2.0 * k0d)
-        elif f == "B_delta_n":
-            out = 4.0 / (1.0 + 2.0 * math.log(delta) + 2.0 * k0d)
+        elif f in _DELTA_TERMS:
+            num, c0, m = _DELTA_TERMS[f]
+            out = num / (c0 + m * math.log(delta) + m * k0d)
         else:
             raise ValueError(f"unknown B-family {f!r}")
         rows.append(np.atleast_1d(np.asarray(out, dtype=float)))
@@ -224,7 +242,7 @@ def ode_rhs(fam, z, b_value, delta=None):
         out = 0.5 * b * b / z - h_function(z)
     elif fam == "B_SB_n":
         out = 0.5 * b * b / z
-    elif fam in _DELTA_B:
+    elif fam in _DELTA_TERMS:
         if delta is None:
             raise ValueError(f"{fam} requires delta")
         dk1 = delta * bessel_k(1, delta * z)
@@ -293,23 +311,21 @@ _G3_COEFFS = (
 
 def g2_polynomial(z):
     """Lower-bound envelope of 9 D3 - N3 for z >= 3/2; g2(3/2) = 646907/163840."""
-    if isinstance(z, Fraction) or isinstance(z, int):
-        z = Fraction(z)
-        poly = sum(c * z**i for i, c in enumerate(_G2_COEFFS))
-        return Fraction(8, 5) * poly / ((1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
-    z = float(z)
+    exact = isinstance(z, (Fraction, int))
+    z = Fraction(z) if exact else float(z)
     poly = sum(c * z**i for i, c in enumerate(_G2_COEFFS))
+    if exact:
+        return Fraction(8, 5) * poly / ((1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
     return 8.0 * poly / (5.0 * (1.0 + 2.0 * z) ** 6 * (3.0 + 2.0 * z) ** 4)
 
 
 def g3_polynomial(z):
     """Lower-bound envelope of 9 D3 + N3 for z >= 1; g3(1) = 3881062/455625."""
-    if isinstance(z, Fraction) or isinstance(z, int):
-        z = Fraction(z)
-        poly = sum(c * z**i for i, c in enumerate(_G3_COEFFS))
-        return z * poly / ((1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
-    z = float(z)
+    exact = isinstance(z, (Fraction, int))
+    z = Fraction(z) if exact else float(z)
     poly = sum(c * z**i for i, c in enumerate(_G3_COEFFS))
+    if exact:
+        return z * poly / ((1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
     return z * poly / ((1.0 + 2.0 * z) ** 6 * (3.0 + 2.0 * z) ** 4)
 
 

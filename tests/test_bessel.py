@@ -217,3 +217,58 @@ def test_property_array_call_matches_scalar_calls_bitwise(z):
         assert np.array_equal(rows[order], scalar)
     for fn in (bessel.ratio_A, bessel.ratio_B):
         assert np.array_equal(fn(z), np.array([fn(float(x)) for x in z]))
+
+
+def _compacting_cf(z, with_s):
+    """The continued-fraction loop as it was before suffix slicing: every
+    retirement compacts the live arrays with a boolean mask."""
+    h_out, s_out = np.empty_like(z), np.empty_like(z)
+    live = np.arange(z.size)
+    b = 2.0 * (1.0 + z)
+    d = 1.0 / b
+    h, delh = d.copy(), d.copy()
+    q1, q2, q = np.zeros_like(z), np.ones_like(z), np.full_like(z, 0.25)
+    s = 1.0 + q * delh
+    c, a = 0.25, -0.25
+    for i in range(2, 4000):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q = q + c * qnew
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h = h + delh
+        dels = q * delh
+        s = s + dels
+        done = np.abs(dels) <= 1e-17 * np.abs(s) if with_s else np.abs(delh) <= 1e-17 * np.abs(h)
+        if done.any():
+            s_out[live[done]], h_out[live[done]] = s[done], h[done]
+            keep = ~done
+            live, b, d, h, delh, q1, q2, q, s = (
+                v[keep] for v in (live, b, d, h, delh, q1, q2, q, s))
+            if not live.size:
+                break
+    return h_out, s_out
+
+
+def _cf_grids():
+    rng = np.random.default_rng(20201)
+    spectrum = [math.pi * eps * np.arange(1, 20001) for eps in (0.01, 0.003, 0.0316)]
+    ascending = [z[z > bessel.SERIES_CUTOFF] for z in spectrum]
+    near = np.sort(bessel.SERIES_CUTOFF + rng.uniform(0.0, 1e-6, 200))
+    wide = np.sort(rng.uniform(bessel.SERIES_CUTOFF, 1500.0, 5000))
+    return (ascending + [near, wide]                    # retirements are suffixes
+            + [z[::-1] for z in ascending[:1] + [wide]]  # prefixes: compaction
+            + [rng.permutation(np.concatenate([near, wide]))]
+            + [np.array([x]) for x in (np.nextafter(2.0, 3.0), 2.5, 30.0, 700.0, 1500.0)])
+
+
+@pytest.mark.parametrize("z", _cf_grids(), ids=lambda z: f"{z.size}pts")
+def test_cf_matches_compacting_loop_bitwise(z):
+    h_ref, s_ref = _compacting_cf(z, with_s=True)
+    h, s = bessel._cf(z, with_s=True)
+    assert h.tobytes() == h_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+    h_ref, _ = _compacting_cf(z, with_s=False)
+    assert bessel._cf(z, with_s=False).tobytes() == h_ref.tobytes()

@@ -92,7 +92,7 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
     (["converge", "--setting", "laplace", "--method", "sbt_truncated", "--k-max", "0"],
      "k_max does not resolve the 1/eps truncation scale"),
     (["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8", "--steps", "2",
-      "--dt", "0"], "--dt must be positive"),
+      "--dt", "0"], "--dt must be finite and positive"),
     (["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8", "--steps", "-1"],
      "--steps must be >= 0"),
     (["profile", "--direction", "normal", "--eps", "0.05", "--k", "3", "--points", "0"],
@@ -104,6 +104,27 @@ def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])
+def test_dynamics_non_finite_dt_exit_2(capsys, dt):
+    # nan passed the old `dt <= 0` test and printed rows of nan energies
+    assert main(["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8",
+                 "--steps", "2", f"--dt={dt}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dt must be finite and positive\n"
+
+
+@pytest.mark.parametrize("r_mult", ["nan", "inf"])
+def test_profile_non_finite_r_mult_exit_2(capsys, r_mult):
+    # a nan radius used to reach the Bessel kernel: "K_nu requires finite z > 0";
+    # an infinite one made np.linspace warn before any check ran
+    assert main(["profile", "--direction", "normal", "--eps", "0.05", "--k", "3",
+                 f"--r-mult={r_mult}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --r-mult must be finite\n"
 
 
 def test_smallest_step_and_point_counts_are_valid(capsys):

@@ -66,6 +66,13 @@ def test_step_formulas():
         dynamics.step(s0, dt, "rk7")
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_step_rejects_non_finite_dt(dt):
+    s0 = dynamics.single_mode_state(0.01, 8, 3)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        dynamics.step(s0, dt, "implicit_exact")
+
+
 def test_explicit_instability_amplification():
     # at dt = 3/|nu| the explicit multiplier is 1 + 3*(-1)*... = -2: doubling
     eps, K, k = 0.01, 16, 16

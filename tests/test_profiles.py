@@ -97,6 +97,13 @@ def test_domain_guards():
         profiles.solve_mode("sideways", mode)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_evaluate_profile_rejects_non_finite_radii(bad):
+    sol = profiles.solve_mode("normal", Mode(3, 0.05))
+    with pytest.raises(ValueError, match="profile radii must be finite"):
+        profiles.evaluate_profile(sol, np.array([0.05, bad]))
+
+
 def test_underflow_guard():
     # z = pi*eps*k far past the K underflow point
     with pytest.raises(profiles.UnderflowError):

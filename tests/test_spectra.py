@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slenderspec import spectra
+from slenderspec import bessel, spectra
 from slenderspec.spectra import EigenFamily, Mode, PoleError, WindowError
 
 GAMMA = spectra.EULER_GAMMA
@@ -270,6 +270,35 @@ def test_delta_high_k_limits():
     lam_n = spectra.eigenvalues(
         EigenFamily("stokes", "normal", "delta_reg", delta=delta), eps, k)
     assert lam_n == pytest.approx(8.0 * math.pi / (1.0 + 2.0 * math.log(delta)), rel=1e-3)
+
+
+_DELTA_FAMS = ("B_delta", "B_delta_t", "B_delta_n")
+
+
+@pytest.mark.parametrize("delta", [1.0 + 1e-7, spectra.SQRT_E * (1.0 + 1e-7), 2.0, 3.0, 50.0])
+def test_delta_families_skip_k0_exactly(monkeypatch, delta):
+    # K0(delta z) is left out only where it cannot move a bit: every family,
+    # alone and as a tuple, matches the evaluation with K0 on every point
+    z = np.concatenate([np.geomspace(1e-3, 80.0, 4000),
+                        np.linspace(20.0 / delta, 60.0 / delta, 4000)])
+    k0d = spectra._k0_delta(z, delta, _DELTA_FAMS)
+    assert (k0d == 0.0).any() and (k0d > 0.0).any()  # the grid crosses the threshold
+    fast = [spectra.b_function(f, z, delta=delta) for f in _DELTA_FAMS]
+    fast_rows = spectra.b_function(_DELTA_FAMS, z, delta=delta)
+    monkeypatch.setattr(spectra, "_k0_delta", lambda z, delta, fams: bessel.bessel_k(0, delta * z))
+    full_rows = spectra.b_function(_DELTA_FAMS, z, delta=delta)
+    for f, row, fast_row, full_row in zip(_DELTA_FAMS, fast, fast_rows, full_rows):
+        full = spectra.b_function(f, z, delta=delta)
+        assert _bits(row) == _bits(full) == _bits(fast_row) == _bits(full_row), f
+
+
+def test_k0_below_its_exponential_bound():
+    # K0(x) <= sqrt(pi/(2x)) e^{-x}, the bound behind the K0 skip, holds for
+    # the computed values, evaluated as the continued fraction evaluates it
+    x = np.linspace(2.0, 800.0, 200_001)
+    with np.errstate(under="ignore"):
+        bound = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
+    assert np.all(bessel.bessel_k(0, x) <= bound)
 
 
 def test_pde_eigenvalues_positive_and_bounded():
