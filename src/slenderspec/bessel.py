@@ -38,6 +38,8 @@ UNDERFLOW_Z = 705.0
 
 _CF_MAX_ITER = 4000
 _SERIES_MAX_TERMS = 64
+#: relative agreement of two successive panel levels that certifies the oracle
+_ORACLE_RTOL = 1e-14
 
 
 class BesselDomainError(ValueError):
@@ -285,11 +287,11 @@ def _oracle_quad(orders, z, n_panels, n_nodes=40, chunk=16):
     return out
 
 
-def oracle_bessel_k(order, z, rtol=1e-14):
+def oracle_bessel_k(order, z):
     """Independent quadrature oracle for K_order(z).
 
     Adaptive in the panel count: the composite rule is refined (doubling)
-    until two successive levels agree to ``rtol`` relative, and the final
+    until two successive levels agree to ``_ORACLE_RTOL`` relative, and the final
     refinement difference is the certified error estimate.
 
     ``order`` is 0, 1 or 2, or a tuple of them such as ``(0, 1, 2)``; a
@@ -305,7 +307,7 @@ def oracle_bessel_k(order, z, rtol=1e-14):
     for n_panels in (64, 128, 256, 512):
         fine = _oracle_quad([orders[i] for i in live], zarr, n_panels)
         err = np.abs(fine - coarse)
-        done = np.all(err <= rtol * np.abs(fine), axis=1)
+        done = np.all(err <= _ORACLE_RTOL * np.abs(fine), axis=1)
         out[live[done]] = fine[done]
         live, coarse = live[~done], fine[~done]
         if not live.size:
@@ -313,7 +315,7 @@ def oracle_bessel_k(order, z, rtol=1e-14):
     else:
         worst = float(np.max(err / np.abs(fine)))
         raise BesselAccuracyError(
-            f"oracle quadrature stalled at relative error {worst:.3e} (target {rtol:.1e})"
+            f"oracle quadrature stalled at relative error {worst:.3e} (target {_ORACLE_RTOL:.1e})"
         )
     return _shape_orders(order, out, np.ndim(z) == 0)
 

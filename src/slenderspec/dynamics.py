@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import K_MAX_LIMIT
 from .spectra import EigenFamily, eigenvalues
 
 _NORMAL_PDE = EigenFamily("stokes", "normal", "pde")
@@ -72,6 +73,8 @@ def single_mode_state(eps, k_max, k, amplitude=1.0):
     """A state holding one conjugate-symmetric mode pair in the x component."""
     if not 1 <= abs(k) <= k_max:
         raise ValueError(f"mode k must satisfy 1 <= |k| <= k_max = {k_max}")
+    if k_max > K_MAX_LIMIT:
+        raise ValueError(f"k_max = {k_max} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
     coeffs = np.zeros((2, 2 * k_max + 1), dtype=complex)
     coeffs[0, k_max + abs(k)] = amplitude
     coeffs[0, k_max - abs(k)] = np.conj(amplitude)
@@ -86,6 +89,10 @@ def step(state, dt, scheme):
     mult = np.ones_like(k, dtype=float)
     nz = k != 0
     rates = nu(state.eps, k[nz])
+    # Python floats overflow to inf silently, so this test itself never warns
+    dt_nu = float(dt) * float(np.max(np.abs(rates), initial=0.0))
+    if not (math.isfinite(dt_nu) and math.isfinite(float(state.t) + float(dt))):
+        raise ValueError(f"dt = {dt:g} is too large: dt * max|nu| or t + dt overflows")
     if scheme == "explicit_euler":
         mult[nz] = 1.0 + dt * rates
     elif scheme == "implicit_exact":

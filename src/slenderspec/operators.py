@@ -22,6 +22,10 @@ import numpy as np
 
 from .spectra import EigenFamily, PoleError, eigenvalues
 
+#: largest K_max a field or state may hold: each component stores 2 K_max + 1
+#: complex coefficients, about 34 MB per component at 2**20
+K_MAX_LIMIT = 2**20
+
 
 class MeanModeError(ValueError):
     """A field with nonzero k = 0 coefficient was fed to an operator."""
@@ -133,6 +137,8 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
     k_max = int(k_max)
     if k_max < 8:
         raise ValueError("k_max >= 8 required")
+    if k_max > K_MAX_LIMIT:
+        raise ValueError(f"k_max = {k_max} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((n_components, 2 * k_max + 1), dtype=complex)
     kpos = np.arange(1, k_max + 1)

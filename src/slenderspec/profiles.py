@@ -150,7 +150,7 @@ def _deriv_at_eps(f, h):
     return (-11.0 * f[0] + 18.0 * f[1] - 9.0 * f[2] + 2.0 * f[3]) / (6.0 * h)
 
 
-def traction_eigenvalue_numeric(direction, mode, h_rel=1e-5):
+def traction_eigenvalue_numeric(direction, mode):
     """Surface-traction recomputation of the pde eigenvalue.
 
     Differentiates the exterior profiles one-sidedly at r = eps and
@@ -159,9 +159,7 @@ def traction_eigenvalue_numeric(direction, mode, h_rel=1e-5):
     """
     sol = solve_mode(direction, mode)
     eps = mode.eps
-    h = eps * h_rel
-    if h < eps * 1e-12:
-        raise AccuracyError("finite-difference step below precision floor")
+    h = eps * 1e-5
     prof = evaluate_profile(sol, eps + h * np.arange(4))
 
     if direction == "laplace_scalar":
@@ -196,11 +194,11 @@ def boundary_residuals(sol):
     }
 
 
-def incompressibility_residual(sol, r, h_rel=1e-6):
+def incompressibility_residual(sol, r):
     """Relative divergence residual at interior radii r (centered differences)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     eps = sol.mode.eps
-    h = eps * h_rel
+    h = eps * 1e-6
     k = sol.mode.k
     if sol.direction == "laplace_scalar":
         raise ValueError("incompressibility applies to the Stokes directions")
@@ -220,7 +218,7 @@ def incompressibility_residual(sol, r, h_rel=1e-6):
     return np.abs(div) / scale
 
 
-def residual_momentum(sol, r, h_rel=1e-3):
+def residual_momentum(sol, r):
     """Relative residuals of the radial momentum/pressure equations at r > eps.
 
     Each profile satisfies a modified-Bessel-type operator
@@ -232,7 +230,7 @@ def residual_momentum(sol, r, h_rel=1e-3):
     if np.any(r <= sol.mode.eps):
         raise ValueError("residual_momentum needs strictly interior radii r > eps")
     # step resolves both the K-function oscillation scale 1/(pi|k|) and 1/r terms
-    h = h_rel * np.minimum(r, 1.0 / (math.pi * abs(sol.mode.k)))
+    h = 1e-3 * np.minimum(r, 1.0 / (math.pi * abs(sol.mode.k)))
     h = np.minimum(h, 0.5 * (r - sol.mode.eps))
     a2 = (math.pi * sol.mode.k) ** 2
     k = sol.mode.k

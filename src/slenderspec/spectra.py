@@ -35,12 +35,19 @@ from .bessel import EULER_GAMMA, _gauss_panels, bessel_k, ratio_A, ratio_B
 
 SQRT_E = math.sqrt(math.e)
 
-#: poles of the three sbt B-functions, in z = pi eps |k|
-SBT_SINGULARITY = {
-    "longitudinal": 2.0 * math.exp(-EULER_GAMMA),
-    "tangential": 2.0 * math.exp(-EULER_GAMMA - 0.5),
-    "normal": 2.0 * math.exp(0.5 * (1.0 - 2.0 * EULER_GAMMA)),
+#: direction -> (eigenvalue prefactor, (num, c0, m), sbt window z, delta window z).
+#: Its sbt and delta families are num / (c0 + m L), with L = -(log(z/2) + g) for
+#: sbt and L = log(delta) + K0(delta z) for delta_reg.  A difference bound holds
+#: up to its window z = pi eps |k|; the sbt window is also the truncation default.
+_DIRECTIONS = {
+    "longitudinal": (2.0 * math.pi, (1.0, 0.0, 1.0), 0.45, 0.4),
+    "tangential": (4.0 * math.pi, (1.0, -1.0, 2.0), 0.25, 0.25),
+    "normal": (2.0 * math.pi, (4.0, 1.0, 2.0), 0.73, 2.0 / 3.0),
 }
+
+#: poles of the three sbt B-functions, in z = pi eps |k|: c0 + m L = 0
+SBT_SINGULARITY = {d: 2.0 * math.exp(c0 / m - EULER_GAMMA)
+                   for d, (_, (_, c0, m), _, _) in _DIRECTIONS.items()}
 
 
 class PoleError(ArithmeticError):
@@ -110,13 +117,9 @@ class EigenFamily:
             raise ValueError("delta only applies to delta_reg")
 
     def default_cutoff(self, eps):
-        """Standard truncation default: N = 1/(4 pi eps) tangential/longitudinal
-        (9/(20 pi eps) for Laplace), M = 73/(100 pi eps) normal."""
-        if self.direction == "normal":
-            return int(73.0 / (100.0 * math.pi * eps))
-        if self.direction == "tangential":
-            return int(1.0 / (4.0 * math.pi * eps))
-        return int(9.0 / (20.0 * math.pi * eps))
+        """Standard truncation default, the sbt difference window: N = 0.45/(pi eps)
+        longitudinal, 0.25/(pi eps) tangential, M = 0.73/(pi eps) normal."""
+        return int(_difference_window(self.direction, "sbt", eps))
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +141,19 @@ _B_FAMILY = {
 }
 _B_FAMILY["sbt_truncated"] = _B_FAMILY["sbt"]
 
-_SBT_DIRECTION = {f: d for d, f in _B_FAMILY["sbt"].items()}
-#: each delta family is num / (c0 + m log(delta) + m K0(delta z)): family -> (num, c0, m)
-_DELTA_TERMS = {"B_delta": (1.0, 0.0, 1.0), "B_delta_t": (1.0, -1.0, 2.0),
-                "B_delta_n": (4.0, 1.0, 2.0)}
+#: each sbt and delta family: name -> (method, direction, (num, c0, m))
+_LOG_FAMILIES = {f: (method, d, _DIRECTIONS[d][1]) for method in ("sbt", "delta_reg")
+                 for d, f in _B_FAMILY[method].items()}
 
 
 def _k0_delta(z, delta, fams):
     """K0(delta z), 0 where no family in ``fams`` can see it (see ``b_function``)."""
     x = delta * z
     limit = min(math.ulp(c0 + m * math.log(delta)) / (4.0 * m)
-                for _, c0, m in map(_DELTA_TERMS.get, fams))
+                for _, _, (_, c0, m) in map(_LOG_FAMILIES.get, fams))
     with np.errstate(under="ignore"):
-        live = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) >= limit
+        # pi/2 is exact, so this is sqrt(pi/(2x)) bit for bit, and finite for any x
+        live = np.sqrt(0.5 * np.pi / x) * np.exp(-x) >= limit
     k0d = np.zeros_like(x)
     k0d[live] = bessel_k(0, x[live])
     return k0d
@@ -181,9 +184,11 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     z = np.atleast_1d(z)
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise ValueError("b_function requires finite z > 0")
-    needs_delta = [f for f in fams if f in _DELTA_TERMS]
+    needs_delta = [f for f in fams if f in _B_FAMILY["delta_reg"].values()]
     if needs_delta and delta is None:
         raise ValueError(f"{min(needs_delta)} requires delta")
+    if needs_delta and not math.isfinite(delta * float(z.max(initial=0.0))):
+        raise ValueError(f"delta * z = {delta:g} * {z.max():g} overflows a double")
 
     # the kernels the families share, one pass each
     a = ratio_A(z) if {"B_t", "B_n"}.intersection(fams) else None
@@ -201,20 +206,15 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
             num = 4.0 * z * c + z * z * (1.0 - a * c)
             den = 2.0 * a * c + z * (a + c - 2.0 * a * a * c)
             out = num / den
-        elif f in _SBT_DIRECTION:
-            pole = SBT_SINGULARITY[_SBT_DIRECTION[f]]
-            if not allow_past_singularity and np.any(z >= pole):
-                raise PoleError(f"{f} has a pole at z = {pole:.6f}; pass allow_past_singularity")
-            lg = np.log(0.5 * z)
-            if f == "B_SB":
-                out = -1.0 / (lg + EULER_GAMMA)
-            elif f == "B_SB_t":
-                out = -1.0 / (1.0 + 2.0 * lg + 2.0 * EULER_GAMMA)
+        elif f in _LOG_FAMILIES:
+            method, direction, (num, c0, m) = _LOG_FAMILIES[f]
+            if method == "delta_reg":
+                out = num / ((c0 + m * math.log(delta)) + m * k0d)
             else:
-                out = 4.0 / (1.0 - 2.0 * lg - 2.0 * EULER_GAMMA)
-        elif f in _DELTA_TERMS:
-            num, c0, m = _DELTA_TERMS[f]
-            out = num / (c0 + m * math.log(delta) + m * k0d)
+                pole = SBT_SINGULARITY[direction]
+                if not allow_past_singularity and np.any(z >= pole):
+                    raise PoleError(f"{f} has a pole at z = {pole:.6f}; pass allow_past_singularity")
+                out = num / ((c0 - m * np.log(0.5 * z)) - m * EULER_GAMMA)
         else:
             raise ValueError(f"unknown B-family {f!r}")
         rows.append(np.atleast_1d(np.asarray(out, dtype=float)))
@@ -232,22 +232,19 @@ def ode_rhs(fam, z, b_value, delta=None):
         raise ValueError("ode_rhs requires z > 0")
     if fam == "B":
         out = (b * b - z * z) / z
-    elif fam == "B_SB":
-        out = b * b / z
     elif fam == "B_t":
         out = 2.0 * b * b / z - 2.0 * ratio_A(z) * b
-    elif fam == "B_SB_t":
-        out = 2.0 * b * b / z
     elif fam == "B_n":
         out = 0.5 * b * b / z - h_function(z)
-    elif fam == "B_SB_n":
-        out = 0.5 * b * b / z
-    elif fam in _DELTA_TERMS:
-        if delta is None:
+    elif fam in _LOG_FAMILIES:
+        # B = num / (c0 + m L) gives B' = -(m/num) B^2 L'
+        method, _, (num, _, m) = _LOG_FAMILIES[fam]
+        if method == "sbt":
+            out = m / num * b * b / z
+        elif delta is None:
             raise ValueError(f"{fam} requires delta")
-        dk1 = delta * bessel_k(1, delta * z)
-        factor = {"B_delta": 1.0, "B_delta_t": 2.0, "B_delta_n": 0.5}[fam]
-        out = factor * dk1 * b * b
+        else:
+            out = m / num * (delta * bessel_k(1, delta * z)) * b * b
     else:
         raise ValueError(f"unknown B-family {fam!r}")
     out = np.asarray(out, dtype=float)
@@ -333,11 +330,7 @@ def g3_polynomial(z):
 # eigenvalues
 # ---------------------------------------------------------------------------
 
-_PREFACTOR = {"longitudinal": 2.0 * math.pi, "tangential": 4.0 * math.pi,
-              "normal": 2.0 * math.pi}
-
-
-def eigenvalues(family, eps, k, allow_past_singularity=True):
+def eigenvalues(family, eps, k):
     """Vectorized eigenvalue of ``family`` at radius ``eps`` and wavenumbers ``k``.
 
     Every formula depends on k only through |k|; k may be any nonzero
@@ -368,11 +361,10 @@ def eigenvalues(family, eps, k, allow_past_singularity=True):
             pole = SBT_SINGULARITY[f.direction]
             if np.any(z == pole):
                 raise PoleError(f"{name} evaluated exactly at its pole z = {pole:.6f}")
-    b_rows = b_function(names, z, delta=first.delta,
-                        allow_past_singularity=allow_past_singularity)
+    b_rows = b_function(names, z, delta=first.delta, allow_past_singularity=True)
     rows = []
     for f, b in zip(families, b_rows):
-        out = _PREFACTOR[f.direction] * b
+        out = _DIRECTIONS[f.direction][0] * b
         if f.method == "sbt_truncated":
             cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
             out = np.where(np.abs(k) <= cutoff, out, 0.0)
@@ -434,15 +426,10 @@ class DifferenceMargin:
         return self.paper_bound - self.observed_diff
 
 
-def _difference_window(setting, direction, method2, eps):
-    pi_eps = math.pi * eps
-    if method2 == "sbt":
-        return {"longitudinal": 9.0 / (20.0 * pi_eps),
-                "tangential": 1.0 / (4.0 * pi_eps),
-                "normal": 73.0 / (100.0 * pi_eps)}[direction]
-    return {"longitudinal": 2.0 / (5.0 * pi_eps),
-            "tangential": 1.0 / (4.0 * pi_eps),
-            "normal": 2.0 / (3.0 * pi_eps)}[direction]
+def _difference_window(direction, method2, eps):
+    """Largest |k| the method2 ('sbt' or 'delta_reg') difference bound admits."""
+    _, _, sbt_z, delta_z = _DIRECTIONS[direction]
+    return (sbt_z if method2 == "sbt" else delta_z) / (math.pi * eps)
 
 
 def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
@@ -455,14 +442,11 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
     """
     if method2 not in ("sbt", "delta_reg"):
         raise ValueError("method2 must be 'sbt' or 'delta_reg'")
-    kmax = _difference_window(setting, direction, method2, eps)
+    kmax = _difference_window(direction, method2, eps)
     if np.any(np.abs(k) > kmax):
         raise WindowError(f"|k| = {np.abs(k).max()} exceeds the validity window |k| <= {kmax:.2f}")
     pde = EigenFamily(setting, direction, "pde")
-    if method2 == "sbt":
-        approx = EigenFamily(setting, direction, "sbt")
-    else:
-        approx = EigenFamily(setting, direction, "delta_reg", delta=delta)
+    approx = EigenFamily(setting, direction, method2, delta=delta)
     lam_pde = eigenvalues(pde, eps, k)
     lam_2 = eigenvalues(approx, eps, k)
     observed = abs(lam_pde - lam_2)

@@ -62,7 +62,7 @@ def test_criterion_04_comparison_constants():
 
 
 def test_criterion_05_difference_bounds():
-    res = checks.verify_difference_bounds(deltas=(1.7, 2.0, 3.0))
+    res = checks.verify_difference_bounds()
     worst = min(v[1] for v in res.checks.values())
     _report(5, "eigenvalue-difference bounds in-window", res.ok,
             f"{len(res.checks)} window sweeps, worst margin {worst:.3e} (>= 0)")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -97,10 +98,25 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
      "--steps must be >= 0"),
     (["profile", "--direction", "normal", "--eps", "0.05", "--k", "3", "--points", "0"],
      "--points must be >= 1"),
+    # too large: an overflowing dt or delta z gave warnings and nan/inf rows, a huge K_max
+    # a traceback
+    *[(["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8", "--steps", "2",
+        "--dt=1e308", "--scheme", scheme],
+       "dt = 1e+308 is too large: dt * max|nu| or t + dt overflows")
+      for scheme in ("explicit_euler", "implicit_exact")],
+    (["converge", "--setting", "laplace", "--method", "sbt_truncated", "--k-max", "1048577"],
+     "k_max = 1048577 exceeds K_MAX_LIMIT = 1048576"),
+    (["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "1048577", "--steps", "0"],
+     "k_max = 1048577 exceeds K_MAX_LIMIT = 1048576"),
+    (["spectrum", "--setting", "laplace", "--direction", "longitudinal", "--eps", "0.1",
+      "--k", "10000000000", "--methods", "delta_reg", "--delta", "1e300"],
+     "delta * z = 1e+300 * 3.14159e+09 overflows a double"),
 ])
 def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     # zero or negative sizes used to fall back to defaults or print a bare header
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slenderspec import dynamics
+from slenderspec import operators as ops
 from slenderspec.spectra import EigenFamily, eigenvalues
 
 
@@ -71,6 +73,23 @@ def test_step_rejects_non_finite_dt(dt):
     s0 = dynamics.single_mode_state(0.01, 8, 3)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         dynamics.step(s0, dt, "implicit_exact")
+
+
+@pytest.mark.parametrize("scheme", ["explicit_euler", "implicit_exact"])
+def test_step_rejects_dt_that_overflows(scheme):
+    # a finite dt whose dt * nu or t + dt overflows used to print nan/inf rows
+    s0 = dynamics.single_mode_state(0.01, 8, 3)
+    late = dynamics.DynamicsState(s0.coeffs, 0.01, t=np.finfo(float).max)
+    for state, dt in ((s0, 1e308), (late, 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"dt \* max\|nu\| or t \+ dt overflows"):
+                dynamics.step(state, dt, scheme)
+
+
+def test_single_mode_state_caps_k_max():
+    with pytest.raises(ValueError, match="exceeds K_MAX_LIMIT"):
+        dynamics.single_mode_state(0.01, ops.K_MAX_LIMIT + 1, 3)
 
 
 def test_explicit_instability_amplification():

@@ -158,6 +158,9 @@ def test_make_test_field_real_and_mean_free():
         ops.make_test_field("single_mode", 16)
     with pytest.raises(ValueError):
         ops.make_test_field("weird", 16)
+    # checked before the coefficient table is allocated
+    with pytest.raises(ValueError, match="exceeds K_MAX_LIMIT"):
+        ops.make_test_field("h1_rough", ops.K_MAX_LIMIT + 1, n_components=3)
 
 
 def test_self_adjointness():

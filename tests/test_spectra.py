@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -292,6 +293,52 @@ def test_delta_families_skip_k0_exactly(monkeypatch, delta):
         assert _bits(row) == _bits(full) == _bits(fast_row) == _bits(full_row), f
 
 
+def test_sbt_and_delta_rows_match_their_closed_forms_bitwise():
+    # the table-driven rows, their ODE right-hand sides and the poles, against
+    # each closed form written out as the paper states it
+    z = np.geomspace(1e-8, 1500.0, 5000)
+    lg = np.log(0.5 * z)
+    sbt = {"B_SB": (-1.0 / (lg + GAMMA), 1.0),
+           "B_SB_t": (-1.0 / (1.0 + 2.0 * lg + 2.0 * GAMMA), 2.0),
+           "B_SB_n": (4.0 / (1.0 - 2.0 * lg - 2.0 * GAMMA), 0.5)}
+    for fam, (row, factor) in sbt.items():
+        b = spectra.b_function(fam, z, allow_past_singularity=True)
+        assert _bits(b) == _bits(row), fam
+        assert _bits(spectra.ode_rhs(fam, z, b)) == _bits(factor * b * b / z), fam
+    for delta in (1.0 + 1e-7, 1.7, 2.0, 3.0, 50.0):
+        ld = math.log(delta)
+        k0, k1 = bessel.bessel_k((0, 1), delta * z)
+        dk1 = delta * k1
+        rows = {"B_delta": (1.0 / (ld + k0), 1.0),
+                "B_delta_t": (1.0 / (-1.0 + 2.0 * ld + 2.0 * k0), 2.0),
+                "B_delta_n": (4.0 / (1.0 + 2.0 * ld + 2.0 * k0), 0.5)}
+        for fam, (row, factor) in rows.items():
+            b = spectra.b_function(fam, z, delta=delta)
+            assert _bits(b) == _bits(row), (fam, delta)
+            assert _bits(spectra.ode_rhs(fam, z, b, delta=delta)) == _bits(factor * dk1 * b * b)
+    assert spectra.SBT_SINGULARITY == {
+        "longitudinal": 2.0 * math.exp(-GAMMA),
+        "tangential": 2.0 * math.exp(-GAMMA - 0.5),
+        "normal": 2.0 * math.exp(0.5 * (1.0 - 2.0 * GAMMA))}
+
+
+def test_delta_z_at_the_edge_of_the_double_range():
+    # delta z near 1e308: K0 is skipped without a warning (the skip bound used
+    # to form 2 delta z, which overflows) and each row is its K0-free plateau
+    ld = math.log(1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = spectra.b_function(_DELTA_FAMS, np.array([0.1, 0.3, 0.9]), delta=1e308)
+    assert _bits(rows) == _bits([[1.0 / ld] * 3, [1.0 / (-1.0 + 2.0 * ld)] * 3,
+                                 [4.0 / (1.0 + 2.0 * ld)] * 3])
+    # past it delta z itself overflows: a ValueError before the product is formed
+    for fams in ("B_delta_n", ("B_t", "B_delta")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"delta \* z = 1e\+300 \* 3\.2e\+09 overflows"):
+                spectra.b_function(fams, np.array([1.0, 3.2e9]), delta=1e300)
+
+
 def test_k0_below_its_exponential_bound():
     # K0(x) <= sqrt(pi/(2x)) e^{-x}, the bound behind the K0 skip, holds for
     # the computed values, evaluated as the continued fraction evaluates it
@@ -337,11 +384,11 @@ def test_difference_margin_holds():
         ("laplace", "longitudinal"), ("stokes", "tangential"), ("stokes", "normal"),
     ):
         eps = 1e-2
-        kmax = int(spectra._difference_window(setting, direction, "sbt", eps))
+        kmax = int(spectra._difference_window(direction, "sbt", eps))
         for k in (1, kmax // 2, kmax):
             m = spectra.eigen_difference_margin(setting, direction, eps, k, "sbt")
             assert m.margin >= 0
-        kmax = int(spectra._difference_window(setting, direction, "delta_reg", eps))
+        kmax = int(spectra._difference_window(direction, "delta_reg", eps))
         for k in (1, kmax):
             m = spectra.eigen_difference_margin(
                 setting, direction, eps, k, "delta_reg", delta=2.0)
@@ -350,7 +397,7 @@ def test_difference_margin_holds():
 
 def test_difference_window_error():
     eps = 1e-2
-    kmax = int(spectra._difference_window("laplace", "longitudinal", "sbt", eps))
+    kmax = int(spectra._difference_window("longitudinal", "sbt", eps))
     with pytest.raises(WindowError):
         spectra.eigen_difference_margin("laplace", "longitudinal", eps, kmax + 1, "sbt")
     with pytest.raises(ValueError):
@@ -363,7 +410,7 @@ def test_difference_window_error():
 def test_difference_margin_array_k_matches_scalar_calls_bitwise(setting, direction,
                                                                 method2, delta):
     for eps in (1e-1, 1e-2, 1e-3):
-        kmax = int(spectra._difference_window(setting, direction, method2, eps))
+        kmax = int(spectra._difference_window(direction, method2, eps))
         ks = np.arange(1, kmax + 1)
         arr = spectra.eigen_difference_margin(setting, direction, eps, ks, method2, delta)
         scalar = [spectra.eigen_difference_margin(setting, direction, eps, k, method2, delta)
