@@ -99,14 +99,25 @@ def step(state, dt, scheme):
         mult[nz] = np.exp(dt * rates)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return DynamicsState(state.coeffs * mult[None, :], state.eps, state.t + dt)
+    with np.errstate(over="ignore"):  # energy() below rejects the overflowed state
+        new = DynamicsState(state.coeffs * mult[None, :], state.eps, state.t + dt)
+    energy(new)
+    return new
 
 
 def energy(state):
-    """Bending + tension quadratic form: (1/2) sum (pi k)^4 |Y|^2 + (1/2) sum (pi k)^2 |Y|^2."""
+    """Bending + tension quadratic form: (1/2) sum (pi k)^4 |Y|^2 + (1/2) sum (pi k)^2 |Y|^2.
+
+    Raises OverflowError where it leaves the double range (an unstable
+    explicit step grows |Y| by |1 + dt nu| each time).
+    """
     pk2 = (math.pi * state.k_values) ** 2
-    mag2 = np.sum(np.abs(state.coeffs) ** 2, axis=0)
-    return float(0.5 * np.sum((pk2 * pk2 + pk2) * mag2))
+    with np.errstate(over="ignore"):  # checked below
+        mag2 = np.sum(np.abs(state.coeffs) ** 2, axis=0)
+        value = float(0.5 * np.sum((pk2 * pk2 + pk2) * mag2))
+    if not math.isfinite(value):
+        raise OverflowError(f"the energy at t = {state.t:g} overflows a double")
+    return value
 
 
 def grid_spacing(k_max):

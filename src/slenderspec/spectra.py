@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import EULER_GAMMA, _gauss_panels, bessel_k, ratio_A, ratio_B
+from .bessel import EULER_GAMMA, Z_MIN, _gauss_panels, bessel_k, ratio_A, ratio_B
 
 SQRT_E = math.sqrt(math.e)
 
@@ -182,8 +182,8 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    if np.any(z <= 0) or not np.all(np.isfinite(z)):
-        raise ValueError("b_function requires finite z > 0")
+    if np.any(z < Z_MIN) or not np.all(np.isfinite(z)):
+        raise ValueError(f"b_function requires finite z >= {Z_MIN:.4g}; K1 ~ 1/z overflows below")
     needs_delta = [f for f in fams if f in _B_FAMILY["delta_reg"].values()]
     if needs_delta and delta is None:
         raise ValueError(f"{min(needs_delta)} requires delta")

@@ -1,5 +1,6 @@
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,3 +273,103 @@ def test_cf_matches_compacting_loop_bitwise(z):
     assert h.tobytes() == h_ref.tobytes() and s.tobytes() == s_ref.tobytes()
     h_ref, _ = _compacting_cf(z, with_s=False)
     assert bessel._cf(z, with_s=False).tobytes() == h_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the small-batch path on Python floats against the numpy loops
+# ---------------------------------------------------------------------------
+
+#: z where the series' joint stop moves a bit of the psi-weighted I1 sum (it
+#: crosses zero near here) against the element's own stop, next to z = 2
+_JOINT_STOP_Z = 0.930778
+
+
+def _kernel_outputs(z):
+    """bessel_k on a tuple and on single orders, ratio_A and ratio_B at z."""
+    outs = [bessel.ratio_A(z), bessel.ratio_B(z), bessel.bessel_k((0, 1), z),
+            bessel.bessel_k(0, z), bessel.bessel_k(1, z)]
+    if np.min(z) >= bessel.Z_MIN_K2:
+        outs += [bessel.bessel_k((0, 1, 2), z), bessel.bessel_k(2, z)]
+    return outs
+
+
+def _loop_outputs(z):
+    """The loops' own results on the 1-d array z, then the kernel outputs."""
+    cf_z = np.maximum(z, np.nextafter(bessel.SERIES_CUTOFF, 3.0))
+    return [*bessel._series_sums(0.25 * z * z), *bessel._cf(cf_z, with_s=True),
+            bessel._cf(cf_z, with_s=False), *bessel._k0_k1_series(z), *_kernel_outputs(z)]
+
+
+def _assert_same_bits_as_numpy_loops(outputs, z):
+    got = outputs(z)
+    with mock.patch.object(bessel, "_SMALL", 0):
+        want = outputs(z)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _small_grids():
+    rng = np.random.default_rng(9)
+    zc = bessel.SERIES_CUTOFF
+    n = bessel._SMALL
+    wide = [np.exp(rng.uniform(math.log(1e-8), math.log(1500.0), size)) for size in range(1, n + 2)]
+    straddle = np.concatenate([np.linspace(zc - 0.3, zc + 0.3, n - 3),
+                               [zc, np.nextafter(zc, 3.0), np.nextafter(zc, 1.0)]])
+    straddle.sort()
+    spectrum = math.pi * 0.05 * np.arange(1, n + 1)
+    return [("wide", z) for z in wide] + [
+        ("straddle", straddle), ("straddle-desc", straddle[::-1]),
+        ("straddle-shuffled", rng.permutation(straddle)),
+        ("spectrum-desc", spectrum[::-1]), ("spectrum-shuffled", rng.permutation(spectrum)),
+        ("to-1500", np.array([700.0, 705.0, 1000.0, 1499.0, 1500.0])),
+        ("joint-stop", np.array([1e-8, _JOINT_STOP_Z, 2.0, 1500.0])),
+        ("tiny-and-large", np.array([1500.0, 1e-8, 3.5, 1e-6, 1.9999, 0.5, 40.0])),
+        ("lower-edge", np.array([bessel.Z_MIN, np.nextafter(bessel.Z_MIN, 1.0), 1e-300,
+                                 bessel.Z_MIN_K2, 1e-100, 1.0])),
+        ("lower-edge-k2", np.array([bessel.Z_MIN_K2, np.nextafter(bessel.Z_MIN_K2, 1.0), 1e-100])),
+    ]
+
+
+@pytest.mark.parametrize("name, z", _small_grids(),
+                         ids=[f"{name}-{z.size}" for name, z in _small_grids()])
+def test_small_batch_path_matches_numpy_loops_bitwise(name, z):
+    # the Python-float loops and the numpy loops make the same operations in
+    # the same order, and IEEE arithmetic rounds both the same
+    _assert_same_bits_as_numpy_loops(_loop_outputs, z)
+
+
+def test_joint_stop_grid_moves_bits_against_a_per_element_stop():
+    # the "joint-stop" grid above has teeth: stopping the element at
+    # _JOINT_STOP_Z on its own test gives other bits than the batch's joint stop
+    t = 0.25 * np.array([_JOINT_STOP_Z, 2.0]) ** 2
+    for small in (bessel._SMALL, 0):
+        with mock.patch.object(bessel, "_SMALL", small):
+            alone, joint = bessel._series_sums(t[:1])[3][0], bessel._series_sums(t)[3][0]
+        assert alone != joint
+
+
+@pytest.mark.parametrize("z", [0.5, 2.0, np.nextafter(2.0, 3.0), 2.5, 30.0, 705.0, 1500.0])
+def test_scalar_calls_match_numpy_loops_bitwise(z):
+    _assert_same_bits_as_numpy_loops(_kernel_outputs, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ANY_Z, min_size=1, max_size=bessel._SMALL))
+def test_property_small_batch_path_matches_numpy_loops(zs):
+    _assert_same_bits_as_numpy_loops(_loop_outputs, np.array(zs))
+
+
+def test_lower_edge_of_z():
+    # K1 ~ 1/z overflowed below ~5.6e-309 and K2 ~ 2/z^2 below ~1.05e-154
+    for with_k2, z_min in ((False, bessel.Z_MIN), (True, bessel.Z_MIN_K2)):
+        orders = (0, 1, 2) if with_k2 else (0, 1)
+        for z in (z_min, np.array([z_min, 1.0])):
+            assert np.all(np.isfinite(bessel.bessel_k(orders, z)))
+        for bad in (np.nextafter(z_min, 0.0), np.array([1.0, 0.5 * z_min])):
+            with pytest.raises(bessel.BesselDomainError, match="overflows a double below"):
+                bessel.bessel_k(orders, bad)
+    assert np.isfinite(bessel.ratio_A(bessel.Z_MIN)) and np.isfinite(bessel.ratio_B(bessel.Z_MIN))
+    for fn in (bessel.ratio_A, bessel.ratio_B):
+        with pytest.raises(bessel.BesselDomainError):
+            fn(1e-310)

@@ -111,6 +111,16 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
     (["spectrum", "--setting", "laplace", "--direction", "longitudinal", "--eps", "0.1",
       "--k", "10000000000", "--methods", "delta_reg", "--delta", "1e300"],
      "delta * z = 1e+300 * 3.14159e+09 overflows a double"),
+    # an unstable explicit step drove |Y| past 1e154, and energy() printed inf
+    (["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8", "--steps", "2",
+      "--dt=1e100", "--scheme", "explicit_euler"], "the energy at t = 2e+100 overflows a double"),
+    # below the lower edge of z, K1 ~ 1/z or K2 ~ 2/z^2 overflowed: pde printed -4 pi
+    # (stokes) or inf (laplace), and the normal profile rows of nan
+    *[(["spectrum", "--setting", setting, "--direction", direction, "--eps", "1e-310",
+        "--k", "1..2"], "b_function requires finite z >= 2.225e-308; K1 ~ 1/z overflows below")
+      for setting, direction in (("stokes", "tangential"), ("laplace", "longitudinal"))],
+    (["profile", "--direction", "normal", "--eps", "1e-200", "--k", "1"],
+     "K2 requires finite z >= 1.492e-154; it overflows a double below"),
 ])
 def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     # zero or negative sizes used to fall back to defaults or print a bare header

@@ -87,6 +87,21 @@ def test_step_rejects_dt_that_overflows(scheme):
                 dynamics.step(state, dt, scheme)
 
 
+def test_state_whose_energy_overflows_is_rejected():
+    # dt * nu is finite, but each unstable explicit step multiplies |Y| by ~1e102:
+    # the square in energy() used to overflow to inf with a RuntimeWarning
+    s1 = dynamics.step(dynamics.single_mode_state(0.01, 8, 3), 1e100, "explicit_euler")
+    assert math.isfinite(dynamics.energy(s1))
+    huge = dynamics.DynamicsState(s1.coeffs * 1e60, 0.01, t=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dt in (1e100, 1e300):  # |Y| ~ 1e204 squares past the range; ~1e404 is inf
+            with pytest.raises(OverflowError, match=r"energy at t = .* overflows a double"):
+                dynamics.step(s1, dt, "explicit_euler")
+        with pytest.raises(OverflowError, match=r"energy at t = 5 overflows a double"):
+            dynamics.energy(huge)
+
+
 def test_single_mode_state_caps_k_max():
     with pytest.raises(ValueError, match="exceeds K_MAX_LIMIT"):
         dynamics.single_mode_state(0.01, ops.K_MAX_LIMIT + 1, 3)

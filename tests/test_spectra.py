@@ -339,6 +339,19 @@ def test_delta_z_at_the_edge_of_the_double_range():
                 spectra.b_function(fams, np.array([1.0, 3.2e9]), delta=1e300)
 
 
+def test_lower_edge_of_z():
+    # below the smallest normal double K1 ~ 1/z overflowed: B_t read -1 (pde
+    # lambda = -4 pi) and B read inf; every family now stops there alike
+    fams = ("B", "B_t", "B_n", "B_SB", "B_delta_t")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = spectra.b_function(fams, np.array([bessel.Z_MIN, 1e-300, 1.0]), delta=2.0)
+        assert np.all(np.isfinite(rows)) and np.all(rows > 0.0)
+        for z in (1e-310, np.array([1.0, np.nextafter(bessel.Z_MIN, 0.0)])):
+            with pytest.raises(ValueError, match=r"b_function requires finite z >= 2\.225e-308"):
+                spectra.b_function(fams, z, delta=2.0)
+
+
 def test_k0_below_its_exponential_bound():
     # K0(x) <= sqrt(pi/(2x)) e^{-x}, the bound behind the K0 skip, holds for
     # the computed values, evaluated as the continued fraction evaluates it
