@@ -297,13 +297,14 @@ def _check_orders(order):
     return orders
 
 
-def _shape_orders(order, rows, scalar):
-    """Rows per order, shaped for the call: a float (scalar z) or an array for
-    an int order; for a tuple the rows, or one value per order for scalar z."""
-    rows = rows[:, 0] if scalar else rows
-    if np.ndim(order) == 0:
-        return float(rows[0]) if scalar else rows[0]
-    return rows
+def _shape_rows(rows, single, scalar):
+    """One row per order (or family), shaped for the call: for a single one a
+    float (scalar z) or its row; for a tuple the rows as an array, or one value
+    per entry for scalar z."""
+    if single:
+        return float(rows[0][0]) if scalar else rows[0]
+    rows = np.asarray(rows)
+    return rows[:, 0] if scalar else rows
 
 
 def bessel_k(order, z):
@@ -321,7 +322,7 @@ def bessel_k(order, z):
     by_order = (k0, k1)
     if 2 in orders:
         by_order += (k0 + 2.0 * k1 / np.atleast_1d(np.asarray(z, dtype=float)),)
-    return _shape_orders(order, np.array([by_order[o] for o in orders]), np.ndim(z) == 0)
+    return _shape_rows([by_order[o] for o in orders], np.ndim(order) == 0, np.ndim(z) == 0)
 
 
 def bessel_k_detail(order, z):
@@ -415,7 +416,7 @@ def oracle_bessel_k(order, z):
         raise BesselAccuracyError(
             f"oracle quadrature stalled at relative error {worst:.3e} (target {_ORACLE_RTOL:.1e})"
         )
-    return _shape_orders(order, out, np.ndim(z) == 0)
+    return _shape_rows(out, np.ndim(order) == 0, np.ndim(z) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, experiments, profiles
-from .spectra import EigenFamily, Mode, eigenvalues
+from .spectra import EigenFamily, Mode, _check_eps, eigenvalues
 
 _FMT = "{:.17g}"
 
@@ -55,8 +55,10 @@ def _emit(text, path):
             fh.write(text)
 
 
-def _apply_config_defaults(argv):
-    """Expand --config key=value files into leading defaults."""
+def _apply_config_defaults(argv, parser):
+    """Expand --config key=value files into leading defaults.  Each key must
+    name an option of the subcommand: files shared between subcommands are not
+    supported."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -64,6 +66,10 @@ def _apply_config_defaults(argv):
         path = argv[i + 1]
     except IndexError:
         raise UsageError("--config needs a file path")
+    rest = argv[:i] + argv[i + 2:]
+    command = rest[1] if len(rest) > 1 else None
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(command)  # None: argparse reports the command
     extra = []
     with open(path) as fh:
         for line in fh:
@@ -72,11 +78,12 @@ def _apply_config_defaults(argv):
                 continue
             if "=" not in line:
                 raise UsageError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            extra.extend([f"--{key.strip()}", value.strip()])
+            key, value = (part.strip() for part in line.split("=", 1))
+            if sub is not None and f"--{key}" not in sub._option_string_actions:
+                raise UsageError(f"config key {key!r} is not an option of {command!r}")
+            extra.extend([f"--{key}", value])
     # flags from the command line come last and win over config values;
     # insert right after the subcommand so argparse routes them correctly
-    rest = argv[:i] + argv[i + 2:]
     return rest[:2] + extra + rest[2:]
 
 
@@ -110,6 +117,8 @@ def cmd_verify(args):
 
 
 def cmd_converge(args):
+    _check_eps(args.eps_max)
+    _check_eps(args.eps_min)
     eps_grid = np.geomspace(args.eps_max, args.eps_min, args.eps_points)
     report = experiments.convergence_study(
         args.setting, args.method, args.regularity, eps_grid=eps_grid,
@@ -249,12 +258,12 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv if argv is None else ["slenderspec"] + list(argv))
+    parser = build_parser()
     try:
-        argv = _apply_config_defaults(argv)
+        argv = _apply_config_defaults(argv, parser)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import PeriodicField, apply_operator, make_test_field, sobolev_norm
+from .operators import K_MAX_LIMIT, PeriodicField, apply_operator, make_test_field, sobolev_norm
 from .spectra import SQRT_E, EigenFamily
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(10**-1.5, 1e-3, 6))
@@ -60,7 +60,11 @@ class ConvergenceReport:
 
 
 def _required_k_max(eps_min):
-    return int(math.ceil(2.0 / (math.pi * eps_min))) + 8
+    """K_max that resolves the 1/eps truncation scale; at most K_MAX_LIMIT."""
+    scale = 2.0 / (math.pi * float(eps_min))  # Python floats: inf, not a warning
+    if scale > K_MAX_LIMIT - 8:
+        raise ValueError(f"eps = {eps_min:g} needs k_max > K_MAX_LIMIT = {K_MAX_LIMIT}")
+    return int(math.ceil(scale)) + 8
 
 
 def _input_field(setting, regularity, k_max, seed, profile=None):
@@ -107,9 +111,10 @@ def convergence_study(setting, method, regularity, eps_grid=None, seed=11,
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
     if len(eps_grid) < 4 or not all(a > b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing with >= 4 points")
+    eps_min = float(min(eps_grid))
     if k_max is None:
-        k_max = _required_k_max(min(eps_grid))
-    if k_max < 2.0 / (math.pi * min(eps_grid)):
+        k_max = _required_k_max(eps_min)
+    if k_max < 2.0 / (math.pi * eps_min):
         raise ValueError("k_max does not resolve the 1/eps truncation scale")
     u = _input_field(setting, regularity, k_max, seed)
     errors = tuple(approximation_error(setting, method, u, e, delta=delta)

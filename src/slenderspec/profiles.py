@@ -19,6 +19,7 @@ oracle property.  Derivatives at r = eps use one-sided 4-point stencils
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,75 +37,62 @@ _FAMILY_OF = {
 
 
 class UnderflowError(ArithmeticError):
-    """z > UNDERFLOW_Z, or profile constants (~|k|/K1) past the largest double."""
+    """z > UNDERFLOW_Z, where the K values at the boundary underflow."""
 
 
 class AccuracyError(ArithmeticError):
     """Finite-difference step fell below the resolvable precision floor."""
 
 
+#: the K orders each direction reads; only ``normal`` needs K2 (and Z_MIN_K2)
+_ORDERS = {"laplace_scalar": (0, 1), "tangential": (0, 1), "normal": (0, 1, 2)}
+
+
 @dataclass(frozen=True)
 class RadialModeSolution:
-    """Profile constants of one exterior mode (subset used per direction)."""
+    """Profile constants of one exterior mode (subset used per direction), times 2**scale.
+
+    ``scale`` puts K1 * 2**-scale at z = pi eps |k| in [0.5, 1).  The constants are
+    homogeneous of degree -1 in K: formed from K * 2**-scale, they stay finite and their
+    K products normal up to UNDERFLOW_Z.  ``evaluate_profile`` multiplies them by
+    K(pi |k| r) * 2**-scale, exact scaling that rounds as the unscaled product would.
+    """
 
     mode: Mode
     direction: str
+    scale: int
     c_p: complex
     c0: complex | None = None
     c1: complex | None = None
     c2: complex | None = None
 
 
-def _boundary_k(mode):
-    """(K0, K1, K2) at z = pi eps |k| times 2**-e, with K1 * 2**-e in [0.5, 1), and e.
-
-    The constants are homogeneous of degree -1 in the K values, so forming
-    them from the scaled values and scaling back by 2**-e keeps the products
-    of K values normal up to UNDERFLOW_Z, and the constants bitwise
-    unchanged wherever the raw products were normal.
-    """
-    evals = bessel_k_detail((0, 1, 2), mode.z)
-    if any(ev.underflowed for ev in evals):
-        raise UnderflowError(f"K underflow at z = pi*eps*|k| = {mode.z:.3f}")
-    e = math.frexp(evals[1].value)[1]
-    return tuple(math.ldexp(ev.value, -e) for ev in evals), e
-
-
 def solve_mode(direction, mode):
     """Compute the profile constants for one (direction, mode) pair."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    (k0, k1, k2), e = _boundary_k(mode)
-    eps, k = mode.eps, mode.k
-    z = mode.z
+    evals = bessel_k_detail(_ORDERS[direction], mode.z)
+    if any(ev.underflowed for ev in evals):
+        raise UnderflowError(f"K underflow at z = pi*eps*|k| = {mode.z:.3f}")
+    scale = math.frexp(evals[1].value)[1]
+    k0, k1, *rest = (math.ldexp(ev.value, -scale) for ev in evals)
+    eps, k, z = mode.eps, mode.k, mode.z
     sgn = 1.0 if k > 0 else -1.0
 
     if direction == "laplace_scalar":
         # c0 stores the normalization 1/K0(pi eps |k|); no pressure
-        consts = {"c_p": 0.0 + 0.0j, "c0": 1.0 / k0}
+        consts = (0.0 + 0.0j, 1.0 / k0)
     elif direction == "tangential":
         c_p = -1j * 2.0 * math.pi * k * k1 / (2.0 * k0 * k1 + z * (k0 * k0 - k1 * k1))
-        consts = {"c_p": c_p, "c0": 1.0 / k0 + 1j * c_p * eps * k1 * sgn / (2.0 * k0),
-                  "c1": -c_p * eps * k0 / (2.0 * k1)}
+        consts = (c_p, 1.0 / k0 + 1j * c_p * eps * k1 * sgn / (2.0 * k0),
+                  -c_p * eps * k0 / (2.0 * k1))
     else:
+        k2 = rest[0]
         den = 2.0 * k0 * k1 * k2 + z * (k1 * k1 * (k0 + k2) - 2.0 * k0 * k0 * k2)
         c_p = 4.0 * math.pi * abs(k) * k1 * k2 / den
-        consts = {"c_p": c_p, "c0": 2.0 / k0 - c_p * eps * k1 / (2.0 * k0),
-                  "c1": 1j * c_p * eps * k0 * sgn / (2.0 * k1),
-                  "c2": -c_p * eps * k1 / (2.0 * k2)}
-    try:
-        consts = {name: _unscale(c, e) for name, c in consts.items()}
-    except OverflowError:
-        raise UnderflowError(
-            f"profile constants overflow at z = pi*eps*|k| = {z:.3f}") from None
-    return RadialModeSolution(mode, direction, **consts)
-
-
-def _unscale(c, e):
-    """c * 2**-e; each part of a complex c on its own, so no zero changes sign."""
-    if isinstance(c, complex):
-        return complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
-    return math.ldexp(c, -e)
+        consts = (c_p, 2.0 / k0 - c_p * eps * k1 / (2.0 * k0),
+                  1j * c_p * eps * k0 * sgn / (2.0 * k1), -c_p * eps * k1 / (2.0 * k2))
+    return RadialModeSolution(mode, direction, scale, *consts)
 
 
 def evaluate_profile(sol, r):
@@ -119,7 +107,8 @@ def evaluate_profile(sol, r):
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
         raise ValueError("profiles are defined for r >= eps only")
     a = math.pi * abs(sol.mode.k)
-    k0r, k1r, k2r = bessel_k((0, 1, 2), a * r)
+    kr = np.ldexp(bessel_k(_ORDERS[sol.direction], a * r), -sol.scale)
+    k0r, k1r = kr[:2]
     sgn = 1.0 if sol.mode.k > 0 else -1.0
 
     if sol.direction == "laplace_scalar":
@@ -134,15 +123,18 @@ def evaluate_profile(sol, r):
     p = sol.c_p * k1r
     u_z = sol.c1 * k1r - 0.5j * sol.c_p * r * k0r * sgn
     u_plus = sol.c0 * k0r + 0.5 * sol.c_p * r * k1r
-    u_minus = sol.c2 * k2r + 0.5 * sol.c_p * r * k1r
-    return {
-        "U_r": 0.5 * (u_plus + u_minus),
-        "U_theta": 0.5 * (u_plus - u_minus),
-        "U_z": u_z,
-        "U_plus": u_plus,
-        "U_minus": u_minus,
-        "p": p,
-    }
+    u_minus = sol.c2 * kr[2] + 0.5 * sol.c_p * r * k1r
+    return {"U_r": 0.5 * (u_plus + u_minus), "U_theta": 0.5 * (u_plus - u_minus), "U_z": u_z,
+            "U_plus": u_plus, "U_minus": u_minus, "p": p}
+
+
+def _fd_step(eps, rel):
+    """The step eps * rel; a subnormal one loses bits and overflows the quotients."""
+    h = eps * rel
+    if h < sys.float_info.min:
+        raise AccuracyError(f"finite-difference step eps*{rel:g} is subnormal; "
+                            f"eps must be >= {sys.float_info.min / rel:.4g}")
+    return h
 
 
 def _deriv_at_eps(f, h):
@@ -159,7 +151,7 @@ def traction_eigenvalue_numeric(direction, mode):
     """
     sol = solve_mode(direction, mode)
     eps = mode.eps
-    h = eps * 1e-5
+    h = _fd_step(eps, 1e-5)
     prof = evaluate_profile(sol, eps + h * np.arange(4))
 
     if direction == "laplace_scalar":
@@ -196,25 +188,22 @@ def boundary_residuals(sol):
 
 def incompressibility_residual(sol, r):
     """Relative divergence residual at interior radii r (centered differences)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    eps = sol.mode.eps
-    h = eps * 1e-6
-    k = sol.mode.k
     if sol.direction == "laplace_scalar":
         raise ValueError("incompressibility applies to the Stokes directions")
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    eps = sol.mode.eps
+    h = _fd_step(eps, 1e-6)
+    k = sol.mode.k
     # centered stencil; nudge boundary points inward so r - h stays >= eps
     r = np.maximum(r, eps + h)
-    up = evaluate_profile(sol, r + h)
-    dn = evaluate_profile(sol, r - h)
-    mid = evaluate_profile(sol, r)
+    up, dn, mid = (evaluate_profile(sol, rr) for rr in (r + h, r - h, r))
     dUr = (up["U_r"] - dn["U_r"]) / (2.0 * h)
     if sol.direction == "tangential":
         div = dUr + mid["U_r"] / r + 1j * math.pi * k * mid["U_z"]
     else:
         div = dUr + (mid["U_r"] - mid["U_theta"]) / r + 1j * math.pi * k * mid["U_z"]
-    scale = np.maximum.reduce(
-        [np.abs(dUr), np.abs(mid["U_r"] / r), np.abs(math.pi * k * mid["U_z"]), 1e-300 * np.ones_like(r)]
-    )
+    scale = np.maximum.reduce([np.abs(dUr), np.abs(mid["U_r"] / r),
+                               np.abs(math.pi * k * mid["U_z"]), np.full_like(r, 1e-300)])
     return np.abs(div) / scale
 
 

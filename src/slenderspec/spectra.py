@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import EULER_GAMMA, Z_MIN, _gauss_panels, bessel_k, ratio_A, ratio_B
+from .bessel import EULER_GAMMA, Z_MIN, _gauss_panels, _shape_rows, bessel_k, ratio_A, ratio_B
 
 SQRT_E = math.sqrt(math.e)
 
@@ -218,10 +218,7 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
         else:
             raise ValueError(f"unknown B-family {f!r}")
         rows.append(np.atleast_1d(np.asarray(out, dtype=float)))
-    if isinstance(fam, str):
-        return float(rows[0][0]) if scalar else rows[0]
-    rows = np.array(rows)
-    return rows[:, 0] if scalar else rows
+    return _shape_rows(rows, isinstance(fam, str), scalar)
 
 
 def ode_rhs(fam, z, b_value, delta=None):
@@ -369,10 +366,7 @@ def eigenvalues(family, eps, k):
             cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
             out = np.where(np.abs(k) <= cutoff, out, 0.0)
         rows.append(out)
-    if isinstance(family, EigenFamily):
-        return float(rows[0][0]) if scalar else rows[0]
-    rows = np.array(rows)
-    return rows[:, 0] if scalar else rows
+    return _shape_rows(rows, isinstance(family, EigenFamily), scalar)
 
 
 def eigenvalue(family, mode):

@@ -121,6 +121,13 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
       for setting, direction in (("stokes", "tangential"), ("laplace", "longitudinal"))],
     (["profile", "--direction", "normal", "--eps", "1e-200", "--k", "1"],
      "K2 requires finite z >= 1.492e-154; it overflows a double below"),
+    # eps bounds: geomspace warned and the grid was "not strictly decreasing", and
+    # a subnormal eps-min gave "cannot convert float infinity to integer"
+    *[(["converge", "--setting", "laplace", "--method", "sbt_truncated", bound],
+       "fiber radius must lie in (0, 1/2)")
+      for bound in ("--eps-min=-1e-3", "--eps-max=inf", "--eps-min=nan")],
+    (["converge", "--setting", "laplace", "--method", "sbt_truncated", "--eps-min=1e-320"],
+     "eps = 9.99989e-321 needs k_max > K_MAX_LIMIT = 1048576"),
 ])
 def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     # zero or negative sizes used to fall back to defaults or print a bare header
@@ -169,6 +176,17 @@ def test_profile_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "r,U_r_re,U_r_im,U_z_re,U_z_im,p_re,p_im"
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize("direction, u_column", [("laplace_scalar", 1), ("tangential", 3)])
+def test_profile_below_z_min_k2_without_k2(capsys, direction, u_column):
+    # only the normal direction reads K2, so only it stops at Z_MIN_K2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, "profile", "--direction", direction, "--eps", "1e-200",
+                        "--k", "1", "--points", "3")
+    assert code == 0
+    assert float(out.split("\n")[1].split(",")[u_column]) == 1.0
 
 
 def test_profile_past_underflow_exit_2(capsys):
@@ -312,3 +330,18 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["spectrum", "--config", str(bad)]) == 2
     assert main(["spectrum", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["spectrum", "--config"]) == 2
+
+
+@pytest.mark.parametrize("argv, key, command", [
+    (["verify", "all"], "eps", "verify"),
+    (["converge", "--setting", "laplace", "--method", "sbt_truncated"], "direction", "converge"),
+])
+def test_config_key_the_subcommand_does_not_take_exit_2(tmp_path, capsys, argv, key, command):
+    # a file shared between subcommands is not supported; "verify all" used to
+    # fail with argparse's "argument suite: invalid choice: '0.01'"
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(f"{key} = 0.01\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key!r} is not an option of {command!r}\n"

@@ -1,10 +1,16 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slenderspec import bessel, profiles
 from slenderspec.spectra import Mode
+
+#: smallest eps whose traction step eps * 1e-5 is a normal double
+TRACTION_EPS_MIN = sys.float_info.min / 1e-5
 
 
 @pytest.mark.parametrize("direction", profiles.DIRECTIONS)
@@ -43,15 +49,20 @@ def test_laplace_profile_shape():
 
 
 def test_profile_constants_vs_oracle():
-    # the constants are rational in K0, K1, K2; recompute with the oracle
+    # the constants are rational in K0, K1, K2; recompute with the oracle.
+    # They are stored times 2**scale, so descale them first
     mode = Mode(4, 0.03)
     z = mode.z
     k0 = bessel.oracle_bessel_k(0, z)
     k1 = bessel.oracle_bessel_k(1, z)
     sol = profiles.solve_mode("tangential", mode)
+
+    def descaled(c):
+        return complex(math.ldexp(c.real, -sol.scale), math.ldexp(c.imag, -sol.scale))
+
     c_p = -1j * 2.0 * math.pi * mode.k * k1 / (2.0 * k0 * k1 + z * (k0 * k0 - k1 * k1))
-    assert sol.c_p == pytest.approx(c_p, rel=1e-12)
-    assert sol.c1 == pytest.approx(-c_p * mode.eps * k0 / (2.0 * k1), rel=1e-12)
+    assert descaled(sol.c_p) == pytest.approx(c_p, rel=1e-12)
+    assert descaled(sol.c1) == pytest.approx(-c_p * mode.eps * k0 / (2.0 * k1), rel=1e-12)
 
 
 def test_far_field_decay():
@@ -129,12 +140,60 @@ def test_underflow_error_past_underflow_z(direction):
         profiles.traction_vs_closed_form(direction, mode)
 
 
-def test_constants_overflow_is_underflow_error():
-    # z = 691.6 is below UNDERFLOW_Z, but the constants, of size ~|k|/K1,
-    # exceed the largest double for this |k|
+def test_constants_past_the_double_range_unscaled():
+    # z = 691.6 is below UNDERFLOW_Z; unscaled, the constants (of size ~|k|/K1)
+    # exceed the largest double for this |k|, while the scaled ones are finite
     mode = Mode(-2_053_101, 1.0722229706726456e-4)
-    with pytest.raises(profiles.UnderflowError, match="overflow"):
-        profiles.traction_vs_closed_form("normal", mode)
+    _, _, gap = profiles.traction_vs_closed_form("normal", mode)
+    assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("direction", ["laplace_scalar", "tangential"])
+def test_k2_free_directions_below_z_min_k2(direction):
+    # only the normal direction reads K2, so only it stops at Z_MIN_K2
+    mode = Mode(1, 1e-200)
+    assert mode.z < bessel.Z_MIN_K2
+    _, _, gap = profiles.traction_vs_closed_form(direction, mode)
+    assert gap <= 1e-6
+    with pytest.raises(bessel.BesselDomainError, match="K2"):
+        profiles.solve_mode("normal", mode)
+
+
+@pytest.mark.parametrize("direction", profiles.DIRECTIONS[:2])
+def test_finite_difference_step_floor(direction):
+    # a subnormal step eps * 1e-5 gave "overflow encountered in scalar divide" and nan
+    below = Mode(1, 0.5 * TRACTION_EPS_MIN)
+    with pytest.raises(profiles.AccuracyError, match="finite-difference step"):
+        profiles.traction_vs_closed_form(direction, below)
+    _, _, gap = profiles.traction_vs_closed_form(direction, Mode(1, 2.0 * TRACTION_EPS_MIN))
+    assert gap <= 1e-6
+    if direction == "tangential":
+        # the divergence uses eps * 1e-6
+        sol = profiles.solve_mode(direction, Mode(1, 5.0 * TRACTION_EPS_MIN))
+        with pytest.raises(profiles.AccuracyError, match="finite-difference step"):
+            profiles.incompressibility_residual(sol, np.array([sol.mode.eps]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(direction=st.sampled_from(profiles.DIRECTIONS),
+       log_eps=st.floats(math.log(TRACTION_EPS_MIN) + 1e-9, math.log(0.49)),
+       u=st.floats(0.0, 1.0), sign=st.sampled_from((-1, 1)))
+def test_traction_gap_or_typed_error(direction, log_eps, u, sign):
+    # z log-uniform in [pi eps, UNDERFLOW_Z]: a finite gap <= 1e-6, with no
+    # RuntimeWarning; the one typed error is K2 below Z_MIN_K2 (normal only)
+    eps = math.exp(log_eps)
+    z_lo = math.pi * eps
+    z_hi = bessel.UNDERFLOW_Z * (1.0 - 1e-12)
+    z = math.exp(math.log(z_lo) + u * (math.log(z_hi) - math.log(z_lo)))
+    mode = Mode(sign * max(1, math.floor(z / z_lo)), eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if direction == "normal" and mode.z < bessel.Z_MIN_K2:
+            with pytest.raises(bessel.BesselDomainError, match="K2"):
+                profiles.traction_vs_closed_form(direction, mode)
+            return
+        _, _, gap = profiles.traction_vs_closed_form(direction, mode)
+    assert math.isfinite(gap) and gap <= 1e-6
 
 
 def test_normal_plus_minus_split():
