@@ -79,17 +79,11 @@ class BesselAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class BesselEval:
-    """One K_nu evaluation with provenance.
+    """One K_nu evaluation; ``underflowed`` marks z > UNDERFLOW_Z, where the
+    value is subnormal or 0.0."""
 
-    ``method_tag`` is ``series``, ``cf`` (large-argument continued fraction)
-    or ``oracle``; ``underflowed`` marks z > UNDERFLOW_Z, where the value
-    is subnormal or 0.0.
-    """
-
-    z: float
     order: int
     value: float
-    method_tag: str
     underflowed: bool = False
 
 
@@ -326,11 +320,10 @@ def bessel_k(order, z):
 
 
 def bessel_k_detail(order, z):
-    """Like ``bessel_k``, with a :class:`BesselEval` per order for provenance."""
+    """Like ``bessel_k``, with a :class:`BesselEval` per order that flags underflow."""
     z = float(z)
-    tag = "series" if z <= SERIES_CUTOFF else "cf"
     orders = _check_orders(order)
-    evals = tuple(BesselEval(z, o, float(v), tag, underflowed=z > UNDERFLOW_Z)
+    evals = tuple(BesselEval(o, float(v), underflowed=z > UNDERFLOW_Z)
                   for o, v in zip(orders, bessel_k(orders, z)))
     return evals[0] if np.ndim(order) == 0 else evals
 
@@ -362,20 +355,20 @@ def _gauss_panels(n_panels, n_nodes):
     return nodes, weights
 
 
-def _oracle_quad(orders, z, n_panels, n_nodes=40, chunk=16):
-    """Composite GL of int_0^T exp(-z cosh t) cosh(order t) dt, one row per order.
+def _oracle_quad(orders, z, n_panels):
+    """Composite 40-node GL of int_0^T exp(-z cosh t) cosh(order t) dt, one row per order.
 
-    z is taken ``chunk`` points at a time so that the temporaries stay in
-    cache: at 64 panels one is 16 x 2560 doubles (320 KB), against 5 MB at
-    256 rows.  The rows do not depend on ``chunk``.
+    z is taken 16 points at a time so that the temporaries stay in cache: at
+    64 panels one chunk is 16 x 2560 doubles (320 KB), against 5 MB at 256
+    rows.  The rows do not depend on the chunk size.
     """
     # truncation point: z (cosh T - 1) = 120 makes the tail utterly negligible
     # relative to K_nu(z) ~ exp(-z), even with the cosh(order t) growth.
     T = np.arccosh(1.0 + 120.0 / z)
-    u, w = _gauss_panels(n_panels, n_nodes)
+    u, w = _gauss_panels(n_panels, 40)
     out = np.empty((len(orders), z.size))
-    for lo in range(0, z.size, chunk):
-        hi = min(lo + chunk, z.size)
+    for lo in range(0, z.size, 16):
+        hi = min(lo + 16, z.size)
         t = T[lo:hi, None] * u[None, :]
         with np.errstate(under="ignore", over="ignore"):
             cosh_t = np.cosh(t)
@@ -430,8 +423,7 @@ def check_ratio_bounds(z_grid):
     are strictly positive everywhere.
     """
     z = np.asarray(_validate_z(z_grid), dtype=float)
-    k0, k1 = _k0_k1(z)
-    ratio = k1 / k0
+    ratio = _k1_over_k0(z)
     lower = ratio - (np.sqrt(z * z + z + 1.0) + 1.0) / (z + 1.0)
     upper = 1.0 + 0.5 / z - ratio
     return lower, upper

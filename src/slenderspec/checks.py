@@ -90,12 +90,9 @@ def verify_inequalities():
     worst = math.inf
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         base = math.pi**2 * eps * ks
-        for setting, direction, lo_f, width in (
-            ("laplace", "longitudinal", 2.0, math.pi),
-            ("stokes", "tangential", 4.0, 2.0 * math.pi),
-            ("stokes", "normal", 3.0, 3.0 * math.pi),
-        ):
-            lam = spectra.eigenvalues(spectra.EigenFamily(setting, direction, "pde"), eps, ks)
+        for direction, entry in spectra._DIRECTIONS.items():
+            lam = spectra.eigenvalues(spectra.pde_family(direction), eps, ks)
+            lo_f, width = entry.growth
             lo = lo_f * base
             worst = min(worst, float(np.min(lam - lo)), float(np.min(lo + width - lam)))
     res.add("growth_bounds_margin", worst > 0, worst)
@@ -123,9 +120,8 @@ def verify_appendix_c():
 def verify_difference_bounds():
     """Every eigenvalue-difference bound over its full validity window."""
     res = SuiteResult("difference_bounds")
-    for setting, direction in (
-        ("laplace", "longitudinal"), ("stokes", "tangential"), ("stokes", "normal"),
-    ):
+    for direction, entry in spectra._DIRECTIONS.items():
+        setting = entry.setting
         for eps in (1e-1, 1e-2, 1e-3):
             for method2, delta, label in [("sbt", None, "sbt")] + [
                     ("delta_reg", d, f"delta{d:g}") for d in (1.7, 2.0, 3.0)]:

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, experiments, profiles
-from .spectra import EigenFamily, Mode, _check_eps, eigenvalues
+from .operators import K_MAX_LIMIT
+from .spectra import _DIRECTIONS, _SETTINGS, EigenFamily, Mode, _check_eps, eigenvalues
 
 _FMT = "{:.17g}"
 
@@ -25,12 +26,20 @@ class UsageError(Exception):
     pass
 
 
+def _check_count(name, n):
+    """Reject a count above K_MAX_LIMIT, before the count sizes anything."""
+    if n > K_MAX_LIMIT:
+        raise ValueError(f"{name} = {n} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
+
+
 def _parse_krange(text):
-    """'1..50' or '3' or '1,4,9' -> nonempty list of ints."""
+    """'1..50' or '3' or '1,4,9' -> nonempty list of at most K_MAX_LIMIT ints."""
     if ".." in text:
-        lo, hi = text.split("..")
-        ks = list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(p) for p in text.split(".."))
+        _check_count(f"the length of k range {text!r}", hi - lo + 1)
+        ks = list(range(lo, hi + 1))
     else:
+        _check_count("the length of the k list", text.count(",") + 1)
         ks = [int(p) for p in text.split(",")]
     if not ks:
         raise ValueError(f"k range {text!r} selects no wavenumber")
@@ -119,6 +128,7 @@ def cmd_verify(args):
 def cmd_converge(args):
     _check_eps(args.eps_max)
     _check_eps(args.eps_min)
+    _check_count("--eps-points", args.eps_points)
     eps_grid = np.geomspace(args.eps_max, args.eps_min, args.eps_points)
     report = experiments.convergence_study(
         args.setting, args.method, args.regularity, eps_grid=eps_grid,
@@ -138,6 +148,7 @@ def cmd_dynamics(args):
     if args.energy_mode is not None:
         if args.steps < 0:
             raise ValueError("--steps must be >= 0")
+        _check_count("--steps", args.steps)
         if args.dt is not None and not 0.0 < args.dt < np.inf:
             raise ValueError("--dt must be finite and positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
@@ -163,18 +174,14 @@ def cmd_dynamics(args):
 def cmd_profile(args):
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    _check_count("--points", args.points)
     if not np.isfinite(args.r_mult):
         raise ValueError("--r-mult must be finite")
     mode = Mode(args.k, args.eps)
     sol = profiles.solve_mode(args.direction, mode)
     r = np.linspace(args.eps, args.eps * args.r_mult, args.points)
     prof = profiles.evaluate_profile(sol, r)
-    if args.direction == "laplace_scalar":
-        cols = ["U", "p"]
-    elif args.direction == "tangential":
-        cols = ["U_r", "U_z", "p"]
-    else:
-        cols = ["U_r", "U_theta", "U_z", "p"]
+    cols = profiles._PROFILES[args.direction].columns
     header = "r," + ",".join(f"{c}_re,{c}_im" for c in cols)
     rows = [header]
     for i, ri in enumerate(r):
@@ -195,9 +202,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalue tables as CSV")
-    sp.add_argument("--setting", choices=["laplace", "stokes"], required=True)
-    sp.add_argument("--direction",
-                    choices=["longitudinal", "tangential", "normal"], required=True)
+    sp.add_argument("--setting", choices=list(_SETTINGS), required=True)
+    sp.add_argument("--direction", choices=list(_DIRECTIONS), required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--k", default="1..50", help="k range, e.g. 1..50 or 3 or 1,4,9")
     sp.add_argument("--methods", default="pde,sbt,delta_reg")
@@ -211,7 +217,7 @@ def build_parser():
     vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("converge", help="convergence-rate study")
-    cp.add_argument("--setting", choices=["laplace", "stokes"], required=True)
+    cp.add_argument("--setting", choices=list(_SETTINGS), required=True)
     cp.add_argument("--method", choices=["sbt_truncated", "delta_reg"], required=True)
     cp.add_argument("--regularity", choices=["H1", "H2"], default="H1")
     cp.add_argument("--eps-max", type=float, default=10**-1.5)
@@ -225,7 +231,7 @@ def build_parser():
     cp.set_defaults(func=cmd_converge)
 
     dp = sub.add_parser("delta-opt", help="optimal regularization parameter")
-    dp.add_argument("--setting", choices=["laplace", "stokes"], required=True)
+    dp.add_argument("--setting", choices=list(_SETTINGS), required=True)
     dp.add_argument("--ratio", type=float, required=True)
     dp.add_argument("--output")
     dp.set_defaults(func=cmd_delta_opt)
@@ -245,8 +251,7 @@ def build_parser():
     yp.set_defaults(func=cmd_dynamics)
 
     pp = sub.add_parser("profile", help="radial velocity/pressure profiles as CSV")
-    pp.add_argument("--direction",
-                    choices=["laplace_scalar", "tangential", "normal"], required=True)
+    pp.add_argument("--direction", choices=list(profiles.DIRECTIONS), required=True)
     pp.add_argument("--eps", type=float, required=True)
     pp.add_argument("--k", type=int, required=True)
     pp.add_argument("--r-mult", type=float, default=10.0)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import K_MAX_LIMIT
-from .spectra import EigenFamily, eigenvalues
+from .spectra import eigenvalues, pde_family
 
-_NORMAL_PDE = EigenFamily("stokes", "normal", "pde")
+_NORMAL_PDE = pde_family("normal")
 
 
 class BracketError(ArithmeticError):
@@ -125,13 +125,13 @@ def grid_spacing(k_max):
     return 2.0 / (2 * k_max + 2)
 
 
-def max_stable_dt(eps, k_max, empirical=False, n_steps=200, amp_window=1e6):
+def max_stable_dt(eps, k_max, empirical=False, amp_window=1e6):
     """Largest explicit-Euler step that keeps the stiffest mode bounded.
 
     Analytic value: 2/|nu_{K_max}|.  Empirical mode bisects dt until the
-    n_steps-step amplification of a pure K_max mode sits at the 10^{+6}
-    growth boundary; agrees with the analytic value to a few percent
-    (the boundary sits at (1 + 10^{6/n_steps})/|nu|).
+    200-step amplification of a pure K_max mode sits at the ``amp_window``
+    (10^{+6}) growth boundary; agrees with the analytic value to a few
+    percent (the boundary sits at (1 + 10^{6/200})/|nu|).
     """
     if k_max < 8:
         raise ValueError("k_max >= 8 required")
@@ -141,7 +141,7 @@ def max_stable_dt(eps, k_max, empirical=False, n_steps=200, amp_window=1e6):
         return analytic
 
     def grows(dt):
-        amp = abs(1.0 + dt * rate) ** n_steps
+        amp = abs(1.0 + dt * rate) ** 200
         return amp > amp_window
 
     lo, hi = 0.5 * analytic, 4.0 * analytic

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import K_MAX_LIMIT, PeriodicField, apply_operator, make_test_field, sobolev_norm
-from .spectra import SQRT_E, EigenFamily
+from .spectra import EigenFamily, _setting
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(10**-1.5, 1e-3, 6))
 DEFAULT_SEEDS = (11, 23, 47)
@@ -67,24 +67,18 @@ def _required_k_max(eps_min):
     return int(math.ceil(scale)) + 8
 
 
-def _input_field(setting, regularity, k_max, seed, profile=None):
-    profile = profile or {"H1": "h1_rough", "H2": "h2_rough"}[regularity]
-    n_comp = 1 if setting == "laplace" else 3
-    u = make_test_field(profile, k_max, seed=seed, n_components=n_comp)
-    s = {"H1": 1, "H2": 2}[regularity]
+def _input_field(setting, regularity, k_max, seed):
+    profile, s = {"H1": ("h1_rough", 1), "H2": ("h2_rough", 2)}[regularity]
+    u = make_test_field(profile, k_max, seed=seed, n_components=_setting(setting).n_components)
     return PeriodicField(u.coeffs / sobolev_norm(u, s))
 
 
 def _families(setting, method, delta):
-    direction = "longitudinal" if setting == "laplace" else "tangential"
-    pde = EigenFamily(setting, direction, "pde")
-    if method == "sbt_truncated":
-        approx = EigenFamily(setting, direction, "sbt_truncated")
-    elif method == "delta_reg":
-        approx = EigenFamily(setting, direction, "delta_reg", delta=delta)
-    else:
+    direction = _setting(setting).direction
+    if method not in ("sbt_truncated", "delta_reg"):
         raise ValueError("method must be 'sbt_truncated' or 'delta_reg'")
-    return pde, approx
+    return (EigenFamily(setting, direction, "pde"),
+            EigenFamily(setting, direction, method, delta=delta if method == "delta_reg" else None))
 
 
 def approximation_error(setting, method, u, eps, delta=None):
@@ -133,10 +127,9 @@ def wellposedness_constant(setting, eps_grid=None, seed=11, profile="h1_rough",
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
     if k_max is None:
         k_max = _required_k_max(min(eps_grid))
-    direction = "longitudinal" if setting == "laplace" else "tangential"
-    pde = EigenFamily(setting, direction, "pde")
-    n_comp = 1 if setting == "laplace" else 3
-    u = make_test_field(profile, k_max, seed=seed, n_components=n_comp)
+    entry = _setting(setting)
+    pde = EigenFamily(setting, entry.direction, "pde")
+    u = make_test_field(profile, k_max, seed=seed, n_components=entry.n_components)
     h1 = sobolev_norm(u, 1)
     out = []
     for eps in eps_grid:
@@ -150,16 +143,15 @@ def wellposedness_constant(setting, eps_grid=None, seed=11, profile="h1_rough",
 # ---------------------------------------------------------------------------
 
 def _root_lhs(setting, delta):
+    """Left side of the optimality equation; the caller has checked ``setting``."""
     if setting == "stokes":
         return delta**2 * (-1.0 + 2.0 * math.log(delta)) ** 2 * (1.5 + math.log(delta))
-    if setting == "laplace":
-        return delta**2 * math.log(delta) ** 2 * (3.0 + 2.0 * math.log(delta))
-    raise ValueError(f"unknown setting {setting!r}")
+    return delta**2 * math.log(delta) ** 2 * (3.0 + 2.0 * math.log(delta))
 
 
 def optimal_delta(setting, ratio):
     """delta* solving the monotone optimality equation at C2/C1 = ratio."""
-    lo = (SQRT_E if setting == "stokes" else 1.0) * (1.0 + 1e-12)
+    lo = _setting(setting).threshold * (1.0 + 1e-12)
     floor = _root_lhs(setting, lo)
     if not floor < ratio < math.inf:
         raise ValueError(f"ratio must be finite and above {floor:.3g}")
@@ -178,24 +170,15 @@ def optimal_delta(setting, ratio):
 def cdelta_profile(setting, delta_grid, c1, c2):
     """The error constant C_delta = C1 d^2 (1+log d) + C2/(denominator) on a grid."""
     d = np.asarray(delta_grid, dtype=float)
-    if setting == "stokes":
-        if np.any(d <= SQRT_E):
-            raise ValueError("stokes requires delta > sqrt(e)")
-        tail = c2 / (-1.0 + 2.0 * np.log(d))
-    elif setting == "laplace":
-        if np.any(d <= 1.0):
-            raise ValueError("laplace requires delta > 1")
-        tail = c2 / np.log(d)
-    else:
-        raise ValueError(f"unknown setting {setting!r}")
+    threshold = _setting(setting).threshold
+    if np.any(d <= threshold):
+        raise ValueError(f"{setting} requires delta > {threshold:.4f}")
+    tail = c2 / (-1.0 + 2.0 * np.log(d)) if setting == "stokes" else c2 / np.log(d)
     return c1 * d * d * (1.0 + np.log(d)) + tail
 
 
-def measured_delta_error(setting, eps, delta_grid, regularity="H1", seed=11,
-                         k_max=None):
-    """Measured approximation error as a function of delta at fixed eps."""
-    if k_max is None:
-        k_max = _required_k_max(eps)
-    u = _input_field(setting, regularity, k_max, seed)
+def measured_delta_error(setting, eps, delta_grid):
+    """Measured approximation error as a function of delta at fixed eps (H1 input, seed 11)."""
+    u = _input_field(setting, "H1", _required_k_max(eps), 11)
     return [approximation_error(setting, "delta_reg", u, eps, delta=d)
             for d in delta_grid]

@@ -59,9 +59,6 @@ class PeriodicField:
     def k_values(self):
         return np.arange(-self.k_max, self.k_max + 1)
 
-    def coeff(self, k, component=0):
-        return self.coeffs[component, k + self.k_max]
-
     @property
     def mean_free(self):
         return bool(np.all(self.coeffs[:, self.k_max] == 0))

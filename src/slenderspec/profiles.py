@@ -20,20 +20,28 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_k, bessel_k_detail
-from .spectra import EigenFamily, Mode, eigenvalue
+from .spectra import Mode, eigenvalue, pde_family
 
-DIRECTIONS = ("laplace_scalar", "tangential", "normal")
 
-_FAMILY_OF = {
-    "laplace_scalar": EigenFamily("laplace", "longitudinal", "pde"),
-    "tangential": EigenFamily("stokes", "tangential", "pde"),
-    "normal": EigenFamily("stokes", "normal", "pde"),
+#: direction -> its closed-form family, the K orders it reads (only ``normal``
+#: needs K2, and so Z_MIN_K2), its boundary targets at r = eps and the columns
+#: ``slenderspec profile`` prints
+_Profile = namedtuple("_Profile", "family orders targets columns")
+_PROFILES = {
+    "laplace_scalar": _Profile(pde_family("longitudinal"), (0, 1), {"U": 1.0}, ("U", "p")),
+    "tangential": _Profile(pde_family("tangential"), (0, 1), {"U_r": 0.0, "U_z": 1.0},
+                           ("U_r", "U_z", "p")),
+    "normal": _Profile(pde_family("normal"), (0, 1, 2),
+                       {"U_minus": 0.0, "U_plus": 2.0, "U_z": 0.0}, ("U_r", "U_theta", "U_z", "p")),
 }
+
+DIRECTIONS = tuple(_PROFILES)
 
 
 class UnderflowError(ArithmeticError):
@@ -42,10 +50,6 @@ class UnderflowError(ArithmeticError):
 
 class AccuracyError(ArithmeticError):
     """Finite-difference step fell below the resolvable precision floor."""
-
-
-#: the K orders each direction reads; only ``normal`` needs K2 (and Z_MIN_K2)
-_ORDERS = {"laplace_scalar": (0, 1), "tangential": (0, 1), "normal": (0, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ def solve_mode(direction, mode):
     """Compute the profile constants for one (direction, mode) pair."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    evals = bessel_k_detail(_ORDERS[direction], mode.z)
+    evals = bessel_k_detail(_PROFILES[direction].orders, mode.z)
     if any(ev.underflowed for ev in evals):
         raise UnderflowError(f"K underflow at z = pi*eps*|k| = {mode.z:.3f}")
     scale = math.frexp(evals[1].value)[1]
@@ -107,7 +111,7 @@ def evaluate_profile(sol, r):
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
         raise ValueError("profiles are defined for r >= eps only")
     a = math.pi * abs(sol.mode.k)
-    kr = np.ldexp(bessel_k(_ORDERS[sol.direction], a * r), -sol.scale)
+    kr = np.ldexp(bessel_k(_PROFILES[sol.direction].orders, a * r), -sol.scale)
     k0r, k1r = kr[:2]
     sgn = 1.0 if sol.mode.k > 0 else -1.0
 
@@ -173,17 +177,9 @@ def traction_eigenvalue_numeric(direction, mode):
 
 def boundary_residuals(sol):
     """Max abs deviation of the boundary data from its target values."""
-    eps = sol.mode.eps
-    prof = evaluate_profile(sol, np.array([eps]))
-    if sol.direction == "laplace_scalar":
-        return {"U": abs(prof["U"][0] - 1.0)}
-    if sol.direction == "tangential":
-        return {"U_r": abs(prof["U_r"][0]), "U_z": abs(prof["U_z"][0] - 1.0)}
-    return {
-        "U_minus": abs(prof["U_minus"][0]),
-        "U_plus": abs(prof["U_plus"][0] - 2.0),
-        "U_z": abs(prof["U_z"][0]),
-    }
+    prof = evaluate_profile(sol, np.array([sol.mode.eps]))
+    return {key: abs(prof[key][0] - target)
+            for key, target in _PROFILES[sol.direction].targets.items()}
 
 
 def incompressibility_residual(sol, r):
@@ -255,5 +251,5 @@ def residual_momentum(sol, r):
 def traction_vs_closed_form(direction, mode):
     """(numeric traction eigenvalue, closed-form eigenvalue, relative gap)."""
     lam_num = traction_eigenvalue_numeric(direction, mode)
-    lam_cf = eigenvalue(_FAMILY_OF[direction], mode)
+    lam_cf = eigenvalue(_PROFILES[direction].family, mode)
     return lam_num, lam_cf, abs(lam_num - lam_cf) / abs(lam_cf)

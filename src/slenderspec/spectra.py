@@ -20,12 +20,18 @@ difference bounds (the ODEs each B-family satisfies, the h(z) forcing of
 the normal ODE and its 9z/8 bound, the Gronwall constants) and the
 Legendre / harmonic-sum spectrum of the line and periodic singular
 integral operators.
+
+Two tables are the one home of every paper constant: ``_DIRECTIONS`` (each
+direction's setting, families, growth bound, windows, Gronwall terms and
+difference-bound constants) and ``_SETTINGS`` (each setting's delta
+threshold, experiment direction and field component count).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,19 +41,51 @@ from .bessel import EULER_GAMMA, Z_MIN, _gauss_panels, _shape_rows, bessel_k, ra
 
 SQRT_E = math.sqrt(math.e)
 
-#: direction -> (eigenvalue prefactor, (num, c0, m), sbt window z, delta window z).
-#: Its sbt and delta families are num / (c0 + m L), with L = -(log(z/2) + g) for
-#: sbt and L = log(delta) + K0(delta z) for delta_reg.  A difference bound holds
-#: up to its window z = pi eps |k|; the sbt window is also the truncation default.
+
+#: The constants of one direction, each written only here:
+#: setting      the setting the direction belongs to
+#: prefactor    the pde eigenvalue is prefactor * B(z)
+#: log_family   (num, c0, m): the sbt and delta families are num / (c0 + m L), with
+#:              L = -(log(z/2) + g) for sbt and L = log(delta) + K0(delta z) for delta_reg
+#: growth       (lo, width): lo pi^2 eps |k| < lambda_pde < lo pi^2 eps |k| + width
+#: delta_term   the delta Gronwall constant is delta_term(w) + B_pde(w) at the delta window w
+#: bounds       'sbt' / 'delta_reg' -> (window, Gronwall constant, proof constant as a
+#:              function of it): the difference bound holds up to z = pi eps |k| = window,
+#:              and the sbt window is also the truncation default
+_Direction = namedtuple("_Direction", "setting prefactor log_family growth delta_term bounds")
 _DIRECTIONS = {
-    "longitudinal": (2.0 * math.pi, (1.0, 0.0, 1.0), 0.45, 0.4),
-    "tangential": (4.0 * math.pi, (1.0, -1.0, 2.0), 0.25, 0.25),
-    "normal": (2.0 * math.pi, (4.0, 1.0, 2.0), 0.73, 2.0 / 3.0),
+    "longitudinal": _Direction(
+        "laplace", 2.0 * math.pi, (1.0, 0.0, 1.0), (2.0, math.pi), lambda w: 1.0 / abs(math.log(w)),
+        {"sbt": (0.45, "c_B", lambda c: 2.0 * math.pi**3 / (2.0 - c)),
+         "delta_reg": (0.4, "c_l2", lambda c: 82.0 * math.pi**3)}),
+    "tangential": _Direction(
+        "stokes", 4.0 * math.pi, (1.0, -1.0, 2.0), (4.0, 2.0 * math.pi),
+        lambda w: 4.0 / (5.0 * abs(math.log(w))),
+        {"sbt": (0.25, "c_t", lambda c: 4.0 * math.pi**3 / (1.0 - c)),
+         "delta_reg": (0.25, "c_t2", lambda c: 24.0 * math.pi**3 / (1.0 - c))}),
+    "normal": _Direction(
+        "stokes", 2.0 * math.pi, (4.0, 1.0, 2.0), (3.0, 3.0 * math.pi),
+        lambda w: 4.0 / (1.0 + 2.0 * abs(math.log(w))),
+        {"sbt": (0.73, "c_n", lambda c: 9.0 * math.pi**3 / (2.0 * (4.0 - c))),
+         "delta_reg": (2.0 / 3.0, "c_n2", lambda c: 40.0 * math.pi**3 / (4.0 - c))}),
 }
 
+#: The constants of one setting: delta_reg needs delta > threshold, and the
+#: experiments use ``direction`` on fields of ``n_components`` components.
+_Setting = namedtuple("_Setting", "threshold direction n_components")
+_SETTINGS = {"laplace": _Setting(1.0, "longitudinal", 1),
+             "stokes": _Setting(SQRT_E, "tangential", 3)}
+
+
+def _setting(name):
+    """The ``_SETTINGS`` entry of setting ``name``; ValueError if there is none."""
+    if name not in _SETTINGS:
+        raise ValueError(f"unknown setting {name!r}")
+    return _SETTINGS[name]
+
 #: poles of the three sbt B-functions, in z = pi eps |k|: c0 + m L = 0
-SBT_SINGULARITY = {d: 2.0 * math.exp(c0 / m - EULER_GAMMA)
-                   for d, (_, (_, c0, m), _, _) in _DIRECTIONS.items()}
+SBT_SINGULARITY = {d: 2.0 * math.exp(e.log_family[1] / e.log_family[2] - EULER_GAMMA)
+                   for d, e in _DIRECTIONS.items()}
 
 
 class PoleError(ArithmeticError):
@@ -98,16 +136,15 @@ class EigenFamily:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.setting not in ("laplace", "stokes"):
-            raise ValueError(f"unknown setting {self.setting!r}")
-        if self.direction not in ("longitudinal", "tangential", "normal"):
+        setting = _setting(self.setting)
+        if self.direction not in _DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
-        if (self.direction == "longitudinal") != (self.setting == "laplace"):
+        if _DIRECTIONS[self.direction].setting != self.setting:
             raise ValueError("longitudinal <=> laplace")
-        if self.method not in ("pde", "sbt", "sbt_truncated", "delta_reg"):
+        if self.method not in _B_FAMILY:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "delta_reg":
-            threshold = 1.0 if self.setting == "laplace" else SQRT_E
+            threshold = setting.threshold
             # the chained test also turns away nan and +/-inf
             if self.delta is None or not threshold < self.delta < math.inf:
                 raise ValueError(
@@ -117,8 +154,7 @@ class EigenFamily:
             raise ValueError("delta only applies to delta_reg")
 
     def default_cutoff(self, eps):
-        """Standard truncation default, the sbt difference window: N = 0.45/(pi eps)
-        longitudinal, 0.25/(pi eps) tangential, M = 0.73/(pi eps) normal."""
+        """Standard truncation default, the sbt difference window (N or M in the paper)."""
         return int(_difference_window(self.direction, "sbt", eps))
 
 
@@ -142,7 +178,7 @@ _B_FAMILY = {
 _B_FAMILY["sbt_truncated"] = _B_FAMILY["sbt"]
 
 #: each sbt and delta family: name -> (method, direction, (num, c0, m))
-_LOG_FAMILIES = {f: (method, d, _DIRECTIONS[d][1]) for method in ("sbt", "delta_reg")
+_LOG_FAMILIES = {f: (method, d, _DIRECTIONS[d].log_family) for method in ("sbt", "delta_reg")
                  for d, f in _B_FAMILY[method].items()}
 
 
@@ -259,16 +295,16 @@ def h_function(z):
     z = np.atleast_1d(z)
     if np.any(z <= 0):
         raise ValueError("h_function requires z > 0")
-    a = ratio_A(z)
-    n3 = _n3_of_a(z, a)
-    d3 = _d3_of_a(z, a)
+    n3, d3 = _n3_d3(z)
     out = 0.125 * z * n3 / d3
     return float(out[0]) if scalar else out
 
 
-def _n3_of_a(z, a):
+def _n3_d3(z):
+    """N3 and D3 of h = z N3 / (8 D3), as polynomials in z and A(z)."""
+    a = ratio_A(z)
     z2 = z * z
-    return (
+    n3 = (
         4.0 * z2 * z2 * a**6
         - 16.0 * z2 * z * a**5
         - z2 * (120.0 + 11.0 * z2) * a**4
@@ -277,19 +313,13 @@ def _n3_of_a(z, a):
         + 4.0 * z * (32.0 + z2) * a
         - 3.0 * z2 * (8.0 + z2)
     )
-
-
-def _d3_of_a(z, a):
     inner = z * z * a**3 + z * a * a - (2.0 + z * z) * a - z
-    return inner * inner
+    return n3, inner * inner
 
 
 def appendix_c_margins(z):
     """(9 D3 - N3, 9 D3 + N3); strict positivity of both is |h| < 9z/8."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    a = ratio_A(z)
-    n3 = _n3_of_a(z, a)
-    d3 = _d3_of_a(z, a)
+    n3, d3 = _n3_d3(np.atleast_1d(np.asarray(z, dtype=float)))
     return 9.0 * d3 - n3, 9.0 * d3 + n3
 
 
@@ -361,12 +391,17 @@ def eigenvalues(family, eps, k):
     b_rows = b_function(names, z, delta=first.delta, allow_past_singularity=True)
     rows = []
     for f, b in zip(families, b_rows):
-        out = _DIRECTIONS[f.direction][0] * b
+        out = _DIRECTIONS[f.direction].prefactor * b
         if f.method == "sbt_truncated":
             cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
             out = np.where(np.abs(k) <= cutoff, out, 0.0)
         rows.append(out)
     return _shape_rows(rows, isinstance(family, EigenFamily), scalar)
+
+
+def pde_family(direction):
+    """The exact (pde) family of ``direction``, in the setting it belongs to."""
+    return EigenFamily(_DIRECTIONS[direction].setting, direction, "pde")
 
 
 def eigenvalue(family, mode):
@@ -391,19 +426,18 @@ def sign_change_wavenumber(family, eps):
 # ---------------------------------------------------------------------------
 
 def gronwall_constants():
-    """The six ODE-comparison constants, reproduced from b_function.
+    """The six ODE-comparison constants, reproduced from b_function at the windows.
 
     c_B < 2, c_t < 1, c_n < 4 control the sbt difference bounds;
     c_l2 < 2, c_t2 < 1, c_n2 < 4 control the delta-regularized ones.
     """
-    c_b = b_function("B_SB", 0.45) + b_function("B", 0.45)
-    c_t = b_function("B_SB_t", 0.25) + b_function("B_t", 0.25)
-    c_n = b_function("B_SB_n", 0.73) + b_function("B_n", 0.73)
-    c_l2 = 1.0 / abs(math.log(0.4)) + b_function("B", 0.4)
-    c_t2 = 4.0 / (5.0 * abs(math.log(0.25))) + b_function("B_t", 0.25)
-    c_n2 = 4.0 / (1.0 + 2.0 * abs(math.log(2.0 / 3.0))) + b_function("B_n", 2.0 / 3.0)
-    return {"c_B": c_b, "c_t": c_t, "c_n": c_n,
-            "c_l2": c_l2, "c_t2": c_t2, "c_n2": c_n2}
+    out = {}
+    for method2 in ("sbt", "delta_reg"):
+        for d, entry in _DIRECTIONS.items():
+            w, name, _ = entry.bounds[method2]
+            first = b_function(_B_FAMILY["sbt"][d], w) if method2 == "sbt" else entry.delta_term(w)
+            out[name] = first + b_function(_B_FAMILY["pde"][d], w)
+    return out
 
 
 #: the same constants, computed once per process; callers only read this dict
@@ -422,8 +456,7 @@ class DifferenceMargin:
 
 def _difference_window(direction, method2, eps):
     """Largest |k| the method2 ('sbt' or 'delta_reg') difference bound admits."""
-    _, _, sbt_z, delta_z = _DIRECTIONS[direction]
-    return (sbt_z if method2 == "sbt" else delta_z) / (math.pi * eps)
+    return _DIRECTIONS[direction].bounds[method2][0] / (math.pi * eps)
 
 
 def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
@@ -439,26 +472,16 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
     kmax = _difference_window(direction, method2, eps)
     if np.any(np.abs(k) > kmax):
         raise WindowError(f"|k| = {np.abs(k).max()} exceeds the validity window |k| <= {kmax:.2f}")
-    pde = EigenFamily(setting, direction, "pde")
-    approx = EigenFamily(setting, direction, method2, delta=delta)
-    lam_pde = eigenvalues(pde, eps, k)
-    lam_2 = eigenvalues(approx, eps, k)
-    observed = abs(lam_pde - lam_2)
+    observed = abs(eigenvalues(EigenFamily(setting, direction, "pde"), eps, k)
+                   - eigenvalues(EigenFamily(setting, direction, method2, delta=delta), eps, k))
 
-    c = _gronwall_constants()
+    _, name, proof_constant = _DIRECTIONS[direction].bounds[method2]
+    const = proof_constant(_gronwall_constants()[name])
     ek2 = np.square(eps * k)
-    pi3 = math.pi ** 3
     if method2 == "sbt":
-        const = {"longitudinal": 2.0 * pi3 / (2.0 - c["c_B"]),
-                 "tangential": 4.0 * pi3 / (1.0 - c["c_t"]),
-                 "normal": 9.0 * pi3 / (2.0 * (4.0 - c["c_n"]))}[direction]
         bound = const * ek2
     else:
-        dfac = delta * delta * (1.0 + math.log(delta))
-        const = {"longitudinal": 82.0 * pi3,
-                 "tangential": 24.0 * pi3 / (1.0 - c["c_t2"]),
-                 "normal": 40.0 * pi3 / (4.0 - c["c_n2"])}[direction]
-        bound = const * dfac * ek2
+        bound = const * (delta * delta * (1.0 + math.log(delta))) * ek2
     if np.ndim(k) == 0:
         return DifferenceMargin(float(observed), float(bound))
     return DifferenceMargin(observed, bound)
@@ -472,7 +495,6 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
 class STransformResult:
     points: np.ndarray
     values: np.ndarray
-    resolution: int
     warning: str | None = None
 
 
@@ -508,7 +530,7 @@ def s_transform_apply(phi, resolution=512):
     diff = phi_mid[None, :] - phi_eval[:, None]
     dist = np.abs(s_eval[:, None] - mids[None, :])
     values = h * np.sum(diff / dist, axis=1)
-    return STransformResult(s_eval, values, resolution, warning)
+    return STransformResult(s_eval, values, warning)
 
 
 def legendre_mu(k):

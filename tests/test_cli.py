@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -137,6 +138,41 @@ def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+_PAST_CAP = 1048577  # operators.K_MAX_LIMIT + 1
+_CAP_ERROR = f"= {_PAST_CAP} exceeds K_MAX_LIMIT = 1048576"
+
+
+@pytest.mark.parametrize("argv,name", [
+    pytest.param(["spectrum", "--setting", "laplace", "--direction", "longitudinal",
+                  "--eps", "0.01", "--k", f"1..{_PAST_CAP}"],
+                 f"the length of k range '1..{_PAST_CAP}'", id="spectrum-k-range"),
+    pytest.param(["spectrum", "--setting", "laplace", "--direction", "longitudinal",
+                  "--eps", "0.01", "--k", ",".join(["1"] * _PAST_CAP)],
+                 "the length of the k list", id="spectrum-k-list"),
+    pytest.param(["dynamics", "--eps", "0.01", "--sweep", f"8..{_PAST_CAP + 7}"],
+                 f"the length of k range '8..{_PAST_CAP + 7}'", id="dynamics-sweep"),
+    pytest.param(["dynamics", "--eps", "0.01", "--energy-mode", "3", "--k-max", "8",
+                  "--steps", str(_PAST_CAP)], "--steps", id="dynamics-steps"),
+    pytest.param(["profile", "--direction", "normal", "--eps", "0.05", "--k", "3",
+                  "--points", str(_PAST_CAP)], "--points", id="profile-points"),
+    pytest.param(["converge", "--setting", "laplace", "--method", "sbt_truncated",
+                  "--eps-points", str(_PAST_CAP)], "--eps-points", id="converge-eps-points"),
+])
+def test_count_past_the_cap_exit_2_before_allocating(capsys, argv, name):
+    # each count used to size a list, an array or a loop with no bound
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} {_CAP_ERROR}\n"
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("dt", ["nan", "inf", "-inf"])

@@ -152,7 +152,7 @@ def test_max_stable_dt_analytic():
 
 
 def test_max_stable_dt_bracket_error():
-    # the n_steps-step amplification at 4x the analytic dt is 7^200 < 1e300,
+    # the 200-step amplification at 4x the analytic dt is 7^200 < 1e300,
     # so the bisection bracket holds no growth boundary
     with pytest.raises(dynamics.BracketError):
         dynamics.max_stable_dt(0.01, 32, empirical=True, amp_window=1e300)

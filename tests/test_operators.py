@@ -21,7 +21,7 @@ def test_field_validation():
 def test_coeff_indexing():
     c = np.arange(5, dtype=complex)
     f = ops.PeriodicField(c)
-    assert f.coeff(-2) == 0 and f.coeff(0) == 2 and f.coeff(2) == 4
+    assert f.coeffs[0, f.k_max + np.array([-2, 0, 2])].tolist() == [0, 2, 4]
     assert list(f.k_values) == [-2, -1, 0, 1, 2]
 
 
@@ -55,8 +55,8 @@ def test_apply_operator_single_mode():
     f = ops.make_test_field("single_mode", 8, mode_k=k)
     g = ops.apply_operator(fam, f, eps, inverse=True)
     lam = eigenvalues(fam, eps, k)
-    assert g.coeff(k) == pytest.approx(lam * f.coeff(k), rel=1e-14)
-    assert g.coeff(-k) == pytest.approx(lam * f.coeff(-k), rel=1e-14)
+    assert g.coeffs[0, k + g.k_max] == pytest.approx(lam * f.coeffs[0, k + f.k_max], rel=1e-14)
+    assert g.coeffs[0, -k + g.k_max] == pytest.approx(lam * f.coeffs[0, -k + f.k_max], rel=1e-14)
     back = ops.apply_operator(fam, g, eps, inverse=False)
     assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
@@ -69,9 +69,9 @@ def test_apply_operator_vector_directions():
     g = ops.apply_operator(fam, f, eps, inverse=True)
     lam_t = eigenvalues(EigenFamily("stokes", "tangential", "pde"), eps, k)
     lam_n = eigenvalues(EigenFamily("stokes", "normal", "pde"), eps, k)
-    assert g.coeff(k, 2) == pytest.approx(lam_t * f.coeff(k, 2), rel=1e-14)
-    assert g.coeff(k, 0) == pytest.approx(lam_n * f.coeff(k, 0), rel=1e-14)
-    assert g.coeff(k, 1) == pytest.approx(lam_n * f.coeff(k, 1), rel=1e-14)
+    assert g.coeffs[2, k + g.k_max] == pytest.approx(lam_t * f.coeffs[2, k + f.k_max], rel=1e-14)
+    assert g.coeffs[0, k + g.k_max] == pytest.approx(lam_n * f.coeffs[0, k + f.k_max], rel=1e-14)
+    assert g.coeffs[1, k + g.k_max] == pytest.approx(lam_n * f.coeffs[1, k + f.k_max], rel=1e-14)
 
 
 def test_mean_mode_error():
