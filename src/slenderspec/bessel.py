@@ -12,7 +12,9 @@ and margin checks for the sharp two-sided bound
 Two evaluation routes are kept deliberately independent:
 
 * ``bessel_k`` -- ascending log series for small z, a Lentz-style continued
-  fraction for large z.  No quadrature anywhere.
+  fraction for large z.  No quadrature anywhere.  ``_k0_k1`` is the one
+  dispatcher between the two: K0 and K1 for ``bessel_k``, K1/K0 for
+  ``ratio_A``, ``ratio_B`` and ``check_ratio_bounds``.
 * ``oracle_bessel_k`` -- adaptive composite Gauss-Legendre quadrature of the
   integral representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
   refined until the self-estimated error is below 1e-14 relative.
@@ -27,12 +29,11 @@ same stopping tests (per element for the continued fraction, joint over the
 batch for the series).  np.log, np.sqrt and np.exp stay numpy calls on the
 whole batch in both forms.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,11 @@ _SMALL = 32
 
 #: lower edge of z: from the smallest normal double on, K1 ~ 1/z stays below
 #: 2**1022, and from 2**-511 on K2 ~ 2/z^2 stays below 2**1023.  Under them
-#: K1 overflows from z ~ 5.6e-309 and K2 from z ~ 1.05e-154.
+#: K1 overflows from z ~ 5.6e-309 and K2 from z ~ 1.05e-154.  Upper edge:
+#: the continued fraction's 2 (1 + z) overflows from z = 2**1023.
 Z_MIN = 2.0**-1022
 Z_MIN_K2 = 2.0**-511
+Z_MAX = 2.0**1023
 
 _CF_MAX_ITER = 4000
 _SERIES_MAX_TERMS = 64
@@ -70,7 +73,8 @@ _ORACLE_RTOL = 1e-14
 
 
 class BesselDomainError(ValueError):
-    """Raised for non-finite arguments and those below Z_MIN (Z_MIN_K2 for K2)."""
+    """Raised for non-finite arguments, those below Z_MIN (Z_MIN_K2 for K2)
+    and those from Z_MAX on."""
 
 
 class BesselAccuracyError(RuntimeError):
@@ -93,6 +97,8 @@ def _validate_z(z, with_k2=False):
     if z.size and (not np.all(np.isfinite(z)) or np.any(z < z_min)):
         raise BesselDomainError(f"{'K2' if with_k2 else 'K_nu'} requires finite z >= {z_min:.4g}"
                                 "; it overflows a double below")
+    if np.any(z >= Z_MAX):
+        raise BesselDomainError("K_nu requires z < 2**1023 ~ 8.988e+307; 2 (1 + z) overflows")
     return z
 
 
@@ -248,26 +254,10 @@ def _cf_floats(z, with_s):
     return (np.array(h_out), np.array(s_out)) if with_s else np.array(h_out)
 
 
-def _k1_over_k0(z):
-    """K1/K0 for any z >= Z_MIN, stable far past the underflow point of K itself.
-
-    The continued fraction yields the ratio as (z + 1/2 - h/4)/z with no
-    exp(-z) prefactor, so the ratio functions stay finite for huge z where
-    the K values themselves have underflowed to 0.
-    """
-    z = np.atleast_1d(_validate_z(z))
-    out = np.empty_like(z)
-    small = z <= SERIES_CUTOFF
-    if np.any(small):
-        k0, k1 = _k0_k1_series(z[small])
-        out[small] = k1 / k0
-    if np.any(~small):
-        zl = z[~small]
-        out[~small] = (zl + 0.5 - 0.25 * _cf(zl, with_s=False)) / zl
-    return out
-
-
-def _k0_k1(z, with_k2=False):
+def _k0_k1(z, with_k2=False, ratio=False):
+    """K0 and K1, or with ``ratio`` K1/K0.  For the ratio the continued fraction
+    skips s and sets K0 = 1, so K1/K0 carries no exp(-z) and stays finite far
+    past the underflow point of K itself; dividing by 1.0 moves no bit."""
     z = np.atleast_1d(_validate_z(z, with_k2))
     k0 = np.empty_like(z)
     k1 = np.empty_like(z)
@@ -276,11 +266,15 @@ def _k0_k1(z, with_k2=False):
         k0[small], k1[small] = _k0_k1_series(z[small])
     if np.any(~small):
         zl = z[~small]
-        h, s = _cf(zl, with_s=True)
-        with np.errstate(under="ignore"):
-            k0[~small] = np.sqrt(np.pi / (2.0 * zl)) * np.exp(-zl) / s
+        if ratio:
+            h = _cf(zl, with_s=False)
+            k0[~small] = 1.0
+        else:
+            h, s = _cf(zl, with_s=True)
+            with np.errstate(under="ignore"):
+                k0[~small] = np.sqrt(np.pi / (2.0 * zl)) * np.exp(-zl) / s
         k1[~small] = k0[~small] * (zl + 0.5 - 0.25 * h) / zl
-    return k0, k1
+    return k1 / k0 if ratio else (k0, k1)
 
 
 def _check_orders(order):
@@ -330,13 +324,13 @@ def bessel_k_detail(order, z):
 
 def ratio_B(z):
     """B(z) = z K1(z)/K0(z); the Dirichlet-to-Neumann symbol of the Laplace map."""
-    out = np.asarray(z, dtype=float) * _k1_over_k0(z)
+    out = np.asarray(z, dtype=float) * _k0_k1(z, ratio=True)
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
 def ratio_A(z):
     """A(z) = K0(z)/K1(z) in (0, 1), monotone increasing to 1."""
-    out = 1.0 / _k1_over_k0(z)
+    out = 1.0 / _k0_k1(z, ratio=True)
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -392,7 +386,7 @@ def oracle_bessel_k(order, z):
     points agree, so every row equals the single-order call bit for bit.
     """
     orders = _check_orders(order)
-    zarr = np.atleast_1d(_validate_z(z)).astype(float)
+    zarr = np.atleast_1d(_validate_z(z, 2 in orders))
     out = np.empty((len(orders), zarr.size))
     live = np.arange(len(orders))
     coarse = _oracle_quad(orders, zarr, 32)
@@ -423,7 +417,7 @@ def check_ratio_bounds(z_grid):
     are strictly positive everywhere.
     """
     z = np.asarray(_validate_z(z_grid), dtype=float)
-    ratio = _k1_over_k0(z)
+    ratio = _k0_k1(z, ratio=True)
     lower = ratio - (np.sqrt(z * z + z + 1.0) + 1.0) / (z + 1.0)
     upper = 1.0 + 0.5 / z - ratio
     return lower, upper

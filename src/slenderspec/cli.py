@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, experiments, profiles
-from .operators import K_MAX_LIMIT
+from .operators import check_count
 from .spectra import _DIRECTIONS, _SETTINGS, EigenFamily, Mode, _check_eps, eigenvalues
 
 _FMT = "{:.17g}"
@@ -26,42 +26,30 @@ class UsageError(Exception):
     pass
 
 
-def _check_count(name, n):
-    """Reject a count above K_MAX_LIMIT, before the count sizes anything."""
-    if n > K_MAX_LIMIT:
-        raise ValueError(f"{name} = {n} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
-
-
 def _parse_krange(text):
     """'1..50' or '3' or '1,4,9' -> nonempty list of at most K_MAX_LIMIT ints."""
     if ".." in text:
         lo, hi = (int(p) for p in text.split(".."))
-        _check_count(f"the length of k range {text!r}", hi - lo + 1)
+        check_count(f"the length of k range {text!r}", hi - lo + 1)
         ks = list(range(lo, hi + 1))
     else:
-        _check_count("the length of the k list", text.count(",") + 1)
+        check_count("the length of the k list", text.count(",") + 1)
         ks = [int(p) for p in text.split(",")]
     if not ks:
         raise ValueError(f"k range {text!r} selects no wavenumber")
     return ks
 
 
-def _resolve_output(path):
-    if path is None:
-        return None
-    outdir = os.environ.get("SLENDERSPEC_OUTDIR")
-    if outdir and not os.path.dirname(path):
-        return os.path.join(outdir, path)
-    return path
-
-
 def _emit(text, path):
-    path = _resolve_output(path)
+    """Write ``text`` to stdout, or to ``path``, a bare filename under SLENDERSPEC_OUTDIR."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return
+    outdir = os.environ.get("SLENDERSPEC_OUTDIR")
+    if outdir and not os.path.dirname(path):
+        path = os.path.join(outdir, path)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _apply_config_defaults(argv, parser):
@@ -110,8 +98,7 @@ def cmd_spectrum(args):
             dcol = _FMT.format(delta) if delta is not None else ""
             rows.append(f"{setting},{direction},{method},{dcol},"
                         f"{_FMT.format(args.eps)},{k},{_FMT.format(v)}")
-    _emit("\n".join(rows) + "\n", args.output)
-    return 0
+    return "\n".join(rows) + "\n", 0
 
 
 def cmd_verify(args):
@@ -121,34 +108,30 @@ def cmd_verify(args):
     for r in checks.run_suites(names):
         out.extend(r.lines())
         ok = ok and r.ok
-    _emit("\n".join(out) + "\n", args.output)
-    return 0 if ok else 1
+    return "\n".join(out) + "\n", 0 if ok else 1
 
 
 def cmd_converge(args):
     _check_eps(args.eps_max)
     _check_eps(args.eps_min)
-    _check_count("--eps-points", args.eps_points)
+    check_count("--eps-points", args.eps_points)
     eps_grid = np.geomspace(args.eps_max, args.eps_min, args.eps_points)
     report = experiments.convergence_study(
         args.setting, args.method, args.regularity, eps_grid=eps_grid,
         seed=args.seed, delta=args.delta, k_max=args.k_max)
     text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
-    _emit(text, args.output)
-    return 0
+    return text, 0
 
 
 def cmd_delta_opt(args):
-    d = experiments.optimal_delta(args.setting, args.ratio)
-    _emit(f"{d:.10f}\n", args.output)
-    return 0
+    return f"{experiments.optimal_delta(args.setting, args.ratio):.10f}\n", 0
 
 
 def cmd_dynamics(args):
     if args.energy_mode is not None:
         if args.steps < 0:
             raise ValueError("--steps must be >= 0")
-        _check_count("--steps", args.steps)
+        check_count("--steps", args.steps)
         if args.dt is not None and not 0.0 < args.dt < np.inf:
             raise ValueError("--dt must be finite and positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
@@ -160,21 +143,19 @@ def cmd_dynamics(args):
             if i:
                 state = dynamics.step(state, dt, args.scheme)
             rows.append(f"{i},{_FMT.format(state.t)},{_FMT.format(dynamics.energy(state))}")
-        _emit("\n".join(rows) + "\n", args.output)
-        return 0
-    k_list = _parse_krange(args.sweep)
-    rows = ["eps,K_max,ds,dt_max_analytic,dt_max_empirical"]
-    for eps, k_max, ds, dt_a, dt_e in dynamics.stability_sweep(args.eps, k_list):
-        rows.append(f"{_FMT.format(eps)},{k_max},{_FMT.format(ds)},"
-                    f"{_FMT.format(dt_a)},{_FMT.format(dt_e)}")
-    _emit("\n".join(rows) + "\n", args.output)
-    return 0
+    else:
+        k_list = _parse_krange(args.sweep)
+        rows = ["eps,K_max,ds,dt_max_analytic,dt_max_empirical"]
+        for eps, k_max, ds, dt_a, dt_e in dynamics.stability_sweep(args.eps, k_list):
+            rows.append(f"{_FMT.format(eps)},{k_max},{_FMT.format(ds)},"
+                        f"{_FMT.format(dt_a)},{_FMT.format(dt_e)}")
+    return "\n".join(rows) + "\n", 0
 
 
 def cmd_profile(args):
     if args.points < 1:
         raise ValueError("--points must be >= 1")
-    _check_count("--points", args.points)
+    check_count("--points", args.points)
     if not np.isfinite(args.r_mult):
         raise ValueError("--r-mult must be finite")
     mode = Mode(args.k, args.eps)
@@ -190,8 +171,7 @@ def cmd_profile(args):
             v = prof[c][i]
             vals.extend([_FMT.format(v.real), _FMT.format(v.imag)])
         rows.append(_FMT.format(ri) + "," + ",".join(vals))
-    _emit("\n".join(rows) + "\n", args.output)
-    return 0
+    return "\n".join(rows) + "\n", 0
 
 
 def build_parser():
@@ -274,7 +254,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.output)
+        return code
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import K_MAX_LIMIT
+from .operators import check_count
 from .spectra import eigenvalues, pde_family
 
 _NORMAL_PDE = pde_family("normal")
@@ -73,8 +73,7 @@ def single_mode_state(eps, k_max, k, amplitude=1.0):
     """A state holding one conjugate-symmetric mode pair in the x component."""
     if not 1 <= abs(k) <= k_max:
         raise ValueError(f"mode k must satisfy 1 <= |k| <= k_max = {k_max}")
-    if k_max > K_MAX_LIMIT:
-        raise ValueError(f"k_max = {k_max} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
+    check_count("k_max", k_max)
     coeffs = np.zeros((2, 2 * k_max + 1), dtype=complex)
     coeffs[0, k_max + abs(k)] = amplitude
     coeffs[0, k_max - abs(k)] = np.conj(amplitude)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import K_MAX_LIMIT, PeriodicField, apply_operator, make_test_field, sobolev_norm
-from .spectra import EigenFamily, _setting
+from .spectra import _DIRECTIONS, EigenFamily, _setting
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(10**-1.5, 1e-3, 6))
 DEFAULT_SEEDS = (11, 23, 47)
@@ -86,7 +86,7 @@ def approximation_error(setting, method, u, eps, delta=None):
     pde, approx = _families(setting, method, delta)
     f_exact = apply_operator(pde, u, eps, inverse=True)
     f_approx = apply_operator(approx, u, eps, inverse=True)
-    diff = f_exact.with_coeffs(f_exact.coeffs - f_approx.coeffs)
+    diff = PeriodicField(f_exact.coeffs - f_approx.coeffs)
     return sobolev_norm(diff, 0)
 
 
@@ -143,10 +143,9 @@ def wellposedness_constant(setting, eps_grid=None, seed=11, profile="h1_rough",
 # ---------------------------------------------------------------------------
 
 def _root_lhs(setting, delta):
-    """Left side of the optimality equation; the caller has checked ``setting``."""
-    if setting == "stokes":
-        return delta**2 * (-1.0 + 2.0 * math.log(delta)) ** 2 * (1.5 + math.log(delta))
-    return delta**2 * math.log(delta) ** 2 * (3.0 + 2.0 * math.log(delta))
+    """Left side d^2 (c0 + m log d)^2 (3 + 2 log d) / m of the optimality equation."""
+    _, c0, m = _DIRECTIONS[_setting(setting).direction].log_family
+    return delta**2 * (c0 + m * math.log(delta)) ** 2 * (3.0 + 2.0 * math.log(delta)) / m
 
 
 def optimal_delta(setting, ratio):
@@ -168,13 +167,14 @@ def optimal_delta(setting, ratio):
 
 
 def cdelta_profile(setting, delta_grid, c1, c2):
-    """The error constant C_delta = C1 d^2 (1+log d) + C2/(denominator) on a grid."""
+    """The error constant C_delta = C1 d^2 (1 + log d) + C2/(c0 + m log d) on a grid,
+    with c0 + m log d the denominator of the setting's delta family."""
     d = np.asarray(delta_grid, dtype=float)
-    threshold = _setting(setting).threshold
+    threshold, direction, _ = _setting(setting)
     if np.any(d <= threshold):
         raise ValueError(f"{setting} requires delta > {threshold:.4f}")
-    tail = c2 / (-1.0 + 2.0 * np.log(d)) if setting == "stokes" else c2 / np.log(d)
-    return c1 * d * d * (1.0 + np.log(d)) + tail
+    _, c0, m = _DIRECTIONS[direction].log_family
+    return c1 * d * d * (1.0 + np.log(d)) + c2 / (c0 + m * np.log(d))
 
 
 def measured_delta_error(setting, eps, delta_grid):

@@ -27,6 +27,12 @@ from .spectra import EigenFamily, PoleError, eigenvalues
 K_MAX_LIMIT = 2**20
 
 
+def check_count(name, n):
+    """Reject a count above K_MAX_LIMIT, before the count sizes anything."""
+    if n > K_MAX_LIMIT:
+        raise ValueError(f"{name} = {n} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
+
+
 class MeanModeError(ValueError):
     """A field with nonzero k = 0 coefficient was fed to an operator."""
 
@@ -62,9 +68,6 @@ class PeriodicField:
     @property
     def mean_free(self):
         return bool(np.all(self.coeffs[:, self.k_max] == 0))
-
-    def with_coeffs(self, coeffs):
-        return PeriodicField(coeffs)
 
 
 def sobolev_norm(field, s):
@@ -119,7 +122,7 @@ def apply_operator(family, field, eps, inverse):
                 )
         out[ci, k_max + 1:] = op(c[ci, k_max + 1:], lam)
         out[ci, :k_max] = op(c[ci, :k_max], lam[::-1])
-    return field.with_coeffs(out)
+    return PeriodicField(out)
 
 
 def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
@@ -134,8 +137,7 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
     k_max = int(k_max)
     if k_max < 8:
         raise ValueError("k_max >= 8 required")
-    if k_max > K_MAX_LIMIT:
-        raise ValueError(f"k_max = {k_max} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
+    check_count("k_max", k_max)
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((n_components, 2 * k_max + 1), dtype=complex)
     kpos = np.arange(1, k_max + 1)

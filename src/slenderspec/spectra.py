@@ -162,12 +162,6 @@ class EigenFamily:
 # B-functions and their ODEs
 # ---------------------------------------------------------------------------
 
-ODE_FAMILIES = (
-    "B", "B_SB", "B_t", "B_SB_t", "B_n", "B_SB_n",
-    "B_delta", "B_delta_t", "B_delta_n",
-)
-
-
 #: the B-family behind each (method, direction) eigenvalue formula
 _B_FAMILY = {
     "pde": {"longitudinal": "B", "tangential": "B_t", "normal": "B_n"},
@@ -176,6 +170,10 @@ _B_FAMILY = {
                   "normal": "B_delta_n"},
 }
 _B_FAMILY["sbt_truncated"] = _B_FAMILY["sbt"]
+
+#: every B-family, each named once
+ODE_FAMILIES = tuple(f for method in ("pde", "sbt", "delta_reg")
+                     for f in _B_FAMILY[method].values())
 
 #: each sbt and delta family: name -> (method, direction, (num, c0, m))
 _LOG_FAMILIES = {f: (method, d, _DIRECTIONS[d].log_family) for method in ("sbt", "delta_reg")
@@ -220,6 +218,8 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     z = np.atleast_1d(z)
     if np.any(z < Z_MIN) or not np.all(np.isfinite(z)):
         raise ValueError(f"b_function requires finite z >= {Z_MIN:.4g}; K1 ~ 1/z overflows below")
+    if "B_n" in fams and np.any(z > 2.0**511):  # its z * z overflows from z ~ 1.34e154
+        raise ValueError("B_n requires z <= 2**511 ~ 6.704e+153; z * z overflows past it")
     needs_delta = [f for f in fams if f in _B_FAMILY["delta_reg"].values()]
     if needs_delta and delta is None:
         raise ValueError(f"{min(needs_delta)} requires delta")
@@ -334,23 +334,19 @@ _G3_COEFFS = (
 
 
 def g2_polynomial(z):
-    """Lower-bound envelope of 9 D3 - N3 for z >= 3/2; g2(3/2) = 646907/163840."""
-    exact = isinstance(z, (Fraction, int))
-    z = Fraction(z) if exact else float(z)
+    """Lower-bound envelope of 9 D3 - N3 for z >= 3/2; g2(3/2) = 646907/163840.
+    A Fraction for Fraction or int z, else a float."""
+    z = Fraction(z) if isinstance(z, (Fraction, int)) else float(z)
     poly = sum(c * z**i for i, c in enumerate(_G2_COEFFS))
-    if exact:
-        return Fraction(8, 5) * poly / ((1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
-    return 8.0 * poly / (5.0 * (1.0 + 2.0 * z) ** 6 * (3.0 + 2.0 * z) ** 4)
+    return 8 * poly / (5 * (1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
 
 
 def g3_polynomial(z):
-    """Lower-bound envelope of 9 D3 + N3 for z >= 1; g3(1) = 3881062/455625."""
-    exact = isinstance(z, (Fraction, int))
-    z = Fraction(z) if exact else float(z)
+    """Lower-bound envelope of 9 D3 + N3 for z >= 1; g3(1) = 3881062/455625.
+    A Fraction for Fraction or int z, else a float."""
+    z = Fraction(z) if isinstance(z, (Fraction, int)) else float(z)
     poly = sum(c * z**i for i, c in enumerate(_G3_COEFFS))
-    if exact:
-        return z * poly / ((1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
-    return z * poly / ((1.0 + 2.0 * z) ** 6 * (3.0 + 2.0 * z) ** 4)
+    return z * poly / ((1 + 2 * z) ** 6 * (3 + 2 * z) ** 4)
 
 
 # ---------------------------------------------------------------------------

@@ -373,3 +373,27 @@ def test_lower_edge_of_z():
     for fn in (bessel.ratio_A, bessel.ratio_B):
         with pytest.raises(bessel.BesselDomainError):
             fn(1e-310)
+
+
+def test_upper_edge_of_z():
+    # the continued fraction's 2 (1 + z) overflowed from 2**1023, and the ratios gave nan
+    top = np.nextafter(bessel.Z_MAX, 0.0)
+    for z in (8.98e307, top, np.array([1.0, top])):
+        assert np.all(np.isfinite(bessel.ratio_A(z))) and np.all(np.isfinite(bessel.ratio_B(z)))
+        assert np.all(bessel.bessel_k((0, 1), z) >= 0.0)
+    for fn in (bessel.ratio_A, bessel.ratio_B, lambda z: bessel.bessel_k(0, z),
+               bessel.check_ratio_bounds):
+        for bad in (bessel.Z_MAX, np.array([1.0, 1.5 * bessel.Z_MAX])):
+            with pytest.raises(bessel.BesselDomainError, match=r"z < 2\*\*1023"):
+                fn(bad)
+
+
+def test_oracle_checks_the_k2_lower_edge():
+    # the oracle warned "invalid value encountered in subtract" and returned nan for K2
+    for order in (2, (0, 1, 2)):
+        for z in (1e-200, np.nextafter(bessel.Z_MIN_K2, 0.0), np.array([1.0, 1e-200])):
+            with pytest.raises(bessel.BesselDomainError, match="K2"):
+                bessel.oracle_bessel_k(order, z)
+    assert np.isfinite(bessel.oracle_bessel_k((0, 1, 2), 1e-150)).all()
+    assert bessel.oracle_bessel_k(0, 1e-200) == pytest.approx(bessel.bessel_k(0, 1e-200),
+                                                               rel=1e-12)

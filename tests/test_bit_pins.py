@@ -2,15 +2,20 @@
 
 Each expected value is the float's hex form, so a table entry that differs
 from the constant it replaced, or an expression re-associated on the way,
-fails here even where the check margins would hide it.
+fails here even where the check margins would hide it.  Values on whole
+grids are pinned by the sha256 of their float64 bytes (of their ``str`` for
+exact ``Fraction`` results).
 """
 
+import hashlib
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from slenderspec import bessel, profiles, spectra
 from slenderspec import experiments as xp
-from slenderspec import profiles, spectra
 from slenderspec.spectra import Mode
 
 GRONWALL = {
@@ -93,3 +98,75 @@ def test_experiment_bits(setting):
     _, values = xp.wellposedness_constant(setting, eps_grid=(0.1, 0.05), k_max=64)
     assert _hex(values) == wellposed
     assert _hex(xp.measured_delta_error(setting, 0.05, [2.0, 3.0])) == measured
+
+
+def _digest(values):
+    if all(isinstance(v, Fraction) for v in values):
+        data = ",".join(map(str, values)).encode()
+    else:
+        data = np.asarray(values, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+#: the ratio grid up to just below the kernel's upper edge, and every 500th
+#: point of it as scalar calls (the Python-float loops)
+_RATIO_Z = np.geomspace(1e-300, 8e307, 20000)
+#: the verify suite's grid for the K1/K0 bounds
+_BOUNDS_Z = np.geomspace(1e-6, 100.0, 100_000)
+_OPTIMAL_RATIOS = np.geomspace(1e-20, 1e4, 300)
+_G2_EXACT = (Fraction(3, 2), 2, Fraction(5, 2), 3, 10)
+_G3_EXACT = (Fraction(1), 1, Fraction(3, 2), 2, 7)
+
+
+def _delta_grid(setting):
+    return np.geomspace(spectra._SETTINGS[setting].threshold * (1.0 + 1e-9), 50.0, 1000)
+
+
+#: name -> the values on one grid
+GRIDS = {
+    "ratio_A": lambda: bessel.ratio_A(_RATIO_Z),
+    "ratio_B": lambda: bessel.ratio_B(_RATIO_Z),
+    "ratio_A_scalar": lambda: [bessel.ratio_A(float(z)) for z in _RATIO_Z[::500]],
+    "ratio_B_scalar": lambda: [bessel.ratio_B(float(z)) for z in _RATIO_Z[::500]],
+    "ratio_bounds": lambda: np.concatenate(bessel.check_ratio_bounds(_BOUNDS_Z)),
+    **{f"optimal_delta_{s}": (lambda s=s: [xp.optimal_delta(s, r) for r in _OPTIMAL_RATIOS])
+       for s in spectra._SETTINGS},
+    **{f"root_lhs_{s}": (lambda s=s: [xp._root_lhs(s, d) for d in _delta_grid(s)])
+       for s in spectra._SETTINGS},
+    **{f"cdelta_{s}": (lambda s=s: xp.cdelta_profile(s, _delta_grid(s), 0.3, 1.7))
+       for s in spectra._SETTINGS},
+    "g2_float": lambda: [spectra.g2_polynomial(z) for z in np.linspace(1.5, 400.0, 500)],
+    "g3_float": lambda: [spectra.g3_polynomial(z) for z in np.linspace(1.0, 400.0, 500)],
+    "g2_exact": lambda: [spectra.g2_polynomial(z) for z in _G2_EXACT],
+    "g3_exact": lambda: [spectra.g3_polynomial(z) for z in _G3_EXACT],
+}
+
+#: name -> sha256 of the grid's values, recorded at e2788c0, before the K1/K0
+#: ratio, the delta formulas and the Appendix C envelopes had one code path each
+GRID_DIGESTS = {
+    "ratio_A": "d4a64453e647b35d90b39f107844849a9e1be788c01b58260dd1fd6db95d2151",
+    "ratio_B": "252c60429a3a425102567e8751ea244b6ee084a799ebf3b6d265b01756b6ca35",
+    "ratio_A_scalar": "c77f6392ed853b7d5780da92216eee07cb67934930e7635f89c46d7f4bc565b0",
+    "ratio_B_scalar": "819208e4a3549edeb7c9554a082cdceb07db1a06c1d7fd7b8742142a89bf2c39",
+    "ratio_bounds": "b324d9b1857768e41796995de819918fee2fd54fc7ef6c9bf4b9f06ee692cd60",
+    "optimal_delta_laplace": "ea5f60698cbc5fe6ce11b4ed1a6b4bad3acce19392cbb4d1de497edbb6dbe065",
+    "optimal_delta_stokes": "cda650f6cd90c4e0a118c63205920d5f401c9f831eb2daa594e81c1602c4e3e9",
+    "root_lhs_laplace": "27f45adaf2befc717f0db26a3ebb0ee35dac24aa0c874049c672c24cb9d52e6c",
+    "root_lhs_stokes": "fe937cc3ebdb5d447416e8604ec0dfb3b23759b16b4ea7157e5b2e00286c5fa4",
+    "cdelta_laplace": "23ffc8841a939de0e4b80fe15585739ee62d02a18a203abe0a1e69103f357b96",
+    "cdelta_stokes": "4de4a95a50bc5a72b4f3547a8326416be6b6bbbb7579f70b8e0487edbec967dd",
+    "g2_float": "d89d8d4d5dd3229ee7129c2bd5981255227f42cbe101e3d8388d1562654e26c0",
+    "g3_float": "c5c4bf36ffd5b62173497b482e1683f48f2b985f17b8c7183bf03ce2e091cca8",
+    "g2_exact": "c455a00299967d5958c3c3e42074883f117d26e70468608eeb3c2383e0861d80",
+    "g3_exact": "673d149f230469a9d4d3f55a918c393dc697f98e1d458b340c53503625ef8198",
+}
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_grid_bits(name):
+    values = GRIDS[name]()
+    if name.endswith("_exact"):
+        assert all(type(v) is Fraction for v in values)
+    elif name.startswith("g"):
+        assert all(type(v) is float for v in values)
+    assert _digest(values) == GRID_DIGESTS[name]

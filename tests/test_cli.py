@@ -122,6 +122,14 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
       for setting, direction in (("stokes", "tangential"), ("laplace", "longitudinal"))],
     (["profile", "--direction", "normal", "--eps", "1e-200", "--k", "1"],
      "K2 requires finite z >= 1.492e-154; it overflows a double below"),
+    # past the upper edge of z the continued fraction's 2 (1 + z), or B_n's z * z,
+    # overflowed and the row printed nan
+    (["spectrum", "--setting", "laplace", "--direction", "longitudinal", "--eps", "0.4",
+      "--k", str(10**308), "--methods", "pde"],
+     "K_nu requires z < 2**1023 ~ 8.988e+307; 2 (1 + z) overflows"),
+    (["spectrum", "--setting", "stokes", "--direction", "normal", "--eps", "0.01",
+      "--k", str(10**160), "--methods", "pde"],
+     "B_n requires z <= 2**511 ~ 6.704e+153; z * z overflows past it"),
     # eps bounds: geomspace warned and the grid was "not strictly decreasing", and
     # a subnormal eps-min gave "cannot convert float infinity to integer"
     *[(["converge", "--setting", "laplace", "--method", "sbt_truncated", bound],

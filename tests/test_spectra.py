@@ -352,6 +352,22 @@ def test_lower_edge_of_z():
                 spectra.b_function(fams, z, delta=2.0)
 
 
+def test_upper_edges_of_z():
+    # B and B_t read nan from 2**1023 on (the kernel's 2 (1 + z) overflowed), B_n
+    # from z ~ 1.34e154 on (its z * z); each now raises where its edge starts
+    top = np.nextafter(bessel.Z_MAX, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(spectra.b_function(("B", "B_t"), [1.0, top])))
+        assert np.all(np.isfinite(spectra.b_function("B_n", [1.0, 2.0**511])))
+        for fam in ("B", "B_t"):
+            with pytest.raises(bessel.BesselDomainError, match=r"z < 2\*\*1023"):
+                spectra.b_function(fam, bessel.Z_MAX)
+        for z in (np.nextafter(2.0**511, math.inf), top):
+            with pytest.raises(ValueError, match=r"B_n requires z <= 2\*\*511"):
+                spectra.b_function(("B", "B_n"), [1.0, z])
+
+
 def test_k0_below_its_exponential_bound():
     # K0(x) <= sqrt(pi/(2x)) e^{-x}, the bound behind the K0 skip, holds for
     # the computed values, evaluated as the continued fraction evaluates it
