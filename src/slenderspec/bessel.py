@@ -12,28 +12,30 @@ and margin checks for the sharp two-sided bound
 Two evaluation routes are kept deliberately independent:
 
 * ``bessel_k`` -- ascending log series for small z, a Lentz-style continued
-  fraction for large z.  No quadrature anywhere.  ``_k0_k1`` is the one
-  dispatcher between the two: K0 and K1 for ``bessel_k``, K1/K0 for
-  ``ratio_A``, ``ratio_B`` and ``check_ratio_bounds``.
+  fraction for large z.  No quadrature anywhere.  ``_k0_k1`` splits a batch
+  between the two: K0 and K1 for ``bessel_k``, K1/K0 for ``ratio_A``,
+  ``ratio_B`` and ``check_ratio_bounds``.
 * ``oracle_bessel_k`` -- adaptive composite Gauss-Legendre quadrature of the
   integral representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
   refined until the self-estimated error is below 1e-14 relative.
 
-The series and continued-fraction loops of ``bessel_k`` have two forms,
-picked by batch size alone.  Batches of at most ``_SMALL`` points run on
-Python floats, where a numpy call on a one-element array would cost ~1 us
-per operation; larger ones run on numpy arrays.  The bits do not depend on
-the form: the loops use only + - * /, abs and comparisons, which round the
-same on Python floats as on float64 arrays, in the same order and with the
-same stopping tests (per element for the continued fraction, joint over the
-batch for the series).  np.log, np.sqrt and np.exp stay numpy calls on the
-whole batch in both forms.
+The kernel has two forms; ``_kernel``, at the entry of ``bessel_k``,
+``ratio_A`` and ``ratio_B``, is the one switch.  A scalar or a batch of at
+most ``_SMALL`` points runs on Python floats from validation to result
+(``_k0_k1_floats``), free of numpy's ~1 us per call on tiny arrays; larger
+batches run on arrays (``_k0_k1``).  The bits are the same: both make the
+same + - * /, abs, sqrt and comparisons in the same order, with the same
+stopping tests (per element for the continued fraction, joint over the batch
+for the series), and IEEE rounds them alike.  np.log and np.exp stay numpy
+calls, one per batch, as math.log and math.exp need not round alike.
 
 All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +49,11 @@ SERIES_CUTOFF = 2.0
 #: then 0.0, and ``bessel_k_detail`` flags them
 UNDERFLOW_Z = 705.0
 
-#: batches of at most this many points run the series and continued-fraction
-#: loops on Python floats (see the module docstring).  Measured on a 2-vCPU
-#: x86-64 host with numpy 2.4, where every element needs as many steps as
-#: the slowest (the worst case for floats): floats win up to 24 points, the
-#: two break even at 32-40 (numpy 1.4x ahead just above z = 2) and numpy
-#: wins from 48.  On spread grids numpy pays the slowest element's step
-#: count and floats only the mean, so floats win past 64.  The traction
-#: route and the verify suites call with 1-16 points and the spectra with
-#: thousands, so 32 loses little in the worst case and nothing in use.
+#: scalars and batches of at most this many points run on Python floats (see
+#: the module docstring).  On a 2-vCPU x86-64 host with numpy 2.4, for
+#: bessel_k((0, 1), z) with every z just above 2 (the worst case for floats),
+#: floats take 0.6x numpy's time at 32 points, break even at 40-48 and take
+#: 1.25x at 64; on spread grids they stay under 0.4x past 96 points.
 _SMALL = 32
 
 #: lower edge of z: from the smallest normal double on, K1 ~ 1/z stays below
@@ -70,6 +68,9 @@ _CF_MAX_ITER = 4000
 _SERIES_MAX_TERMS = 64
 #: relative agreement of two successive panel levels that certifies the oracle
 _ORACLE_RTOL = 1e-14
+#: below here (cosh(2T) overflows from z ~ 1.27e-152 down, 120/z and cosh T
+#: from ~6.7e-307) every order of the oracle takes the log form of ``_oracle_deep``
+_ORACLE_DEEP_Z = 1.3e-152
 
 
 class BesselDomainError(ValueError):
@@ -104,20 +105,18 @@ def _validate_z(z, with_k2=False):
 
 def _k0_k1_series(z):
     """Ascending log series for K0, K1; accurate for z <= SERIES_CUTOFF."""
-    t = 0.25 * z * z
-    log_half_z = np.log(0.5 * z)
-    i0, k0_sum, i1_sum, k1_sum = _series_sums(t)
-    i1 = 0.5 * z * i1_sum
-    k0 = -(log_half_z + EULER_GAMMA) * i0 + k0_sum
-    k1 = log_half_z * i1 + 1.0 / z - 0.25 * z * k1_sum
-    return k0, k1
+    return _series_k(z, np.log(0.5 * z), *_series_sums(0.25 * z * z))
+
+
+def _series_k(z, log_half_z, i0, k0_sum, i1_sum, k1_sum):
+    """K0 and K1 from log(z/2) and the series sums, on arrays or floats alike."""
+    return (-(log_half_z + EULER_GAMMA) * i0 + k0_sum,
+            log_half_z * (0.5 * z * i1_sum) + 1.0 / z - 0.25 * z * k1_sum)
 
 
 def _series_sums(t):
     """I0, sum_{m>=1} H_m t^m/(m!)^2, I1 and the psi-weighted I1 sum, all
     stopping together once every I0 term is below 1e-18 of its partial sum."""
-    if t.size <= _SMALL:
-        return _series_sums_floats(t)
     i0_term = np.ones_like(t)
     i0 = np.ones_like(t)
     k0_sum = np.zeros_like(t)          # sum_{m>=1} H_m t^m / (m!)^2
@@ -140,9 +139,8 @@ def _series_sums(t):
 
 
 def _series_sums_floats(t):
-    """``_series_sums`` on Python floats, the same operations in the same
-    order, with the same joint stop over the whole batch."""
-    t = t.tolist()
+    """``_series_sums`` on a list of Python floats, the same operations in the
+    same order, with the same joint stop over the whole batch."""
     n = len(t)
     i0_term, i0, k0_sum = [1.0] * n, [1.0] * n, [0.0] * n
     i1_term, i1_sum = [1.0] * n, [1.0] * n
@@ -164,7 +162,20 @@ def _series_sums_floats(t):
             stop = stop and term <= 1e-18 * i0[j]
         if stop:
             break
-    return np.array(i0), np.array(k0_sum), np.array(i1_sum), np.array(k1_sum)
+    return i0, k0_sum, i1_sum, k1_sum
+
+
+def _cf_steps():
+    """(a, c) of the continued fraction's steps i = 2, 3, ...; they do not depend on z."""
+    steps, c, a = [], 0.25, -0.25
+    for i in range(2, _CF_MAX_ITER):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        steps.append((a, c))
+    return tuple(steps)
+
+
+_CF_STEPS = _cf_steps()
 
 
 def _cf(z, with_s):
@@ -178,8 +189,6 @@ def _cf(z, with_s):
     first, so on an ascending grid the retired elements are a suffix and
     the live arrays shrink by slicing; otherwise by boolean compaction.
     """
-    if z.size <= _SMALL:
-        return _cf_floats(z, with_s)
     h_out = np.empty_like(z)
     live = np.arange(z.size)
     b = 2.0 * (1.0 + z)
@@ -188,11 +197,8 @@ def _cf(z, with_s):
         s_out = np.empty_like(z)
         q1, q2, q = np.zeros_like(z), np.ones_like(z), np.full_like(z, 0.25)
         s = 1.0 + q * delh
-    c, a = 0.25, -0.25  # independent of z, so scalars
-    for i in range(2, _CF_MAX_ITER):
-        a -= 2.0 * (i - 1)
+    for a, c in _CF_STEPS:
         if with_s:
-            c = -a * c / i
             q1, q2 = q2, (q1 - b * q2) / a
             q = q + c * q2
         b = b + 2.0
@@ -223,19 +229,16 @@ def _cf(z, with_s):
 
 
 def _cf_floats(z, with_s):
-    """``_cf`` on Python floats, one element at a time, each retiring on the
-    same test after the same operations in the same order."""
+    """``_cf`` on a list of Python floats, one element at a time, each retiring
+    on the same test after the same operations in the same order; (h, s)."""
     h_out, s_out = [], []
-    for x in z.tolist():
+    for x in z:
         b = 2.0 * (1.0 + x)
         h = delh = d = 1.0 / b
         q1, q2, q = 0.0, 1.0, 0.25
         s = 1.0 + q * delh
-        c, a = 0.25, -0.25
-        for i in range(2, _CF_MAX_ITER):
-            a -= 2.0 * (i - 1)
+        for a, c in _CF_STEPS:
             if with_s:
-                c = -a * c / i
                 q1, q2 = q2, (q1 - b * q2) / a
                 q = q + c * q2
             b = b + 2.0
@@ -251,7 +254,7 @@ def _cf_floats(z, with_s):
                 break
         h_out.append(h)
         s_out.append(s)
-    return (np.array(h_out), np.array(s_out)) if with_s else np.array(h_out)
+    return h_out, s_out
 
 
 def _k0_k1(z, with_k2=False, ratio=False):
@@ -277,9 +280,59 @@ def _k0_k1(z, with_k2=False, ratio=False):
     return k1 / k0 if ratio else (k0, k1)
 
 
+def _k0_k1_floats(zs, with_k2=False, ratio=False):
+    """``_k0_k1`` on a list of Python floats, with no masks: each point runs
+    the numpy path's operations in the same order, and np.log and np.exp
+    take one call each.  Returns the lists K0 and K1, or with ``ratio`` K1/K0."""
+    if not all((Z_MIN_K2 if with_k2 else Z_MIN) <= x < Z_MAX for x in zs):
+        _validate_z(zs, with_k2)  # raises the numpy path's error
+    series = [x for x in zs if x <= SERIES_CUTOFF]
+    large = [x for x in zs if x > SERIES_CUTOFF]
+    k = {}  # z -> (K0, K1), K0 = 1 past the cutoff with ``ratio``
+    if series:
+        log_half_z = np.log([0.5 * x for x in series]).tolist()
+        sums = _series_sums_floats([0.25 * x * x for x in series])
+        for x, *terms in zip(series, log_half_z, *sums):
+            k[x] = _series_k(x, *terms)
+    if large:
+        h, s = _cf_floats(large, with_s=not ratio)
+        if not ratio:
+            with np.errstate(under="ignore") if max(large) > UNDERFLOW_Z else nullcontext():
+                decay = np.exp([-x for x in large]).tolist()
+        for j, x in enumerate(large):
+            k0 = 1.0 if ratio else math.sqrt(np.pi / (2.0 * x)) * decay[j] / s[j]
+            k[x] = k0, k0 * (x + 0.5 - 0.25 * h[j]) / x
+    pairs = [k[x] for x in zs]
+    return [b / a for a, b in pairs] if ratio else ([a for a, _ in pairs], [b for _, b in pairs])
+
+
+def _kernel(z, with_k2=False, ratio=False):
+    """The one switch between the two forms: z (1-d) and ``_k0_k1``'s result,
+    as lists of Python floats from ``_k0_k1_floats`` for a scalar or a 1-d
+    batch of at most ``_SMALL`` points, as arrays from ``_k0_k1`` otherwise."""
+    if isinstance(z, (float, int)) and _SMALL:
+        zs = [float(z)]
+    else:
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        if z.ndim > 1 or z.size > _SMALL:
+            return z, _k0_k1(z, with_k2, ratio)
+        zs = z.tolist()
+    return zs, _k0_k1_floats(zs, with_k2, ratio)
+
+
+def _map(fn, *columns):
+    """fn over the kernel's columns: once on arrays, point by point on lists."""
+    return fn(*columns) if isinstance(columns[0], np.ndarray) else list(map(fn, *columns))
+
+
+def _is_scalar(x):
+    """np.ndim(x) == 0, without its array conversion for numbers and tuples."""
+    return isinstance(x, (float, int)) or not isinstance(x, (tuple, list)) and np.ndim(x) == 0
+
+
 def _check_orders(order):
     """Orders as a tuple; ``order`` is 0, 1 or 2, or a tuple of them."""
-    orders = (order,) if np.ndim(order) == 0 else tuple(order)
+    orders = (order,) if _is_scalar(order) else tuple(order)
     if any(o not in (0, 1, 2) for o in orders):
         raise ValueError("order must be 0, 1 or 2")
     return orders
@@ -287,12 +340,11 @@ def _check_orders(order):
 
 def _shape_rows(rows, single, scalar):
     """One row per order (or family), shaped for the call: for a single one a
-    float (scalar z) or its row; for a tuple the rows as an array, or one value
-    per entry for scalar z."""
-    if single:
-        return float(rows[0][0]) if scalar else rows[0]
-    rows = np.asarray(rows)
-    return rows[:, 0] if scalar else rows
+    float (scalar z) or its row as an array; for a tuple the rows as an array,
+    or one value per entry for scalar z."""
+    if scalar:
+        return float(rows[0][0]) if single else np.array([row[0] for row in rows])
+    return np.asarray(rows[0]) if single else np.asarray(rows)
 
 
 def bessel_k(order, z):
@@ -306,11 +358,9 @@ def bessel_k(order, z):
     K2 = K0 + 2 K1/z, which makes the recurrence residual exact.
     """
     orders = _check_orders(order)
-    k0, k1 = _k0_k1(z, 2 in orders)
-    by_order = (k0, k1)
-    if 2 in orders:
-        by_order += (k0 + 2.0 * k1 / np.atleast_1d(np.asarray(z, dtype=float)),)
-    return _shape_rows([by_order[o] for o in orders], np.ndim(order) == 0, np.ndim(z) == 0)
+    z1, (k0, k1) = _kernel(z, 2 in orders)
+    k2 = _map(lambda a, b, x: a + 2.0 * b / x, k0, k1, z1) if 2 in orders else None
+    return _shape_rows([(k0, k1, k2)[o] for o in orders], _is_scalar(order), _is_scalar(z))
 
 
 def bessel_k_detail(order, z):
@@ -319,19 +369,18 @@ def bessel_k_detail(order, z):
     orders = _check_orders(order)
     evals = tuple(BesselEval(o, float(v), underflowed=z > UNDERFLOW_Z)
                   for o, v in zip(orders, bessel_k(orders, z)))
-    return evals[0] if np.ndim(order) == 0 else evals
+    return evals[0] if _is_scalar(order) else evals
 
 
 def ratio_B(z):
     """B(z) = z K1(z)/K0(z); the Dirichlet-to-Neumann symbol of the Laplace map."""
-    out = np.asarray(z, dtype=float) * _k0_k1(z, ratio=True)
-    return float(out[0]) if np.ndim(z) == 0 else out
+    z1, ratio = _kernel(z, ratio=True)
+    return _shape_rows([_map(lambda x, r: x * r, z1, ratio)], True, _is_scalar(z))
 
 
 def ratio_A(z):
     """A(z) = K0(z)/K1(z) in (0, 1), monotone increasing to 1."""
-    out = 1.0 / _k0_k1(z, ratio=True)
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return _shape_rows([_map(lambda r: 1.0 / r, _kernel(z, ratio=True)[1])], True, _is_scalar(z))
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +401,53 @@ def _gauss_panels(n_panels, n_nodes):
 def _oracle_quad(orders, z, n_panels):
     """Composite 40-node GL of int_0^T exp(-z cosh t) cosh(order t) dt, one row per order.
 
-    z is taken 16 points at a time so that the temporaries stay in cache: at
-    64 panels one chunk is 16 x 2560 doubles (320 KB), against 5 MB at 256
-    rows.  The rows do not depend on the chunk size.
+    z is taken 16 points at a time so that the four temporaries (t, cosh t,
+    exp(-z cosh t), the order-2 product), allocated once and filled in place,
+    stay in cache: at 64 panels each is 16 x 2560 doubles (320 KB).  The rows
+    do not depend on the chunk size.  Points below ``_ORACLE_DEEP_Z`` go to
+    ``_oracle_deep``.
     """
+    u, w = _gauss_panels(n_panels, 40)
+    deep = z < _ORACLE_DEEP_Z
+    if deep.any():
+        out = np.empty((len(orders), z.size))
+        out[:, deep] = _oracle_deep(orders, z[deep], u, w)
+        out[:, ~deep] = _oracle_quad(orders, z[~deep], n_panels)
+        return out
     # truncation point: z (cosh T - 1) = 120 makes the tail utterly negligible
     # relative to K_nu(z) ~ exp(-z), even with the cosh(order t) growth.
     T = np.arccosh(1.0 + 120.0 / z)
-    u, w = _gauss_panels(n_panels, 40)
     out = np.empty((len(orders), z.size))
-    for lo in range(0, z.size, 16):
-        hi = min(lo + 16, z.size)
-        t = T[lo:hi, None] * u[None, :]
-        with np.errstate(under="ignore", over="ignore"):
-            cosh_t = np.cosh(t)
-            f0 = np.exp(-z[lo:hi, None] * cosh_t)
+    buffers = np.empty((4, min(16, z.size), u.size))
+    with np.errstate(under="ignore", over="ignore"):
+        for lo in range(0, z.size, 16):
+            hi = min(lo + 16, z.size)
+            t, cosh_t, f0, f = buffers[:, :hi - lo]
+            np.multiply(T[lo:hi, None], u, out=t)
+            np.cosh(t, out=cosh_t)
+            np.exp(np.multiply(-z[lo:hi, None], cosh_t, out=f0), out=f0)
             for row, order in enumerate(orders):
-                f = f0 * (cosh_t if order == 1 else np.cosh(order * t)) if order else f0
-                out[row, lo:hi] = T[lo:hi] * (f @ w)
+                if order == 1:
+                    np.multiply(f0, cosh_t, out=f)
+                elif order:
+                    np.multiply(f0, np.cosh(np.multiply(t, order, out=f), out=f), out=f)
+                out[row, lo:hi] = T[lo:hi] * ((f if order else f0) @ w)
+    return out
+
+
+def _oracle_deep(orders, z, u, w):
+    """``_oracle_quad`` in log form, one point at a time: T = log(240/z) (that is
+    arccosh(1 + 120/z) to rounding) and the integrand is
+    exp(log cosh(order t) - z cosh t), z cosh t = exp(t + log(z/2)) + (z/2) e^-t."""
+    T = np.log(240.0) - np.log(z)
+    out = np.empty((len(orders), z.size))
+    with np.errstate(under="ignore"):
+        for j, half_z in enumerate(0.5 * z):
+            t = T[j] * u
+            z_cosh = np.exp(t + np.log(half_z)) + half_z * np.exp(-t)
+            for row, order in enumerate(orders):
+                log_cosh = order * t + np.log1p(np.exp(-2.0 * order * t)) - np.log(2.0)
+                out[row, j] = T[j] * (np.exp((log_cosh if order else 0.0) - z_cosh) @ w)
     return out
 
 
@@ -416,8 +494,8 @@ def check_ratio_bounds(z_grid):
     Returns (lower_margin, upper_margin) arrays; the bounds hold iff both
     are strictly positive everywhere.
     """
-    z = np.asarray(_validate_z(z_grid), dtype=float)
-    ratio = _k0_k1(z, ratio=True)
+    z = np.asarray(z_grid, dtype=float)
+    ratio = _k0_k1(z, ratio=True)  # validates z
     lower = ratio - (np.sqrt(z * z + z + 1.0) + 1.0) / (z + 1.0)
     upper = 1.0 + 0.5 / z - ratio
     return lower, upper
@@ -429,10 +507,10 @@ def check_small_z_bounds(z_grid):
     K0(z) >= -log z  and  z K1(z) >= 1 - z^2 (1 + |log z|).
     Returns (margin_k0, margin_k1) arrays; both must be nonnegative.
     """
-    z = np.asarray(_validate_z(z_grid), dtype=float)
+    z = np.asarray(z_grid, dtype=float)
+    k0, k1 = _k0_k1(z)  # validates z, so a domain error comes first
     if np.any(z >= 1.0):
         raise ValueError("small-z bounds are stated on (0, 1)")
-    k0, k1 = _k0_k1(z)
     m0 = k0 + np.log(z)
     m1 = z * k1 - (1.0 - z * z * (1.0 + np.abs(np.log(z))))
     return m0, m1

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -360,6 +361,95 @@ def test_property_small_batch_path_matches_numpy_loops(zs):
     _assert_same_bits_as_numpy_loops(_loop_outputs, np.array(zs))
 
 
+# ---------------------------------------------------------------------------
+# the public entries: small batches on Python floats against the numpy path
+# ---------------------------------------------------------------------------
+
+#: every public kernel entry that takes any z
+_ENTRIES = {
+    **{f"bessel_k{order}": (lambda z, order=order: bessel.bessel_k(order, z))
+       for order in (0, 1, 2, (0, 1), (0, 1, 2), (2, 0))},
+    "ratio_A": bessel.ratio_A,
+    "ratio_B": bessel.ratio_B,
+    "check_ratio_bounds": bessel.check_ratio_bounds,
+    "check_small_z_bounds": bessel.check_small_z_bounds,
+}
+#: ``bessel_k_detail`` takes scalar z only
+_SCALAR_ENTRIES = {**_ENTRIES, **{f"detail{order}": (lambda z, order=order:
+                                                     bessel.bessel_k_detail(order, z))
+                                  for order in (1, (0, 1, 2))}}
+#: edges of the domain and of the two routes, and values outside the domain
+_EDGE_Z = (bessel.Z_MIN, np.nextafter(bessel.Z_MIN, 0.0), bessel.Z_MIN_K2,
+           np.nextafter(bessel.Z_MIN_K2, 0.0), bessel.Z_MAX, 1.5 * bessel.Z_MAX,
+           bessel.SERIES_CUTOFF, np.nextafter(bessel.SERIES_CUTOFF, 3.0), 0.5, 720.0,
+           math.nan, math.inf, -math.inf, 0.0, -1.0)
+#: up to 1e6: past ~1e154 the numpy loops overflow (with RuntimeWarnings) where
+#: the float loops do so silently
+_ENTRY_Z = st.one_of(st.floats(min_value=1e-300, max_value=1e6), st.sampled_from(_EDGE_Z))
+_SCALAR_FORMS = {"float": float, "float64": np.float64, "0-d": np.array}
+
+
+def _bits(out):
+    """Type, dtype, shape and bytes of a result, recursively through tuples."""
+    if isinstance(out, tuple):
+        return tuple(map(_bits, out))
+    if isinstance(out, bessel.BesselEval):
+        return out.order, type(out.value), out.value.hex(), out.underflowed
+    return type(out), np.asarray(out).dtype, np.shape(out), np.asarray(out).tobytes()
+
+
+def _outcome(fn, z):
+    try:
+        return _bits(fn(z))
+    except Exception as err:  # the error type and text are the outcome
+        return type(err), str(err)
+
+
+def _assert_entry_matches_numpy_path(entry, z):
+    got = _outcome(entry, z)
+    with mock.patch.object(bessel, "_SMALL", 0):
+        want = _outcome(entry, z)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SCALAR_ENTRIES)),
+       st.one_of(st.builds(lambda form, z: _SCALAR_FORMS[form](z),
+                           st.sampled_from(sorted(_SCALAR_FORMS)), _ENTRY_Z),
+                 st.integers(min_value=-3, max_value=10**6)))
+def test_property_scalar_entry_matches_numpy_path(name, z):
+    # result type, bits and error text as on the numpy path, for a Python
+    # float, np.float64, 0-d array or int
+    _assert_entry_matches_numpy_path(_SCALAR_ENTRIES[name], z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ENTRIES)), st.lists(_ENTRY_Z, max_size=bessel._SMALL))
+def test_property_small_batch_entry_matches_numpy_path(name, zs):
+    _assert_entry_matches_numpy_path(_ENTRIES[name], np.array(zs, dtype=float))
+
+
+def test_small_batch_entry_covers_scalars_and_batches():
+    # the switch sits at the entry: up to _SMALL points never reach the numpy
+    # kernel, and one more point always does
+    with mock.patch.object(bessel, "_k0_k1", side_effect=AssertionError("numpy path")):
+        for z in (3.0, np.float64(3.0), np.array(3.0), 3, np.full(bessel._SMALL, 3.0)):
+            bessel.bessel_k((0, 1, 2), z), bessel.ratio_A(z), bessel.ratio_B(z)
+        with pytest.raises(AssertionError, match="numpy path"):
+            bessel.bessel_k(0, np.full(bessel._SMALL + 1, 3.0))
+
+
+def test_checks_validate_once():
+    # the margin checks validated z themselves and again in the kernel
+    for check, z in ((bessel.check_ratio_bounds, np.geomspace(1e-6, 100.0, 100)),
+                     (bessel.check_small_z_bounds, np.linspace(1e-4, 0.9, 100))):
+        with mock.patch.object(bessel, "_validate_z", wraps=bessel._validate_z) as validate:
+            check(z)
+        assert validate.call_count == 1
+    with pytest.raises(bessel.BesselDomainError):
+        bessel.check_small_z_bounds(np.array([0.5, math.nan, 2.0]))
+
+
 def test_lower_edge_of_z():
     # K1 ~ 1/z overflowed below ~5.6e-309 and K2 ~ 2/z^2 below ~1.05e-154
     for with_k2, z_min in ((False, bessel.Z_MIN), (True, bessel.Z_MIN_K2)):
@@ -397,3 +487,22 @@ def test_oracle_checks_the_k2_lower_edge():
     assert np.isfinite(bessel.oracle_bessel_k((0, 1, 2), 1e-150)).all()
     assert bessel.oracle_bessel_k(0, 1e-200) == pytest.approx(bessel.bessel_k(0, 1e-200),
                                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("order, z", [
+    (0, bessel.Z_MIN), (1, bessel.Z_MIN), ((0, 1), np.array([bessel.Z_MIN, 1e-200, 1.0])),
+    (2, bessel.Z_MIN_K2), ((0, 1, 2), bessel.Z_MIN_K2),
+    ((0, 1, 2), np.array([np.nextafter(bessel._ORACLE_DEEP_Z, 0.0), bessel._ORACLE_DEEP_Z])),
+])
+def test_oracle_at_the_lower_edges(order, z):
+    # 120/z overflowed at Z_MIN (an infinite truncation point) and cosh(2t)
+    # at Z_MIN_K2 (inf - inf), with RuntimeWarnings, where bessel_k is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bessel.oracle_bessel_k(order, z)
+    want = bessel.bessel_k(order, z)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    if np.ndim(order):
+        for row, o in zip(got, order):
+            assert np.array_equal(row, bessel.oracle_bessel_k(o, z))

@@ -139,6 +139,7 @@ GRIDS = {
     "g3_float": lambda: [spectra.g3_polynomial(z) for z in np.linspace(1.0, 400.0, 500)],
     "g2_exact": lambda: [spectra.g2_polynomial(z) for z in _G2_EXACT],
     "g3_exact": lambda: [spectra.g3_polynomial(z) for z in _G3_EXACT],
+    "oracle": lambda: bessel.oracle_bessel_k((0, 1, 2), np.geomspace(1e-6, 90.0, 200)),
 }
 
 #: name -> sha256 of the grid's values, recorded at e2788c0, before the K1/K0
@@ -159,6 +160,8 @@ GRID_DIGESTS = {
     "g3_float": "c5c4bf36ffd5b62173497b482e1683f48f2b985f17b8c7183bf03ce2e091cca8",
     "g2_exact": "c455a00299967d5958c3c3e42074883f117d26e70468608eeb3c2383e0861d80",
     "g3_exact": "673d149f230469a9d4d3f55a918c393dc697f98e1d458b340c53503625ef8198",
+    # recorded at 0019fa8, before the oracle's chunk buffers and lower edges
+    "oracle": "bacdac6e665ee77467441093485a78934ca65d8362da895503b0d69b686b490d",
 }
 
 
