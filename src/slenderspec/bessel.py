@@ -35,7 +35,6 @@ All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +91,18 @@ class BesselEval:
     underflowed: bool = False
 
 
+def _in_domain(z, with_k2=False):
+    """Z_MIN (Z_MIN_K2 for K2) <= z < Z_MAX, false for nan; on an array or a float."""
+    return ((Z_MIN_K2 if with_k2 else Z_MIN) <= z) & (z < Z_MAX)
+
+
 def _validate_z(z, with_k2=False):
     z = np.asarray(z, dtype=float)
-    z_min = Z_MIN_K2 if with_k2 else Z_MIN
-    if z.size and (not np.all(np.isfinite(z)) or np.any(z < z_min)):
-        raise BesselDomainError(f"{'K2' if with_k2 else 'K_nu'} requires finite z >= {z_min:.4g}"
-                                "; it overflows a double below")
-    if np.any(z >= Z_MAX):
+    if not np.all(_in_domain(z, with_k2)):
+        z_min = Z_MIN_K2 if with_k2 else Z_MIN
+        if not np.all(np.isfinite(z)) or np.any(z < z_min):
+            raise BesselDomainError(f"{'K2' if with_k2 else 'K_nu'} requires finite z >= "
+                                    f"{z_min:.4g}; it overflows a double below")
         raise BesselDomainError("K_nu requires z < 2**1023 ~ 8.988e+307; 2 (1 + z) overflows")
     return z
 
@@ -284,26 +288,28 @@ def _k0_k1_floats(zs, with_k2=False, ratio=False):
     """``_k0_k1`` on a list of Python floats, with no masks: each point runs
     the numpy path's operations in the same order, and np.log and np.exp
     take one call each.  Returns the lists K0 and K1, or with ``ratio`` K1/K0."""
-    if not all((Z_MIN_K2 if with_k2 else Z_MIN) <= x < Z_MAX for x in zs):
+    if not all(_in_domain(x, with_k2) for x in zs):
         _validate_z(zs, with_k2)  # raises the numpy path's error
-    series = [x for x in zs if x <= SERIES_CUTOFF]
-    large = [x for x in zs if x > SERIES_CUTOFF]
-    k = {}  # z -> (K0, K1), K0 = 1 past the cutoff with ``ratio``
+    k0, k1 = [1.0] * len(zs), [1.0] * len(zs)  # K0 = 1 past the cutoff with ``ratio``
+    series = [j for j, x in enumerate(zs) if x <= SERIES_CUTOFF]
+    large = [j for j, x in enumerate(zs) if x > SERIES_CUTOFF]
     if series:
-        log_half_z = np.log([0.5 * x for x in series]).tolist()
-        sums = _series_sums_floats([0.25 * x * x for x in series])
-        for x, *terms in zip(series, log_half_z, *sums):
-            k[x] = _series_k(x, *terms)
+        x = [zs[j] for j in series]
+        log_half_z = np.log([0.5 * v for v in x]).tolist()
+        sums = _series_sums_floats([0.25 * v * v for v in x])
+        for j, *terms in zip(series, x, log_half_z, *sums):
+            k0[j], k1[j] = _series_k(*terms)
     if large:
-        h, s = _cf_floats(large, with_s=not ratio)
+        x = [zs[j] for j in large]
+        h, s = _cf_floats(x, with_s=not ratio)
         if not ratio:
-            with np.errstate(under="ignore") if max(large) > UNDERFLOW_Z else nullcontext():
-                decay = np.exp([-x for x in large]).tolist()
-        for j, x in enumerate(large):
-            k0 = 1.0 if ratio else math.sqrt(np.pi / (2.0 * x)) * decay[j] / s[j]
-            k[x] = k0, k0 * (x + 0.5 - 0.25 * h[j]) / x
-    pairs = [k[x] for x in zs]
-    return [b / a for a, b in pairs] if ratio else ([a for a, _ in pairs], [b for _, b in pairs])
+            with np.errstate(under="ignore"):
+                decay = np.exp([-v for v in x]).tolist()
+        for i, j in enumerate(large):
+            if not ratio:
+                k0[j] = math.sqrt(np.pi / (2.0 * x[i])) * decay[i] / s[i]
+            k1[j] = k0[j] * (x[i] + 0.5 - 0.25 * h[i]) / x[i]
+    return [b / a for a, b in zip(k0, k1)] if ratio else (k0, k1)
 
 
 def _kernel(z, with_k2=False, ratio=False):
@@ -325,14 +331,9 @@ def _map(fn, *columns):
     return fn(*columns) if isinstance(columns[0], np.ndarray) else list(map(fn, *columns))
 
 
-def _is_scalar(x):
-    """np.ndim(x) == 0, without its array conversion for numbers and tuples."""
-    return isinstance(x, (float, int)) or not isinstance(x, (tuple, list)) and np.ndim(x) == 0
-
-
 def _check_orders(order):
     """Orders as a tuple; ``order`` is 0, 1 or 2, or a tuple of them."""
-    orders = (order,) if _is_scalar(order) else tuple(order)
+    orders = (order,) if np.ndim(order) == 0 else tuple(order)
     if any(o not in (0, 1, 2) for o in orders):
         raise ValueError("order must be 0, 1 or 2")
     return orders
@@ -360,7 +361,7 @@ def bessel_k(order, z):
     orders = _check_orders(order)
     z1, (k0, k1) = _kernel(z, 2 in orders)
     k2 = _map(lambda a, b, x: a + 2.0 * b / x, k0, k1, z1) if 2 in orders else None
-    return _shape_rows([(k0, k1, k2)[o] for o in orders], _is_scalar(order), _is_scalar(z))
+    return _shape_rows([(k0, k1, k2)[o] for o in orders], np.ndim(order) == 0, np.ndim(z) == 0)
 
 
 def bessel_k_detail(order, z):
@@ -369,18 +370,18 @@ def bessel_k_detail(order, z):
     orders = _check_orders(order)
     evals = tuple(BesselEval(o, float(v), underflowed=z > UNDERFLOW_Z)
                   for o, v in zip(orders, bessel_k(orders, z)))
-    return evals[0] if _is_scalar(order) else evals
+    return evals[0] if np.ndim(order) == 0 else evals
 
 
 def ratio_B(z):
     """B(z) = z K1(z)/K0(z); the Dirichlet-to-Neumann symbol of the Laplace map."""
     z1, ratio = _kernel(z, ratio=True)
-    return _shape_rows([_map(lambda x, r: x * r, z1, ratio)], True, _is_scalar(z))
+    return _shape_rows([_map(lambda x, r: x * r, z1, ratio)], True, np.ndim(z) == 0)
 
 
 def ratio_A(z):
     """A(z) = K0(z)/K1(z) in (0, 1), monotone increasing to 1."""
-    return _shape_rows([_map(lambda r: 1.0 / r, _kernel(z, ratio=True)[1])], True, _is_scalar(z))
+    return _shape_rows([_map(lambda r: 1.0 / r, _kernel(z, ratio=True)[1])], True, np.ndim(z) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +447,9 @@ def _oracle_deep(orders, z, u, w):
             t = T[j] * u
             z_cosh = np.exp(t + np.log(half_z)) + half_z * np.exp(-t)
             for row, order in enumerate(orders):
-                log_cosh = order * t + np.log1p(np.exp(-2.0 * order * t)) - np.log(2.0)
-                out[row, j] = T[j] * (np.exp((log_cosh if order else 0.0) - z_cosh) @ w)
+                log_cosh = (order * t + np.log1p(np.exp(-2.0 * order * t)) - np.log(2.0)
+                            if order else 0.0)
+                out[row, j] = T[j] * (np.exp(log_cosh - z_cosh) @ w)
     return out
 
 

@@ -361,6 +361,40 @@ def test_property_small_batch_path_matches_numpy_loops(zs):
     _assert_same_bits_as_numpy_loops(_loop_outputs, np.array(zs))
 
 
+def _assert_float_loops_match_numpy_loops(z):
+    """The float loops against the numpy loops on the same points, output by
+    output: a per-element series stop or a reordered continued-fraction step
+    can leave every kernel output's bits as they are."""
+    t = 0.25 * z * z
+    for got, want in zip(bessel._series_sums_floats(t.tolist()), bessel._series_sums(t),
+                         strict=True):
+        assert np.array(got).tobytes() == want.tobytes()
+    cf_z = np.maximum(z, np.nextafter(bessel.SERIES_CUTOFF, 3.0))
+    for got, want in zip(bessel._cf_floats(cf_z.tolist(), with_s=True),
+                         bessel._cf(cf_z, with_s=True), strict=True):
+        assert np.array(got).tobytes() == want.tobytes()
+    h, _ = bessel._cf_floats(cf_z.tolist(), with_s=False)
+    assert np.array(h).tobytes() == bessel._cf(cf_z, with_s=False).tobytes()
+
+
+@pytest.mark.parametrize("name, z", _small_grids(),
+                         ids=[f"{name}-{z.size}" for name, z in _small_grids()])
+def test_float_loops_match_numpy_loops_bitwise(name, z):
+    _assert_float_loops_match_numpy_loops(z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ANY_Z, min_size=1, max_size=bessel._SMALL))
+def test_property_float_loops_match_numpy_loops(zs):
+    _assert_float_loops_match_numpy_loops(np.array(zs))
+
+
+def test_float_series_joint_stop_moves_bits_against_a_per_element_stop():
+    # as for the numpy loop: the float series stops jointly over the batch
+    t = [0.25 * _JOINT_STOP_Z ** 2, 0.25 * 2.0 ** 2]
+    assert bessel._series_sums_floats(t[:1])[3][0] != bessel._series_sums_floats(t)[3][0]
+
+
 # ---------------------------------------------------------------------------
 # the public entries: small batches on Python floats against the numpy path
 # ---------------------------------------------------------------------------
