@@ -266,21 +266,23 @@ def _k0_k1(z, with_k2=False, ratio=False):
     skips s and sets K0 = 1, so K1/K0 carries no exp(-z) and stays finite far
     past the underflow point of K itself; dividing by 1.0 moves no bit."""
     z = np.atleast_1d(_validate_z(z, with_k2))
-    k0 = np.empty_like(z)
-    k1 = np.empty_like(z)
+    with np.errstate(under="ignore"):  # K0 = exp(-z) so far, unless ``ratio``
+        k0 = np.empty_like(z) if ratio else np.exp(-z)
+    k1 = np.zeros(z.shape)  # calloc'd: no page is touched before it is written
     small = z <= SERIES_CUTOFF
     if np.any(small):
         k0[small], k1[small] = _k0_k1_series(z[small])
-    if np.any(~small):
-        zl = z[~small]
+    large = ~small if ratio else ~small & (k0 > 0.0)  # exp(-z) = 0.0: K = 0.0 (s may overflow)
+    if np.any(large):
+        zl = z[large]
         if ratio:
             h = _cf(zl, with_s=False)
-            k0[~small] = 1.0
+            k0[large] = 1.0
         else:
             h, s = _cf(zl, with_s=True)
             with np.errstate(under="ignore"):
-                k0[~small] = np.sqrt(np.pi / (2.0 * zl)) * np.exp(-zl) / s
-        k1[~small] = k0[~small] * (zl + 0.5 - 0.25 * h) / zl
+                k0[large] = np.sqrt(np.pi / (2.0 * zl)) * k0[large] / s
+        k1[large] = k0[large] * (zl + 0.5 - 0.25 * h) / zl
     return k1 / k0 if ratio else (k0, k1)
 
 
@@ -290,9 +292,12 @@ def _k0_k1_floats(zs, with_k2=False, ratio=False):
     take one call each.  Returns the lists K0 and K1, or with ``ratio`` K1/K0."""
     if not all(_in_domain(x, with_k2) for x in zs):
         _validate_z(zs, with_k2)  # raises the numpy path's error
-    k0, k1 = [1.0] * len(zs), [1.0] * len(zs)  # K0 = 1 past the cutoff with ``ratio``
+    k0, k1 = [1.0] * len(zs), [0.0] * len(zs)  # K0 = 1 past the cutoff with ``ratio``
+    if not ratio:
+        with np.errstate(under="ignore"):
+            k0 = np.exp([-x for x in zs]).tolist()  # exp(-z) so far
     series = [j for j, x in enumerate(zs) if x <= SERIES_CUTOFF]
-    large = [j for j, x in enumerate(zs) if x > SERIES_CUTOFF]
+    large = [j for j, x in enumerate(zs) if x > SERIES_CUTOFF and k0[j] > 0.0]
     if series:
         x = [zs[j] for j in series]
         log_half_z = np.log([0.5 * v for v in x]).tolist()
@@ -302,28 +307,25 @@ def _k0_k1_floats(zs, with_k2=False, ratio=False):
     if large:
         x = [zs[j] for j in large]
         h, s = _cf_floats(x, with_s=not ratio)
-        if not ratio:
-            with np.errstate(under="ignore"):
-                decay = np.exp([-v for v in x]).tolist()
         for i, j in enumerate(large):
             if not ratio:
-                k0[j] = math.sqrt(np.pi / (2.0 * x[i])) * decay[i] / s[i]
+                k0[j] = math.sqrt(np.pi / (2.0 * x[i])) * k0[j] / s[i]
             k1[j] = k0[j] * (x[i] + 0.5 - 0.25 * h[i]) / x[i]
     return [b / a for a, b in zip(k0, k1)] if ratio else (k0, k1)
 
 
 def _kernel(z, with_k2=False, ratio=False):
-    """The one switch between the two forms: z (1-d) and ``_k0_k1``'s result,
-    as lists of Python floats from ``_k0_k1_floats`` for a scalar or a 1-d
-    batch of at most ``_SMALL`` points, as arrays from ``_k0_k1`` otherwise."""
+    """The one switch between the two forms: z (1-d), ``_k0_k1``'s result (lists of
+    Python floats from ``_k0_k1_floats`` for a scalar or a 1-d batch of at most
+    ``_SMALL`` points, arrays from ``_k0_k1`` otherwise) and whether z is a scalar."""
     if isinstance(z, (float, int)) and _SMALL:
-        zs = [float(z)]
+        zs, scalar = [float(z)], True
     else:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
+        scalar, z = np.ndim(z) == 0, np.atleast_1d(np.asarray(z, dtype=float))
         if z.ndim > 1 or z.size > _SMALL:
-            return z, _k0_k1(z, with_k2, ratio)
+            return z, _k0_k1(z, with_k2, ratio), scalar
         zs = z.tolist()
-    return zs, _k0_k1_floats(zs, with_k2, ratio)
+    return zs, _k0_k1_floats(zs, with_k2, ratio), scalar
 
 
 def _map(fn, *columns):
@@ -332,11 +334,12 @@ def _map(fn, *columns):
 
 
 def _check_orders(order):
-    """Orders as a tuple; ``order`` is 0, 1 or 2, or a tuple of them."""
-    orders = (order,) if np.ndim(order) == 0 else tuple(order)
+    """Orders as a tuple, and whether ``order`` is one (0, 1 or 2), not a tuple of them."""
+    single = not np.iterable(order)
+    orders = (order,) if single else tuple(order)
     if any(o not in (0, 1, 2) for o in orders):
         raise ValueError("order must be 0, 1 or 2")
-    return orders
+    return orders, single
 
 
 def _shape_rows(rows, single, scalar):
@@ -358,30 +361,31 @@ def bessel_k(order, z):
     (``bessel_k_detail`` flags them).  K2 comes from the recurrence
     K2 = K0 + 2 K1/z, which makes the recurrence residual exact.
     """
-    orders = _check_orders(order)
-    z1, (k0, k1) = _kernel(z, 2 in orders)
+    orders, single = _check_orders(order)
+    z1, (k0, k1), scalar = _kernel(z, 2 in orders)
     k2 = _map(lambda a, b, x: a + 2.0 * b / x, k0, k1, z1) if 2 in orders else None
-    return _shape_rows([(k0, k1, k2)[o] for o in orders], np.ndim(order) == 0, np.ndim(z) == 0)
+    return _shape_rows([(k0, k1, k2)[o] for o in orders], single, scalar)
 
 
 def bessel_k_detail(order, z):
     """Like ``bessel_k``, with a :class:`BesselEval` per order that flags underflow."""
     z = float(z)
-    orders = _check_orders(order)
+    orders, single = _check_orders(order)
     evals = tuple(BesselEval(o, float(v), underflowed=z > UNDERFLOW_Z)
                   for o, v in zip(orders, bessel_k(orders, z)))
-    return evals[0] if np.ndim(order) == 0 else evals
+    return evals[0] if single else evals
 
 
 def ratio_B(z):
     """B(z) = z K1(z)/K0(z); the Dirichlet-to-Neumann symbol of the Laplace map."""
-    z1, ratio = _kernel(z, ratio=True)
-    return _shape_rows([_map(lambda x, r: x * r, z1, ratio)], True, np.ndim(z) == 0)
+    z1, ratio, scalar = _kernel(z, ratio=True)
+    return _shape_rows([_map(lambda x, r: x * r, z1, ratio)], True, scalar)
 
 
 def ratio_A(z):
     """A(z) = K0(z)/K1(z) in (0, 1), monotone increasing to 1."""
-    return _shape_rows([_map(lambda r: 1.0 / r, _kernel(z, ratio=True)[1])], True, np.ndim(z) == 0)
+    _, ratio, scalar = _kernel(z, ratio=True)
+    return _shape_rows([_map(lambda r: 1.0 / r, ratio)], True, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +469,7 @@ def oracle_bessel_k(order, z):
     Each order retires at the first level where its own
     points agree, so every row equals the single-order call bit for bit.
     """
-    orders = _check_orders(order)
+    orders, single = _check_orders(order)
     zarr = np.atleast_1d(_validate_z(z, 2 in orders))
     out = np.empty((len(orders), zarr.size))
     live = np.arange(len(orders))
@@ -483,7 +487,7 @@ def oracle_bessel_k(order, z):
         raise BesselAccuracyError(
             f"oracle quadrature stalled at relative error {worst:.3e} (target {_ORACLE_RTOL:.1e})"
         )
-    return _shape_rows(out, np.ndim(order) == 0, np.ndim(z) == 0)
+    return _shape_rows(out, single, np.ndim(z) == 0)
 
 
 # ---------------------------------------------------------------------------

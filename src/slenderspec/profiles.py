@@ -14,6 +14,11 @@ independent numerical route to the same eigenvalues that spectra.py writes
 down in closed form; matching the two to 1e-6 is the module's central
 oracle property.  Derivatives at r = eps use one-sided 4-point stencils
 (the fluid only exists for r >= eps).
+
+Up to ``bessel._SMALL`` radii run one at a time on Python floats and complex numbers, bit for
+bit with numpy by two rules: ``_deriv_at_eps`` divides a complex by a real as numpy does, by
+the reciprocal; a field stays real where its constants are (laplace U; normal U_r, U_theta,
+U_plus, U_minus, p), since a later division rounds differently on complex data.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_k, bessel_k_detail
+from .bessel import _SMALL, bessel_k, bessel_k_detail
 from .spectra import Mode, eigenvalue, pde_family
 
 
@@ -99,24 +104,11 @@ def solve_mode(direction, mode):
     return RadialModeSolution(mode, direction, scale, *consts)
 
 
-def evaluate_profile(sol, r):
-    """Profile values at radii r >= eps.
-
-    Returns a dict of complex arrays.  Keys: laplace_scalar -> U, p (p = 0);
-    tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p.
-    """
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValueError("profile radii must be finite")
-    if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
-        raise ValueError("profiles are defined for r >= eps only")
-    a = math.pi * abs(sol.mode.k)
-    kr = np.ldexp(bessel_k(_PROFILES[sol.direction].orders, a * r), -sol.scale)
-    k0r, k1r = kr[:2]
+def _fields(sol, r, k0r, k1r, k2r=None):
+    """The fields at radii r from K_nu(pi |k| r) * 2**-scale, on arrays or one radius's floats."""
     sgn = 1.0 if sol.mode.k > 0 else -1.0
-
     if sol.direction == "laplace_scalar":
-        return {"U": sol.c0 * k0r, "p": np.zeros_like(k0r, dtype=complex)}
+        return {"U": sol.c0 * k0r, "p": 0j * k0r}  # complex zeros: K0 >= 0 is finite
 
     if sol.direction == "tangential":
         p = sol.c_p * k0r
@@ -127,9 +119,35 @@ def evaluate_profile(sol, r):
     p = sol.c_p * k1r
     u_z = sol.c1 * k1r - 0.5j * sol.c_p * r * k0r * sgn
     u_plus = sol.c0 * k0r + 0.5 * sol.c_p * r * k1r
-    u_minus = sol.c2 * kr[2] + 0.5 * sol.c_p * r * k1r
+    u_minus = sol.c2 * k2r + 0.5 * sol.c_p * r * k1r
     return {"U_r": 0.5 * (u_plus + u_minus), "U_theta": 0.5 * (u_plus - u_minus), "U_z": u_z,
             "U_plus": u_plus, "U_minus": u_minus, "p": p}
+
+
+def _profile(sol, r):
+    """The fields at radii r: arrays for an array r, lists built radius by radius for a list."""
+    a = math.pi * abs(sol.mode.k)
+    kr = np.ldexp(bessel_k(_PROFILES[sol.direction].orders, a * np.asarray(r)), -sol.scale)
+    if isinstance(r, np.ndarray):
+        return _fields(sol, r, *kr)
+    points = [_fields(sol, *point) for point in zip(r, *kr.tolist())]
+    return {key: [point[key] for point in points] for key in points[0]}
+
+
+def evaluate_profile(sol, r):
+    """Profile values at radii r >= eps.
+
+    Returns a dict of arrays.  Keys: laplace_scalar -> U, p (p = 0);
+    tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p.
+    """
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("profile radii must be finite")
+    if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
+        raise ValueError("profiles are defined for r >= eps only")
+    if r.ndim != 1 or not 0 < r.size <= _SMALL:
+        return _profile(sol, r)
+    return {key: np.array(column) for key, column in _profile(sol, r.tolist()).items()}
 
 
 def _fd_step(eps, rel):
@@ -143,7 +161,8 @@ def _fd_step(eps, rel):
 
 def _deriv_at_eps(f, h):
     """One-sided 4-point first derivative at r = eps, O(h^3), from f(eps + h*[0, 1, 2, 3])."""
-    return (-11.0 * f[0] + 18.0 * f[1] - 9.0 * f[2] + 2.0 * f[3]) / (6.0 * h)
+    total = -11.0 * f[0] + 18.0 * f[1] - 9.0 * f[2] + 2.0 * f[3]
+    return total * (1.0 / (6.0 * h)) if isinstance(total, complex) else total / (6.0 * h)
 
 
 def traction_eigenvalue_numeric(direction, mode):
@@ -156,7 +175,7 @@ def traction_eigenvalue_numeric(direction, mode):
     sol = solve_mode(direction, mode)
     eps = mode.eps
     h = _fd_step(eps, 1e-5)
-    prof = evaluate_profile(sol, eps + h * np.arange(4))
+    prof = _profile(sol, [eps + h * j for j in range(4)])
 
     if direction == "laplace_scalar":
         lam = -2.0 * math.pi * eps * _deriv_at_eps(prof["U"], h)

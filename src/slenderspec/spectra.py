@@ -25,6 +25,9 @@ Two tables are the one home of every paper constant: ``_DIRECTIONS`` (each
 direction's setting, families, growth bound, windows, Gronwall terms and
 difference-bound constants) and ``_SETTINGS`` (each setting's delta
 threshold, experiment direction and field component count).
+
+A scalar k in ``eigenvalues`` (``eigenvalue`` passes a Python int) or z in ``b_function``
+runs on Python floats to a float result, bit for bit with the one-element array call.
 """
 
 from __future__ import annotations
@@ -99,6 +102,10 @@ class WindowError(ValueError):
 def _check_eps(eps):
     if not (0.0 < eps < 0.5):
         raise ValueError("fiber radius must lie in (0, 1/2)")
+
+
+def _all(cond):  # a bool as it is, an array reduced
+    return cond.all() if isinstance(cond, np.ndarray) else cond
 
 
 @dataclass(frozen=True)
@@ -188,6 +195,8 @@ def _k0_delta(z, delta, fams):
     with np.errstate(under="ignore"):
         # pi/2 is exact, so this is sqrt(pi/(2x)) bit for bit, and finite for any x
         live = np.sqrt(0.5 * np.pi / x) * np.exp(-x) >= limit
+    if isinstance(x, float):
+        return bessel_k(0, x) if live else 0.0
     k0d = np.zeros_like(x)
     k0d[live] = bessel_k(0, x[live])
     return k0d
@@ -213,18 +222,17 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     As c <= 1 + 2*709.8, only x > 28 is skipped, far past SERIES_CUTOFF.
     """
     fams = (fam,) if isinstance(fam, str) else tuple(fam)
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(z < Z_MIN) or not np.all(np.isfinite(z)):
+    scalar = isinstance(z, (float, int)) or np.ndim(z) == 0  # runs on floats to the result
+    z = float(z) if scalar else np.atleast_1d(np.asarray(z, dtype=float))
+    if not _all((Z_MIN <= z) & (z < math.inf)):
         raise ValueError(f"b_function requires finite z >= {Z_MIN:.4g}; K1 ~ 1/z overflows below")
-    if "B_n" in fams and np.any(z > 2.0**511):  # its z * z overflows from z ~ 1.34e154
+    if "B_n" in fams and not _all(z <= 2.0**511):  # its z * z overflows from z ~ 1.34e154
         raise ValueError("B_n requires z <= 2**511 ~ 6.704e+153; z * z overflows past it")
     needs_delta = [f for f in fams if f in _B_FAMILY["delta_reg"].values()]
     if needs_delta and delta is None:
         raise ValueError(f"{min(needs_delta)} requires delta")
-    if needs_delta and not math.isfinite(delta * float(z.max(initial=0.0))):
-        raise ValueError(f"delta * z = {delta:g} * {z.max():g} overflows a double")
+    if needs_delta and not math.isfinite(delta * float(np.max(z, initial=0.0))):
+        raise ValueError(f"delta * z = {delta:g} * {np.max(z):g} overflows a double")
 
     # the kernels the families share, one pass each
     a = ratio_A(z) if {"B_t", "B_n"}.intersection(fams) else None
@@ -248,12 +256,12 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
                 out = num / ((c0 + m * math.log(delta)) + m * k0d)
             else:
                 pole = SBT_SINGULARITY[direction]
-                if not allow_past_singularity and np.any(z >= pole):
+                if not allow_past_singularity and not _all(z < pole):
                     raise PoleError(f"{f} has a pole at z = {pole:.6f}; pass allow_past_singularity")
                 out = num / ((c0 - m * np.log(0.5 * z)) - m * EULER_GAMMA)
         else:
             raise ValueError(f"unknown B-family {f!r}")
-        rows.append(np.atleast_1d(np.asarray(out, dtype=float)))
+        rows.append([out] if scalar else np.atleast_1d(np.asarray(out, dtype=float)))
     return _shape_rows(rows, isinstance(fam, str), scalar)
 
 
@@ -364,25 +372,24 @@ def eigenvalues(family, eps, k):
     A tuple of families sharing setting, method and delta (e.g. the Stokes
     normal and tangential ones) shares one kernel pass and returns one row
     per family, shaped as in ``bessel_k``; each row is bitwise equal to the
-    single-family call.
+    single-family call.  A scalar k runs on Python floats and returns a float.
     """
     families = (family,) if isinstance(family, EigenFamily) else tuple(family)
     first = families[0]
     if any((f.setting, f.method, f.delta) != (first.setting, first.method, first.delta)
            for f in families):
         raise ValueError("families evaluated together must share setting, method and delta")
-    k = np.asarray(k)
-    scalar = k.ndim == 0
-    k = np.atleast_1d(k)
-    if np.any(k == 0):
+    scalar = isinstance(k, int) or np.ndim(k) == 0  # runs on floats to the result
+    k = abs(k) if scalar else np.abs(np.atleast_1d(k))  # every formula reads |k| only
+    if not _all(k != 0):
         raise ValueError("k = 0 is excluded")
     _check_eps(eps)
-    z = math.pi * eps * np.abs(k).astype(float)
+    z = math.pi * eps * (float(k) if scalar else k.astype(float))
     names = tuple(_B_FAMILY[f.method][f.direction] for f in families)
     if first.method in ("sbt", "sbt_truncated"):
         for f, name in zip(families, names):
             pole = SBT_SINGULARITY[f.direction]
-            if np.any(z == pole):
+            if not _all(z != pole):
                 raise PoleError(f"{name} evaluated exactly at its pole z = {pole:.6f}")
     b_rows = b_function(names, z, delta=first.delta, allow_past_singularity=True)
     rows = []
@@ -390,8 +397,8 @@ def eigenvalues(family, eps, k):
         out = _DIRECTIONS[f.direction].prefactor * b
         if f.method == "sbt_truncated":
             cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
-            out = np.where(np.abs(k) <= cutoff, out, 0.0)
-        rows.append(out)
+            out = np.where(k <= cutoff, out, 0.0)
+        rows.append([out] if scalar else out)
     return _shape_rows(rows, isinstance(family, EigenFamily), scalar)
 
 

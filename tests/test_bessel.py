@@ -540,3 +540,20 @@ def test_oracle_at_the_lower_edges(order, z):
     if np.ndim(order):
         for row, o in zip(got, order):
             assert np.array_equal(row, bessel.oracle_bessel_k(o, z))
+
+
+def test_k_is_zero_where_exp_underflows():
+    # the continued fraction's s-recurrence overflows from z ~ 1e154: K0 and K1 were
+    # nan there (bessel_k((0, 1), 9.329304026284543e+293) gave [nan nan]), with
+    # overflow and invalid RuntimeWarnings on arrays, although exp(-z) is 0.0
+    z = np.geomspace(746.0, 2.0**1022, 400)
+    assert np.exp(-z[0]) == 0.0
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        rows = bessel.bessel_k((0, 1, 2), z)
+        scalars = np.transpose([bessel.bessel_k((0, 1, 2), float(x)) for x in z])
+        ratios = bessel.ratio_A(z), bessel.ratio_B(z)
+    for got in (rows, scalars):
+        assert got.shape == (3, z.size)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
+    assert all(np.all(np.isfinite(r) & (r > 0.0)) for r in ratios)

@@ -122,6 +122,52 @@ def _delta_grid(setting):
     return np.geomspace(spectra._SETTINGS[setting].threshold * (1.0 + 1e-9), 50.0, 1000)
 
 
+def _traction_modes(bands=35, small=15):
+    """Seeded (direction, Mode) pairs with z in (0, 700] and eps log-uniform in
+    (1e-6, 1/2): per direction one z in each of ``bands`` equal-width bands, as
+    the benchmark's traction sweep draws them, and ``small`` z log-uniform in
+    (1e-4, 2), the ascending series and the window where sbt_truncated keeps a mode."""
+    rng = np.random.default_rng(15)
+    out = []
+    for direction in profiles.DIRECTIONS:
+        zs = [(i + rng.uniform()) * 700.0 / bands for i in range(bands)]
+        zs += list(np.exp(rng.uniform(math.log(1e-4), math.log(2.0), small)))
+        for z in zs:
+            eps = math.exp(rng.uniform(math.log(1e-6), math.log(0.5)))
+            k = min(max(1, round(z / (math.pi * eps))), math.floor(700.0 / (math.pi * eps)))
+            out.append((direction, Mode(k * int(rng.choice((-1, 1))), eps)))
+    return out
+
+
+_TRACTION_MODES = _traction_modes()
+
+#: every eigenvalue family of each direction, as the traction modes evaluate it
+_SCALAR_FAMILIES = {
+    (method, direction): spectra.EigenFamily(entry.setting, direction, method,
+                                             delta=2.0 if method == "delta_reg" else None)
+    for method in ("pde", "sbt", "sbt_truncated", "delta_reg")
+    for direction, entry in spectra._DIRECTIONS.items()
+}
+
+
+def _scalar_eigenvalues(family):
+    values = [spectra.eigenvalue(family, mode) for _, mode in _TRACTION_MODES]
+    assert all(type(v) is float for v in values)
+    return values
+
+
+def _incompressibility_06():
+    """incompressibility_residual on the criterion-06 grid."""
+    out = []
+    for direction in ("tangential", "normal"):
+        for eps in (0.1, 0.01):
+            for k in range(1, 21):
+                sol = profiles.solve_mode(direction, Mode(k, eps))
+                out.append(profiles.incompressibility_residual(
+                    sol, np.linspace(eps, min(8.0 * eps, 0.45), 12)))
+    return np.concatenate(out)
+
+
 #: name -> the values on one grid
 GRIDS = {
     "ratio_A": lambda: bessel.ratio_A(_RATIO_Z),
@@ -140,6 +186,11 @@ GRIDS = {
     "g2_exact": lambda: [spectra.g2_polynomial(z) for z in _G2_EXACT],
     "g3_exact": lambda: [spectra.g3_polynomial(z) for z in _G3_EXACT],
     "oracle": lambda: bessel.oracle_bessel_k((0, 1, 2), np.geomspace(1e-6, 90.0, 200)),
+    "traction_sweep": lambda: [v for d, m in _TRACTION_MODES
+                               for v in profiles.traction_vs_closed_form(d, m)],
+    **{f"eigenvalue_{method}_{direction}": (lambda f=f: _scalar_eigenvalues(f))
+       for (method, direction), f in _SCALAR_FAMILIES.items()},
+    "incompressibility_06": _incompressibility_06,
 }
 
 #: name -> sha256 of the grid's values, recorded at e2788c0, before the K1/K0
@@ -162,6 +213,27 @@ GRID_DIGESTS = {
     "g3_exact": "673d149f230469a9d4d3f55a918c393dc697f98e1d458b340c53503625ef8198",
     # recorded at 0019fa8, before the oracle's chunk buffers and lower edges
     "oracle": "bacdac6e665ee77467441093485a78934ca65d8362da895503b0d69b686b490d",
+    # recorded at 28bab26, before the traction route and the scalar eigenvalues ran
+    # on Python floats
+    "traction_sweep": "6b4aebda305695c3f4f00bb092b98e6a591381f0d0f8ff07b49b4d27ca25802a",
+    "eigenvalue_pde_longitudinal": "e7210e267dbf4ac6f7146a285d567d382a65b64a0d9be5b8aa8316f64b060950",
+    "eigenvalue_pde_tangential": "245a319b38c04ea9eb4a2adf09424891a3f05c5f059e8777fa3f202bd2fc9ae9",
+    "eigenvalue_pde_normal": "765fd86a2724b7e0215174df93208f3616d0fa9cf48cb6e01ebcb365d9744122",
+    "eigenvalue_sbt_longitudinal": "dfc499b4be8bc3f43b8b2d0c771508ac065b4764c4875c2610db16715949845a",
+    "eigenvalue_sbt_tangential": "6f22e274e021d56a2ad62c17612d304b2999cc2364f84a6f50f991abb277393a",
+    "eigenvalue_sbt_normal": "7558f0a93ad25b8d94e79c736bc9bc27eec42fb4613f727d5fa3f9073793abe3",
+    "eigenvalue_sbt_truncated_longitudinal":
+        "7c015ab7f6f6d2b9d35ec3e9da34703364f588496f96c058da682a2bfcfbfed5",
+    "eigenvalue_sbt_truncated_tangential":
+        "c5b8c68c14e82690ab42ec771aa297ca6799ca604a6ca9b2400f7b934080c3a0",
+    "eigenvalue_sbt_truncated_normal":
+        "0e58eafbf36ee1bcb7270409c160fa2a53caa56fae6add95a430320f789c8c82",
+    "eigenvalue_delta_reg_longitudinal":
+        "9758bb5aca483ba15ff480525dd5b40fea96678f651c9c3e9362cedd38ad4920",
+    "eigenvalue_delta_reg_tangential":
+        "69e636ceb9cf6e3bdc612ec28d5950f45bedd13b5ce116e7ac818660419c58ad",
+    "eigenvalue_delta_reg_normal": "6ca625036d862c7e02b2c168f5a34cfffda791030378efccdc8cc061944e938f",
+    "incompressibility_06": "f7d099b5fb1b37c34f168a2ecaa4000af7aa433eb68dbf3f7aaa62936ae2872a",
 }
 
 

@@ -203,3 +203,31 @@ def test_normal_plus_minus_split():
     prof = profiles.evaluate_profile(sol, r)
     assert np.max(np.abs(prof["U_r"] - 0.5 * (prof["U_plus"] + prof["U_minus"]))) < 1e-14
     assert np.max(np.abs(prof["U_theta"] - 0.5 * (prof["U_plus"] - prof["U_minus"]))) < 1e-14
+
+
+#: each field's dtype: real wherever its constants are
+_FIELD_DTYPES = {
+    "laplace_scalar": {"U": float, "p": complex},
+    "tangential": {"U_r": complex, "U_z": complex, "p": complex},
+    "normal": {"U_r": float, "U_theta": float, "U_z": complex, "U_plus": float,
+               "U_minus": float, "p": float},
+}
+
+
+@pytest.mark.parametrize("direction", profiles.DIRECTIONS)
+def test_few_radii_match_the_array_route_bitwise(direction):
+    # up to bessel._SMALL radii run one at a time on Python numbers, more on arrays;
+    # a field turned complex would round later divisions differently
+    mode = Mode(-7, 0.03)
+    sol = profiles.solve_mode(direction, mode)
+    r = np.linspace(mode.eps, 0.4, 3 * bessel._SMALL)
+    whole = profiles.evaluate_profile(sol, r)
+    dtypes = {key: np.dtype(t) for key, t in _FIELD_DTYPES[direction].items()}
+    for prof in (whole, profiles.evaluate_profile(sol, r[:0])):
+        assert list(prof) == list(dtypes)
+        assert {key: v.dtype for key, v in prof.items()} == dtypes
+    for n in (1, 4, bessel._SMALL):
+        parts = [profiles.evaluate_profile(sol, r[i:i + n]) for i in range(0, r.size, n)]
+        for key, want in whole.items():
+            got = np.concatenate([part[key] for part in parts])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -560,3 +560,71 @@ def test_property_pde_positive(eps, k):
 @given(st.floats(min_value=0.05, max_value=10.0))
 def test_property_h_bound(z):
     assert abs(spectra.h_function(z)) < 1.125 * z
+
+
+# ---------------------------------------------------------------------------
+# the Python-float route: a scalar k or z against the one-element array call
+# ---------------------------------------------------------------------------
+
+#: every family of every direction, delta_reg at delta = 2
+_ALL_FAMILIES = [EigenFamily(entry.setting, d, method, delta=2.0 if method == "delta_reg" else None)
+                 for method in ("pde", "sbt", "sbt_truncated", "delta_reg")
+                 for d, entry in spectra._DIRECTIONS.items()]
+
+
+def _scalar_and_row(call, x):
+    """call(x) for a Python number x and call(np.array([x]))[0]: each a float's
+    hex form (the first must be a Python float), or its error's type and text."""
+    out = []
+    for arg in (x, np.array([x])):
+        try:
+            value = call(arg)
+        except Exception as exc:  # the error itself is compared
+            out.append((type(exc), str(exc)))
+            continue
+        if arg is x:
+            assert type(value) is float
+        out.append(float(value if arg is x else value[0]).hex())
+    return out
+
+
+_NONZERO_K = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**200, 10**200)).filter(bool)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(_ALL_FAMILIES), _NONZERO_K,
+       st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+def test_property_int_k_runs_on_floats_bitwise(family, k, eps):
+    scalar, row = _scalar_and_row(lambda kk: spectra.eigenvalues(family, eps, kk), k)
+    assert scalar == row
+
+
+def _raising_int_k_cases():
+    """(family, eps, k): k = 0, eps outside (0, 1/2) and z below Z_MIN for every
+    family; z past 2**511 for B_n, and past the kernel's upper edge for pde."""
+    cases = [(f, eps, k) for f in _ALL_FAMILIES for eps, k in (
+        (0.1, 0), (0.0, 3), (0.5, 3), (-0.1, 3), (math.nan, 3), (math.inf, 3), (1e-310, 1))]
+    cases += [(spectra.pde_family("normal"), 0.1, 10**160)]
+    cases += [(f, 0.4, 10**308) for f in _ALL_FAMILIES if f.method == "pde"]
+    return cases
+
+
+@pytest.mark.parametrize("family, eps, k", _raising_int_k_cases(),
+                         ids=lambda v: getattr(v, "method", None) or f"{v:.3g}")
+def test_int_k_raises_as_the_array_route(family, eps, k):
+    scalar, row = _scalar_and_row(lambda kk: spectra.eigenvalues(family, eps, kk), k)
+    assert isinstance(scalar, tuple) and scalar == row
+
+
+_ANY_B_Z = st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
+                     st.floats(min_value=1e-300, max_value=1e300),
+                     st.sampled_from([2.0**511, math.nextafter(2.0**511, math.inf), math.inf,
+                                      math.nan, 0.0, -1.0]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(spectra.ODE_FAMILIES), _ANY_B_Z, st.booleans())
+def test_property_b_function_float_z_matches_the_row(name, z, allow):
+    scalar, row = _scalar_and_row(
+        lambda zz: spectra.b_function(name, zz, delta=2.0, allow_past_singularity=allow), z)
+    assert scalar == row
