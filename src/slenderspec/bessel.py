@@ -266,13 +266,15 @@ def _k0_k1(z, with_k2=False, ratio=False):
     skips s and sets K0 = 1, so K1/K0 carries no exp(-z) and stays finite far
     past the underflow point of K itself; dividing by 1.0 moves no bit."""
     z = np.atleast_1d(_validate_z(z, with_k2))
-    with np.errstate(under="ignore"):  # K0 = exp(-z) so far, unless ``ratio``
-        k0 = np.empty_like(z) if ratio else np.exp(-z)
+    k0 = np.empty_like(z)
     k1 = np.zeros(z.shape)  # calloc'd: no page is touched before it is written
     small = z <= SERIES_CUTOFF
     if np.any(small):
         k0[small], k1[small] = _k0_k1_series(z[small])
-    large = ~small if ratio else ~small & (k0 > 0.0)  # exp(-z) = 0.0: K = 0.0 (s may overflow)
+    if np.any(large := ~small) and not ratio:
+        with np.errstate(under="ignore"):
+            k0[large] = np.exp(-z[large])  # K0 = exp(-z) so far
+        large &= k0 > 0.0  # where exp(-z) = 0.0, K stays 0.0 (s may overflow)
     if np.any(large):
         zl = z[large]
         if ratio:
@@ -292,32 +294,32 @@ def _k0_k1_floats(zs, with_k2=False, ratio=False):
     take one call each.  Returns the lists K0 and K1, or with ``ratio`` K1/K0."""
     if not all(_in_domain(x, with_k2) for x in zs):
         _validate_z(zs, with_k2)  # raises the numpy path's error
-    k0, k1 = [1.0] * len(zs), [0.0] * len(zs)  # K0 = 1 past the cutoff with ``ratio``
-    if not ratio:
-        with np.errstate(under="ignore"):
-            k0 = np.exp([-x for x in zs]).tolist()  # exp(-z) so far
+    k0, k1 = [float(ratio)] * len(zs), [0.0] * len(zs)  # past the cutoff K0 = 1 with ``ratio``
     series = [j for j, x in enumerate(zs) if x <= SERIES_CUTOFF]
-    large = [j for j, x in enumerate(zs) if x > SERIES_CUTOFF and k0[j] > 0.0]
+    large = [j for j, x in enumerate(zs) if x > SERIES_CUTOFF]
     if series:
         x = [zs[j] for j in series]
         log_half_z = np.log([0.5 * v for v in x]).tolist()
         sums = _series_sums_floats([0.25 * v * v for v in x])
         for j, *terms in zip(series, x, log_half_z, *sums):
             k0[j], k1[j] = _series_k(*terms)
+    if large and not ratio:
+        with np.errstate(under="ignore"):
+            decay = dict(zip(large, np.exp([-zs[j] for j in large]).tolist()))
+        large = [j for j in large if decay[j] > 0.0]  # where exp(-z) = 0.0, K stays 0.0
     if large:
         x = [zs[j] for j in large]
         h, s = _cf_floats(x, with_s=not ratio)
         for i, j in enumerate(large):
             if not ratio:
-                k0[j] = math.sqrt(np.pi / (2.0 * x[i])) * k0[j] / s[i]
+                k0[j] = math.sqrt(np.pi / (2.0 * x[i])) * decay[j] / s[i]
             k1[j] = k0[j] * (x[i] + 0.5 - 0.25 * h[i]) / x[i]
     return [b / a for a, b in zip(k0, k1)] if ratio else (k0, k1)
 
 
 def _kernel(z, with_k2=False, ratio=False):
-    """The one switch between the two forms: z (1-d), ``_k0_k1``'s result (lists of
-    Python floats from ``_k0_k1_floats`` for a scalar or a 1-d batch of at most
-    ``_SMALL`` points, arrays from ``_k0_k1`` otherwise) and whether z is a scalar."""
+    """The one switch: z (1-d), ``_k0_k1``'s result (lists from ``_k0_k1_floats`` for a scalar
+    or a 1-d batch of at most ``_SMALL`` points, else arrays) and whether z was a scalar."""
     if isinstance(z, (float, int)) and _SMALL:
         zs, scalar = [float(z)], True
     else:
@@ -335,7 +337,7 @@ def _map(fn, *columns):
 
 def _check_orders(order):
     """Orders as a tuple, and whether ``order`` is one (0, 1 or 2), not a tuple of them."""
-    single = not np.iterable(order)
+    single = isinstance(order, int) or np.ndim(order) == 0
     orders = (order,) if single else tuple(order)
     if any(o not in (0, 1, 2) for o in orders):
         raise ValueError("order must be 0, 1 or 2")

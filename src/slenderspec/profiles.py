@@ -15,10 +15,10 @@ down in closed form; matching the two to 1e-6 is the module's central
 oracle property.  Derivatives at r = eps use one-sided 4-point stencils
 (the fluid only exists for r >= eps).
 
-Up to ``bessel._SMALL`` radii run one at a time on Python floats and complex numbers, bit for
-bit with numpy by two rules: ``_deriv_at_eps`` divides a complex by a real as numpy does, by
-the reciprocal; a field stays real where its constants are (laplace U; normal U_r, U_theta,
-U_plus, U_minus, p), since a later division rounds differently on complex data.
+The traction stencil runs radius by radius on Python numbers, bit for bit with the arrays by
+two rules: ``_deriv_at_eps`` divides a complex by a real as numpy does, by the reciprocal; a
+field stays real where its constants are (laplace U; normal U_r, U_theta, U_plus, U_minus,
+p), since a later division rounds differently on complex data.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _SMALL, bessel_k, bessel_k_detail
+from .bessel import bessel_k, bessel_k_detail
 from .spectra import Mode, eigenvalue, pde_family
 
 
@@ -145,9 +145,7 @@ def evaluate_profile(sol, r):
         raise ValueError("profile radii must be finite")
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
         raise ValueError("profiles are defined for r >= eps only")
-    if r.ndim != 1 or not 0 < r.size <= _SMALL:
-        return _profile(sol, r)
-    return {key: np.array(column) for key, column in _profile(sol, r.tolist()).items()}
+    return _profile(sol, r)
 
 
 def _fd_step(eps, rel):

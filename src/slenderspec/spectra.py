@@ -195,8 +195,8 @@ def _k0_delta(z, delta, fams):
     with np.errstate(under="ignore"):
         # pi/2 is exact, so this is sqrt(pi/(2x)) bit for bit, and finite for any x
         live = np.sqrt(0.5 * np.pi / x) * np.exp(-x) >= limit
-    if isinstance(x, float):
-        return bessel_k(0, x) if live else 0.0
+    if isinstance(x, float):  # numpy's: a denominator c + m K0 = 0 gives inf, not an error
+        return np.float64(bessel_k(0, x) if live else 0.0)
     k0d = np.zeros_like(x)
     k0d[live] = bessel_k(0, x[live])
     return k0d

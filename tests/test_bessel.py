@@ -557,3 +557,12 @@ def test_k_is_zero_where_exp_underflows():
         assert got.shape == (3, z.size)
         assert np.all(got == 0.0) and not np.any(np.signbit(got))
     assert all(np.all(np.isfinite(r) & (r > 0.0)) for r in ratios)
+
+
+@pytest.mark.parametrize("order", [{0, 2}, frozenset({1}), "0", None],
+                         ids=["set", "frozenset", "str", "None"])
+def test_order_is_one_order_or_a_sequence_of_them(order):
+    # a set has no order for its rows; np.ndim of a set is 0, so it is one (bad) order
+    for route in (bessel.bessel_k, bessel.bessel_k_detail):
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            route(order, 1.0)

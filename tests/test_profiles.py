@@ -215,19 +215,21 @@ _FIELD_DTYPES = {
 
 
 @pytest.mark.parametrize("direction", profiles.DIRECTIONS)
-def test_few_radii_match_the_array_route_bitwise(direction):
-    # up to bessel._SMALL radii run one at a time on Python numbers, more on arrays;
-    # a field turned complex would round later divisions differently
+def test_list_route_matches_the_array_route_bitwise(direction):
+    # the traction stencil runs radius by radius on Python numbers; a field turned
+    # complex there would round the stencil's division differently
     mode = Mode(-7, 0.03)
     sol = profiles.solve_mode(direction, mode)
-    r = np.linspace(mode.eps, 0.4, 3 * bessel._SMALL)
+    r = np.linspace(mode.eps, 0.4, 96)
     whole = profiles.evaluate_profile(sol, r)
     dtypes = {key: np.dtype(t) for key, t in _FIELD_DTYPES[direction].items()}
     for prof in (whole, profiles.evaluate_profile(sol, r[:0])):
         assert list(prof) == list(dtypes)
         assert {key: v.dtype for key, v in prof.items()} == dtypes
-    for n in (1, 4, bessel._SMALL):
-        parts = [profiles.evaluate_profile(sol, r[i:i + n]) for i in range(0, r.size, n)]
-        for key, want in whole.items():
-            got = np.concatenate([part[key] for part in parts])
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for n in (1, 4):
+        for i in range(0, r.size, n):
+            points = profiles._profile(sol, r[i:i + n].tolist())
+            assert list(points) == list(dtypes)
+            for key, want in whole.items():
+                got = np.array(points[key])
+                assert got.dtype == want.dtype and got.tobytes() == want[i:i + n].tobytes()

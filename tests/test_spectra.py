@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slenderspec import bessel, spectra
 from slenderspec.spectra import EigenFamily, Mode, PoleError, WindowError
@@ -574,17 +574,20 @@ _ALL_FAMILIES = [EigenFamily(entry.setting, d, method, delta=2.0 if method == "d
 
 def _scalar_and_row(call, x):
     """call(x) for a Python number x and call(np.array([x]))[0]: each a float's
-    hex form (the first must be a Python float), or its error's type and text."""
+    hex form (the first must be a Python float) with the categories of the
+    warnings it raised, or its error's type and text."""
     out = []
     for arg in (x, np.array([x])):
-        try:
-            value = call(arg)
-        except Exception as exc:  # the error itself is compared
-            out.append((type(exc), str(exc)))
-            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = call(arg)
+            except Exception as exc:  # the error itself is compared
+                out.append((type(exc), str(exc)))
+                continue
         if arg is x:
             assert type(value) is float
-        out.append(float(value if arg is x else value[0]).hex())
+        out.append((float(value if arg is x else value[0]).hex(), [w.category for w in caught]))
     return out
 
 
@@ -622,9 +625,17 @@ _ANY_B_Z = st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
                                       math.nan, 0.0, -1.0]))
 
 
+#: delta = 2, and the zeros of c0 + m log(delta) (B_delta, B_delta_t, B_delta_n), where
+#: B = num / (c0 + m log(delta) + m K0(delta z)) is num / 0 once K0(delta z) is 0
+_ANY_DELTA = st.one_of(st.just(2.0), st.sampled_from([1.0, math.sqrt(math.e), math.exp(-0.5)]),
+                       st.floats(min_value=1e-3, max_value=1e3))
+
+
 @settings(max_examples=250, deadline=None)
-@given(st.sampled_from(spectra.ODE_FAMILIES), _ANY_B_Z, st.booleans())
-def test_property_b_function_float_z_matches_the_row(name, z, allow):
+@given(st.sampled_from(spectra.ODE_FAMILIES), _ANY_B_Z, _ANY_DELTA, st.booleans())
+@example("B_delta", 1000.0, 1.0, False)
+@example("B_delta_t", 1000.0, math.sqrt(math.e), False)
+def test_property_b_function_float_z_matches_the_row(name, z, delta, allow):
     scalar, row = _scalar_and_row(
-        lambda zz: spectra.b_function(name, zz, delta=2.0, allow_past_singularity=allow), z)
+        lambda zz: spectra.b_function(name, zz, delta=delta, allow_past_singularity=allow), z)
     assert scalar == row
