@@ -19,15 +19,18 @@ Two evaluation routes are kept deliberately independent:
   integral representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
   refined until the self-estimated error is below 1e-14 relative.
 
-The kernel has two forms; ``_kernel``, at the entry of ``bessel_k``,
-``ratio_A`` and ``ratio_B``, is the one switch.  A scalar or a batch of at
-most ``_SMALL`` points runs on Python floats from validation to result
-(``_k0_k1_floats``), free of numpy's ~1 us per call on tiny arrays; larger
-batches run on arrays (``_k0_k1``).  The bits are the same: both make the
-same + - * /, abs, sqrt and comparisons in the same order, with the same
-stopping tests (per element for the continued fraction, joint over the batch
-for the series), and IEEE rounds them alike.  np.log and np.exp stay numpy
-calls, one per batch, as math.log and math.exp need not round alike.
+The series (``_series_sums``) and the continued fraction (``_cf``) are each
+one loop, run on a numpy array or on one Python float.  ``_kernel``, at the
+entry of ``bessel_k``, ``ratio_A`` and ``ratio_B``, is the one switch: a
+scalar or a batch of at most ``_SMALL`` points runs on Python floats from
+validation to result (``_k0_k1_floats``, which runs the loops point by
+point), free of numpy's ~1 us per call on tiny arrays; larger batches run
+the loops on arrays (``_k0_k1``).  The bits are the same: each point makes
+the same + - * /, abs, sqrt and comparisons in the same order, and IEEE
+rounds them alike.  A continued-fraction point stops on its own test; every
+series point of a batch takes the term count of the batch's largest
+t = z^2/4 (``_series_terms``).  np.log and np.exp stay numpy calls, one per
+batch, as math.log and math.exp need not round alike.
 
 All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure.
 """
@@ -107,28 +110,35 @@ def _validate_z(z, with_k2=False):
     return z
 
 
-def _k0_k1_series(z):
-    """Ascending log series for K0, K1; accurate for z <= SERIES_CUTOFF."""
-    return _series_k(z, np.log(0.5 * z), *_series_sums(0.25 * z * z))
-
-
 def _series_k(z, log_half_z, i0, k0_sum, i1_sum, k1_sum):
-    """K0 and K1 from log(z/2) and the series sums, on arrays or floats alike."""
+    """K0 and K1 by the ascending log series, accurate for z <= SERIES_CUTOFF,
+    from log(z/2) and the series sums, on arrays or floats alike."""
     return (-(log_half_z + EULER_GAMMA) * i0 + k0_sum,
             log_half_z * (0.5 * z * i1_sum) + 1.0 / z - 0.25 * z * k1_sum)
 
 
-def _series_sums(t):
-    """I0, sum_{m>=1} H_m t^m/(m!)^2, I1 and the psi-weighted I1 sum, all
-    stopping together once every I0 term is below 1e-18 of its partial sum."""
-    i0_term = np.ones_like(t)
-    i0 = np.ones_like(t)
-    k0_sum = np.zeros_like(t)          # sum_{m>=1} H_m t^m / (m!)^2
-    i1_term = np.ones_like(t)          # t^m / (m!(m+1)!), m = 0 term
-    i1_sum = np.ones_like(t)
-    k1_sum = np.ones_like(t) * (-2.0 * EULER_GAMMA + 1.0)   # (psi(1)+psi(2)) at m=0
-    harmonic = 0.0
+def _series_terms(t):
+    """The series' term count at t = z^2/4: the first m whose I0 term is at most
+    1e-18 of its partial sum.  On [0, 1] it never falls as t grows (1 to 13
+    terms), so a batch's largest t gives the count at which every point's
+    own test has passed."""
+    i0_term = i0 = 1.0
     for m in range(1, _SERIES_MAX_TERMS):
+        i0_term = i0_term * t / (m * m)
+        i0 += i0_term
+        if i0_term <= 1e-18 * i0:
+            break
+    return m
+
+
+def _series_sums(t, terms):
+    """I0, sum_{m>=1} H_m t^m/(m!)^2, I1 and the psi-weighted I1 sum to
+    ``terms`` terms, on an array or one float."""
+    i0_term = i0 = i1_term = i1_sum = 1.0  # the m = 0 terms
+    k0_sum = 0.0                           # sum_{m>=1} H_m t^m / (m!)^2
+    k1_sum = -2.0 * EULER_GAMMA + 1.0      # (psi(1)+psi(2)) at m=0
+    harmonic = 0.0
+    for m in range(1, terms + 1):
         harmonic += 1.0 / m
         i0_term = i0_term * t / (m * m)
         i0 += i0_term
@@ -137,35 +147,6 @@ def _series_sums(t):
         i1_sum += i1_term
         # psi(m+1) + psi(m+2) = -2 gamma + H_m + H_{m+1}
         k1_sum += i1_term * (-2.0 * EULER_GAMMA + 2.0 * harmonic + 1.0 / (m + 1))
-        if np.all(i0_term <= 1e-18 * i0):
-            break
-    return i0, k0_sum, i1_sum, k1_sum
-
-
-def _series_sums_floats(t):
-    """``_series_sums`` on a list of Python floats, the same operations in the
-    same order, with the same joint stop over the whole batch."""
-    n = len(t)
-    i0_term, i0, k0_sum = [1.0] * n, [1.0] * n, [0.0] * n
-    i1_term, i1_sum = [1.0] * n, [1.0] * n
-    k1_sum = [-2.0 * EULER_GAMMA + 1.0] * n
-    harmonic = 0.0
-    for m in range(1, _SERIES_MAX_TERMS):
-        harmonic += 1.0 / m
-        weight = -2.0 * EULER_GAMMA + 2.0 * harmonic + 1.0 / (m + 1)
-        stop = True
-        for j in range(n):
-            term = i0_term[j] * t[j] / (m * m)
-            i0_term[j] = term
-            i0[j] += term
-            k0_sum[j] += term * harmonic
-            term1 = i1_term[j] * t[j] / (m * (m + 1))
-            i1_term[j] = term1
-            i1_sum[j] += term1
-            k1_sum[j] += term1 * weight
-            stop = stop and term <= 1e-18 * i0[j]
-        if stop:
-            break
     return i0, k0_sum, i1_sum, k1_sum
 
 
@@ -183,23 +164,26 @@ _CF_STEPS = _cf_steps()
 
 
 def _cf(z, with_s):
-    """Temme/Thompson-Barnett continued fraction (modified Lentz, order 0).
+    """Temme/Thompson-Barnett continued fraction (modified Lentz, order 0), on
+    an array or on one Python float.
 
     Returns h, with K1/K0 = (z + 1/2 - h/4)/z, and with ``with_s`` also s,
-    with K0 = sqrt(pi/(2z)) e^{-z} / s, for z >= SERIES_CUTOFF.  An element
+    with K0 = sqrt(pi/(2z)) e^{-z} / s, for z >= SERIES_CUTOFF.  A point
     retires once its own test passes, |dels| <= 1e-17 |s| with s and
     |delh| <= 1e-17 |h| without (~90 steps just above z = 2, 6-12 for most
-    z): what it would still add is below half an ulp.  Large z retires
-    first, so on an ascending grid the retired elements are a suffix and
-    the live arrays shrink by slicing; otherwise by boolean compaction.
+    z): what it would still add is below half an ulp.  One float stops
+    there.  In an array large z retires first, so on an ascending grid the
+    retired elements are a suffix and the live arrays shrink by slicing;
+    otherwise by boolean compaction.
     """
-    h_out = np.empty_like(z)
-    live = np.arange(z.size)
+    point = isinstance(z, float)
+    if not point:
+        live, h_out, s_out = np.arange(z.size), np.empty_like(z), np.empty_like(z)
     b = 2.0 * (1.0 + z)
     h = delh = d = 1.0 / b  # the loop rebinds, never writes in place
     if with_s:
-        s_out = np.empty_like(z)
-        q1, q2, q = np.zeros_like(z), np.ones_like(z), np.full_like(z, 0.25)
+        q1 = 0.0 * z
+        q2, q = q1 + 1.0, q1 + 0.25
         s = 1.0 + q * delh
     for a, c in _CF_STEPS:
         if with_s:
@@ -212,10 +196,13 @@ def _cf(z, with_s):
         if with_s:
             dels = q * delh
             s = s + dels
-            done = np.abs(dels) <= 1e-17 * np.abs(s)
+            done = abs(dels) <= 1e-17 * abs(s)
         else:
-            done = np.abs(delh) <= 1e-17 * np.abs(h)
-        if done.any():
+            done = abs(delh) <= 1e-17 * abs(h)
+        if point:
+            if done:
+                break
+        elif done.any():
             n = live.size - np.count_nonzero(done)
             keep, gone = (slice(n), slice(n, None)) if done[n:].all() else (~done, done)
             h_out[live[gone]] = h[gone]
@@ -225,40 +212,12 @@ def _cf(z, with_s):
             live, b, d, h, delh = live[keep], b[keep], d[keep], h[keep], delh[keep]
             if not live.size:
                 break
-    h_out[live] = h
-    if not with_s:
-        return h_out
-    s_out[live] = s
-    return h_out, s_out
-
-
-def _cf_floats(z, with_s):
-    """``_cf`` on a list of Python floats, one element at a time, each retiring
-    on the same test after the same operations in the same order; (h, s)."""
-    h_out, s_out = [], []
-    for x in z:
-        b = 2.0 * (1.0 + x)
-        h = delh = d = 1.0 / b
-        q1, q2, q = 0.0, 1.0, 0.25
-        s = 1.0 + q * delh
-        for a, c in _CF_STEPS:
-            if with_s:
-                q1, q2 = q2, (q1 - b * q2) / a
-                q = q + c * q2
-            b = b + 2.0
-            d = 1.0 / (b + a * d)
-            delh = (b * d - 1.0) * delh
-            h = h + delh
-            if with_s:
-                dels = q * delh
-                s = s + dels
-                if abs(dels) <= 1e-17 * abs(s):
-                    break
-            elif abs(delh) <= 1e-17 * abs(h):
-                break
-        h_out.append(h)
-        s_out.append(s)
-    return h_out, s_out
+    if not point:
+        h_out[live] = h
+        if with_s:
+            s_out[live] = s
+        h, s = h_out, s_out
+    return (h, s) if with_s else h
 
 
 def _k0_k1(z, with_k2=False, ratio=False):
@@ -270,7 +229,10 @@ def _k0_k1(z, with_k2=False, ratio=False):
     k1 = np.zeros(z.shape)  # calloc'd: no page is touched before it is written
     small = z <= SERIES_CUTOFF
     if np.any(small):
-        k0[small], k1[small] = _k0_k1_series(z[small])
+        zs = z[small]
+        t = 0.25 * zs * zs
+        sums = _series_sums(t, _series_terms(float(t.max())))
+        k0[small], k1[small] = _series_k(zs, np.log(0.5 * zs), *sums)
     if np.any(large := ~small) and not ratio:
         with np.errstate(under="ignore"):
             k0[large] = np.exp(-z[large])  # K0 = exp(-z) so far
@@ -289,31 +251,33 @@ def _k0_k1(z, with_k2=False, ratio=False):
 
 
 def _k0_k1_floats(zs, with_k2=False, ratio=False):
-    """``_k0_k1`` on a list of Python floats, with no masks: each point runs
-    the numpy path's operations in the same order, and np.log and np.exp
-    take one call each.  Returns the lists K0 and K1, or with ``ratio`` K1/K0."""
+    """``_k0_k1`` on a list of Python floats, with no masks: each point runs the
+    series or the continued fraction on its own, the series to the count of
+    the largest series point, and np.log and np.exp take one call each.
+    Returns the lists K0 and K1, or with ``ratio`` K1/K0."""
     if not all(_in_domain(x, with_k2) for x in zs):
         _validate_z(zs, with_k2)  # raises the numpy path's error
     k0, k1 = [float(ratio)] * len(zs), [0.0] * len(zs)  # past the cutoff K0 = 1 with ``ratio``
     series = [j for j, x in enumerate(zs) if x <= SERIES_CUTOFF]
     large = [j for j, x in enumerate(zs) if x > SERIES_CUTOFF]
     if series:
-        x = [zs[j] for j in series]
-        log_half_z = np.log([0.5 * v for v in x]).tolist()
-        sums = _series_sums_floats([0.25 * v * v for v in x])
-        for j, *terms in zip(series, x, log_half_z, *sums):
-            k0[j], k1[j] = _series_k(*terms)
+        log_half_z = np.log([0.5 * zs[j] for j in series]).tolist()
+        t = [0.25 * zs[j] * zs[j] for j in series]
+        terms = _series_terms(max(t))
+        for j, log_j, t_j in zip(series, log_half_z, t):
+            k0[j], k1[j] = _series_k(zs[j], log_j, *_series_sums(t_j, terms))
     if large and not ratio:
         with np.errstate(under="ignore"):
             decay = dict(zip(large, np.exp([-zs[j] for j in large]).tolist()))
         large = [j for j in large if decay[j] > 0.0]  # where exp(-z) = 0.0, K stays 0.0
-    if large:
-        x = [zs[j] for j in large]
-        h, s = _cf_floats(x, with_s=not ratio)
-        for i, j in enumerate(large):
-            if not ratio:
-                k0[j] = math.sqrt(np.pi / (2.0 * x[i])) * decay[j] / s[i]
-            k1[j] = k0[j] * (x[i] + 0.5 - 0.25 * h[i]) / x[i]
+    for j in large:
+        x = zs[j]
+        if ratio:
+            h = _cf(x, with_s=False)
+        else:
+            h, s = _cf(x, with_s=True)
+            k0[j] = math.sqrt(np.pi / (2.0 * x)) * decay[j] / s
+        k1[j] = k0[j] * (x + 0.5 - 0.25 * h) / x
     return [b / a for a, b in zip(k0, k1)] if ratio else (k0, k1)
 
 

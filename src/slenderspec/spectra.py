@@ -269,8 +269,8 @@ def ode_rhs(fam, z, b_value, delta=None):
     """Right-hand side of dB/dz for the named family, at (z, B)."""
     z = np.asarray(z, dtype=float)
     b = np.asarray(b_value, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("ode_rhs requires z > 0")
+    if not np.all((z > 0) & (z < math.inf)):
+        raise ValueError("ode_rhs requires finite z > 0")
     if fam == "B":
         out = (b * b - z * z) / z
     elif fam == "B_t":
@@ -393,8 +393,13 @@ def eigenvalues(family, eps, k):
                 raise PoleError(f"{name} evaluated exactly at its pole z = {pole:.6f}")
     b_rows = b_function(names, z, delta=first.delta, allow_past_singularity=True)
     rows = []
-    for f, b in zip(families, b_rows):
-        out = _DIRECTIONS[f.direction].prefactor * b
+    for f, name, b in zip(families, names, b_rows):
+        prefactor = _DIRECTIONS[f.direction].prefactor
+        # prefactor < 16: only |b| >= 2**1020 can take lambda past the double range
+        if not _all(abs(b) < 2.0**1020) and not math.isfinite(prefactor * float(np.max(abs(b)))):
+            raise OverflowError(f"eigenvalue {prefactor:.4g} * {name}(z) overflows a double; "
+                                f"z = pi eps |k| reaches {np.max(z):.4g}")
+        out = prefactor * b
         if f.method == "sbt_truncated":
             cutoff = f.cutoff if f.cutoff is not None else f.default_cutoff(eps)
             out = np.where(k <= cutoff, out, 0.0)

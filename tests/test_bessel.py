@@ -269,11 +269,37 @@ def _cf_grids():
 
 @pytest.mark.parametrize("z", _cf_grids(), ids=lambda z: f"{z.size}pts")
 def test_cf_matches_compacting_loop_bitwise(z):
+    # the one loop, on the array and point by point on Python floats
     h_ref, s_ref = _compacting_cf(z, with_s=True)
     h, s = bessel._cf(z, with_s=True)
     assert h.tobytes() == h_ref.tobytes() and s.tobytes() == s_ref.tobytes()
+    h, s = zip(*(bessel._cf(x, with_s=True) for x in z.tolist()))
+    assert np.array(h).tobytes() == h_ref.tobytes() and np.array(s).tobytes() == s_ref.tobytes()
     h_ref, _ = _compacting_cf(z, with_s=False)
     assert bessel._cf(z, with_s=False).tobytes() == h_ref.tobytes()
+
+
+def _term_counts(bits):
+    """The series' term count at each double whose bit pattern is in ``bits``."""
+    return [bessel._series_terms(t) for t in np.asarray(bits, dtype=np.int64).view(float).tolist()]
+
+
+def test_series_term_count_never_falls_as_t_grows():
+    # every series point of a batch takes the count of the batch's largest t,
+    # which is where the joint stop of all their own tests falls only if the
+    # count is monotone in t on [0, 1]: check it on a log grid, then over
+    # +/-2000 adjacent doubles around each step of the count
+    counts = [bessel._series_terms(t) for t in np.geomspace(1e-300, 1.0, 20001).tolist()]
+    assert counts == sorted(counts) and (counts[0], counts[-1]) == (1, 13)
+    assert bessel._series_terms(0.0) == 1
+    lo, hi = (int(np.float64(t).view(np.int64)) for t in (1e-300, 1.0))
+    for count in range(1, 13):
+        a, b = lo, hi  # the count is at most ``count`` at a, above it at b
+        while b - a > 1:
+            mid = (a + b) // 2
+            a, b = (a, mid) if _term_counts([mid])[0] > count else (mid, b)
+        near = _term_counts(np.arange(b - 2000, b + 2001))
+        assert near == sorted(near) and near[1999] == count and near[2000] == count + 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +318,6 @@ def _kernel_outputs(z):
     if np.min(z) >= bessel.Z_MIN_K2:
         outs += [bessel.bessel_k((0, 1, 2), z), bessel.bessel_k(2, z)]
     return outs
-
-
-def _loop_outputs(z):
-    """The loops' own results on the 1-d array z, then the kernel outputs."""
-    cf_z = np.maximum(z, np.nextafter(bessel.SERIES_CUTOFF, 3.0))
-    return [*bessel._series_sums(0.25 * z * z), *bessel._cf(cf_z, with_s=True),
-            bessel._cf(cf_z, with_s=False), *bessel._k0_k1_series(z), *_kernel_outputs(z)]
 
 
 def _assert_same_bits_as_numpy_loops(outputs, z):
@@ -335,19 +354,33 @@ def _small_grids():
 @pytest.mark.parametrize("name, z", _small_grids(),
                          ids=[f"{name}-{z.size}" for name, z in _small_grids()])
 def test_small_batch_path_matches_numpy_loops_bitwise(name, z):
-    # the Python-float loops and the numpy loops make the same operations in
-    # the same order, and IEEE arithmetic rounds both the same
-    _assert_same_bits_as_numpy_loops(_loop_outputs, z)
+    # the Python-float path runs the loops point by point, the numpy path on
+    # arrays: the same operations in the same order, which IEEE rounds alike
+    _assert_same_bits_as_numpy_loops(_kernel_outputs, z)
+
+
+def _joint_and_own_count_sums(first, t):
+    """The psi-weighted I1 sum at ``first``, t[0] as an array or a float, to
+    the count of max(t) and to its own count."""
+    return [bessel._series_sums(first, bessel._series_terms(float(x)))[3] for x in (max(t), t[0])]
 
 
 def test_joint_stop_grid_moves_bits_against_a_per_element_stop():
-    # the "joint-stop" grid above has teeth: stopping the element at
-    # _JOINT_STOP_Z on its own test gives other bits than the batch's joint stop
+    # the "joint-stop" grid above has teeth: the count of the batch's largest
+    # t gives the element at _JOINT_STOP_Z other bits than its own count
     t = 0.25 * np.array([_JOINT_STOP_Z, 2.0]) ** 2
+    joint, own = _joint_and_own_count_sums(t[:1], t)
+    assert joint[0] != own[0]
+
+
+def test_every_series_point_takes_the_count_of_the_batch_largest_t():
+    # extra terms are below 1e-18 of the sums and moved no K bit on 600 000
+    # sampled z, so the outputs alone cannot show the count each form uses
     for small in (bessel._SMALL, 0):
-        with mock.patch.object(bessel, "_SMALL", small):
-            alone, joint = bessel._series_sums(t[:1])[3][0], bessel._series_sums(t)[3][0]
-        assert alone != joint
+        with (mock.patch.object(bessel, "_SMALL", small),
+              mock.patch.object(bessel, "_series_sums", wraps=bessel._series_sums) as sums):
+            bessel.bessel_k((0, 1), np.array([1e-8, _JOINT_STOP_Z, 2.0, 1500.0]))
+        assert {call.args[1] for call in sums.call_args_list} == {bessel._series_terms(1.0)}
 
 
 @pytest.mark.parametrize("z", [0.5, 2.0, np.nextafter(2.0, 3.0), 2.5, 30.0, 705.0, 1500.0])
@@ -358,22 +391,25 @@ def test_scalar_calls_match_numpy_loops_bitwise(z):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_ANY_Z, min_size=1, max_size=bessel._SMALL))
 def test_property_small_batch_path_matches_numpy_loops(zs):
-    _assert_same_bits_as_numpy_loops(_loop_outputs, np.array(zs))
+    _assert_same_bits_as_numpy_loops(_kernel_outputs, np.array(zs))
 
 
 def _assert_float_loops_match_numpy_loops(z):
-    """The float loops against the numpy loops on the same points, output by
-    output: a per-element series stop or a reordered continued-fraction step
-    can leave every kernel output's bits as they are."""
-    t = 0.25 * z * z
-    for got, want in zip(bessel._series_sums_floats(t.tolist()), bessel._series_sums(t),
-                         strict=True):
-        assert np.array(got).tobytes() == want.tobytes()
+    """The one series loop and the one continued-fraction loop, run on the
+    array z and on each of its points as a Python float, output by output: a
+    per-element series count or a reordered continued-fraction step can leave
+    every kernel output's bits as they are."""
+    t = 0.25 * z[z <= bessel.SERIES_CUTOFF] ** 2
+    if t.size:
+        terms = bessel._series_terms(float(t.max()))
+        points = zip(*(bessel._series_sums(x, terms) for x in t.tolist()))
+        for got, want in zip(points, bessel._series_sums(t, terms), strict=True):
+            assert np.array(got).tobytes() == want.tobytes()
     cf_z = np.maximum(z, np.nextafter(bessel.SERIES_CUTOFF, 3.0))
-    for got, want in zip(bessel._cf_floats(cf_z.tolist(), with_s=True),
+    for got, want in zip(zip(*(bessel._cf(x, with_s=True) for x in cf_z.tolist())),
                          bessel._cf(cf_z, with_s=True), strict=True):
         assert np.array(got).tobytes() == want.tobytes()
-    h, _ = bessel._cf_floats(cf_z.tolist(), with_s=False)
+    h = [bessel._cf(x, with_s=False) for x in cf_z.tolist()]
     assert np.array(h).tobytes() == bessel._cf(cf_z, with_s=False).tobytes()
 
 
@@ -390,9 +426,10 @@ def test_property_float_loops_match_numpy_loops(zs):
 
 
 def test_float_series_joint_stop_moves_bits_against_a_per_element_stop():
-    # as for the numpy loop: the float series stops jointly over the batch
+    # as for the array: on floats too the count of the batch's largest t moves bits
     t = [0.25 * _JOINT_STOP_Z ** 2, 0.25 * 2.0 ** 2]
-    assert bessel._series_sums_floats(t[:1])[3][0] != bessel._series_sums_floats(t)[3][0]
+    joint, own = _joint_and_own_count_sums(t[0], t)
+    assert joint != own
 
 
 # ---------------------------------------------------------------------------

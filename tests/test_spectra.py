@@ -368,6 +368,29 @@ def test_upper_edges_of_z():
                 spectra.b_function(("B", "B_n"), [1.0, z])
 
 
+@pytest.mark.parametrize("direction", ["longitudinal", "tangential"])
+def test_pde_eigenvalue_past_the_double_range_raises(direction):
+    # 2 pi B ~ 2 pi z, and 4 pi B_t (B_t reads z/2 there), leave the double range
+    # from z ~ 2.86e307, below the kernel's Z_MAX: lambda read inf with exit 0
+    family = spectra.pde_family(direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(spectra.eigenvalues(family, 0.1, np.array([1.0, 1e307]))))
+        assert math.isfinite(spectra.eigenvalues(family, 0.1, 10**307))
+        for k in (10**308, np.array([1.0, 1e308])):
+            with pytest.raises(OverflowError, match=r"overflows a double; z = pi eps \|k\| "
+                                                    r"reaches 3\.142e\+307"):
+                spectra.eigenvalues(family, 0.1, k)
+
+
+def test_ode_rhs_rejects_non_finite_z():
+    # nan passed the z <= 0 test: B read nan, and B_SB at z = inf read 0.0
+    for fam in ("B", "B_SB", "B_t", "B_delta"):
+        for z in (math.nan, math.inf, -math.inf, 0.0, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="ode_rhs requires finite z > 0"):
+                spectra.ode_rhs(fam, z, 1.0, delta=2.0)
+
+
 def test_k0_below_its_exponential_bound():
     # K0(x) <= sqrt(pi/(2x)) e^{-x}, the bound behind the K0 skip, holds for
     # the computed values, evaluated as the continued fraction evaluates it
@@ -604,11 +627,13 @@ def test_property_int_k_runs_on_floats_bitwise(family, k, eps):
 
 def _raising_int_k_cases():
     """(family, eps, k): k = 0, eps outside (0, 1/2) and z below Z_MIN for every
-    family; z past 2**511 for B_n, and past the kernel's upper edge for pde."""
+    family; z past 2**511 for B_n, past the kernel's upper edge for pde, and
+    lambda past the double range for the longitudinal and tangential pde."""
     cases = [(f, eps, k) for f in _ALL_FAMILIES for eps, k in (
         (0.1, 0), (0.0, 3), (0.5, 3), (-0.1, 3), (math.nan, 3), (math.inf, 3), (1e-310, 1))]
     cases += [(spectra.pde_family("normal"), 0.1, 10**160)]
     cases += [(f, 0.4, 10**308) for f in _ALL_FAMILIES if f.method == "pde"]
+    cases += [(spectra.pde_family(d), 0.1, 10**308) for d in ("longitudinal", "tangential")]
     return cases
 
 
@@ -616,7 +641,7 @@ def _raising_int_k_cases():
                          ids=lambda v: getattr(v, "method", None) or f"{v:.3g}")
 def test_int_k_raises_as_the_array_route(family, eps, k):
     scalar, row = _scalar_and_row(lambda kk: spectra.eigenvalues(family, eps, kk), k)
-    assert isinstance(scalar, tuple) and scalar == row
+    assert isinstance(scalar[0], type) and scalar == row  # an error type, not a value
 
 
 _ANY_B_Z = st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
