@@ -143,8 +143,7 @@ def verify_dynamics():
     worst = max(float(np.max(dynamics.nu(e, ks))) for e in (1e-1, 1e-2, 1e-3))
     res.add("nu_negative_k_ge_2", worst < 0, worst)
     for eps, k_max in ((1e-2, 32), (1e-1, 512)):
-        a = dynamics.max_stable_dt(eps, k_max)
-        e = dynamics.max_stable_dt(eps, k_max, empirical=True)
+        *_, a, e = dynamics.stability_sweep(eps, [k_max])[0]
         res.add(f"empirical_dt_eps{eps:g}_K{k_max}", abs(e - a) / a < 0.1, abs(e - a) / a)
     s4 = dynamics.stability_slope(1e-3, [8, 16, 32, 64, 128])
     res.add("quartic_regime_slope", abs(s4 - 4.0) <= 0.3, s4)
@@ -161,7 +160,3 @@ SUITES = {
     "differences": verify_difference_bounds,
     "dynamics": verify_dynamics,
 }
-
-
-def run_suites(names):
-    return [SUITES[name]() for name in names]

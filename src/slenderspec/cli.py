@@ -56,6 +56,8 @@ def _apply_config_defaults(argv, parser):
     """Expand --config key=value files into leading defaults.  Each key must
     name an option of the subcommand: files shared between subcommands are not
     supported."""
+    # --config=FILE means --config FILE, as --opt=value does for every other flag
+    argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -103,12 +105,9 @@ def cmd_spectrum(args):
 
 def cmd_verify(args):
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
-    ok = True
-    out = []
-    for r in checks.run_suites(names):
-        out.extend(r.lines())
-        ok = ok and r.ok
-    return "\n".join(out) + "\n", 0 if ok else 1
+    results = [checks.SUITES[name]() for name in names]
+    out = [line for r in results for line in r.lines()]
+    return "\n".join(out) + "\n", 0 if all(r.ok for r in results) else 1
 
 
 def cmd_converge(args):

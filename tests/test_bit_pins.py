@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slenderspec import bessel, profiles, spectra
+from slenderspec import bessel, dynamics, profiles, spectra
 from slenderspec import experiments as xp
 from slenderspec.spectra import Mode
 
@@ -168,6 +168,24 @@ def _incompressibility_06():
     return np.concatenate(out)
 
 
+#: the stability study's grid: K_max from 8 to K_MAX_LIMIT, with both sides of
+#: k = 9749, the first k where numpy's float64 k**4 differs from Python's
+_STABILITY_EPS = (1e-6, 1e-3, 1e-2, 0.1, 0.49)
+_STABILITY_K = [int(k) for k in np.unique(np.concatenate([
+    np.geomspace(8, 2**20, 60).round().astype(int), [9, 10, 9749, 9750, 9751, 2**20 - 1]]))]
+
+
+def _stability():
+    """Sweep rows, both max_stable_dt values and stability_slope, per eps."""
+    out = []
+    for eps in _STABILITY_EPS:
+        out += [v for row in dynamics.stability_sweep(eps, _STABILITY_K) for v in row]
+        out += [dynamics.max_stable_dt(eps, k, empirical=e)
+                for k in _STABILITY_K for e in (False, True)]
+        out.append(dynamics.stability_slope(eps, _STABILITY_K))
+    return out
+
+
 #: name -> the values on one grid
 GRIDS = {
     "ratio_A": lambda: bessel.ratio_A(_RATIO_Z),
@@ -191,6 +209,7 @@ GRIDS = {
     **{f"eigenvalue_{method}_{direction}": (lambda f=f: _scalar_eigenvalues(f))
        for (method, direction), f in _SCALAR_FAMILIES.items()},
     "incompressibility_06": _incompressibility_06,
+    "stability": _stability,
 }
 
 #: name -> sha256 of the grid's values, recorded at e2788c0, before the K1/K0
@@ -234,6 +253,8 @@ GRID_DIGESTS = {
         "69e636ceb9cf6e3bdc612ec28d5950f45bedd13b5ce116e7ac818660419c58ad",
     "eigenvalue_delta_reg_normal": "6ca625036d862c7e02b2c168f5a34cfffda791030378efccdc8cc061944e938f",
     "incompressibility_06": "f7d099b5fb1b37c34f168a2ecaa4000af7aa433eb68dbf3f7aaa62936ae2872a",
+    # recorded at 344ca72, before the stability code took both steps from one rate
+    "stability": "61627b348b2ca7ede91af64745a949e73889e25f1a845560618d4daa2029cd5e",
 }
 
 

@@ -317,6 +317,17 @@ def test_spectrum_eps_outside_domain_exit_2(capsys, eps):
     assert captured.err == "error: fiber radius must lie in (0, 1/2)\n"
 
 
+@pytest.mark.parametrize("eps", ["0.7", "-1", "nan"])
+def test_dynamics_energy_eps_outside_domain_exit_2(capsys, eps):
+    # with --steps 0 and an explicit --dt nothing reaches nu, which printed an energy row
+    code = main(["dynamics", "--eps", eps, "--energy-mode", "3", "--k-max", "8",
+                 "--steps", "0", "--dt", "0.1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fiber radius must lie in (0, 1/2)\n"
+
+
 def test_cli_never_imports_scipy():
     script = (
         "import contextlib, io, sys\n"
@@ -366,6 +377,15 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out = run(capsys, "spectrum", "--config", str(cfg), "--k", "1..2")
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + 3 * 2
+
+
+def test_config_equals_form(tmp_path, capsys):
+    # --config=FILE ignored the file and failed on the missing --eps
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.01\nsweep = 8,16\n")
+    code, out = run(capsys, "dynamics", "--config", str(cfg))
+    assert code == 0 and len(out.strip().split("\n")) == 3
+    assert run(capsys, "dynamics", f"--config={cfg}") == (0, out)
 
 
 def test_config_file_errors(tmp_path, capsys):

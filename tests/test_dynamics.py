@@ -50,6 +50,9 @@ def test_state_validation():
         dynamics.DynamicsState(c, 0.01)
     with pytest.raises(ValueError):
         dynamics.DynamicsState(np.zeros((1, 7), dtype=complex), 0.01)
+    for eps in (0.5, 0.7, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="fiber radius"):
+            dynamics.DynamicsState(np.zeros((2, 7), dtype=complex), eps)
 
 
 def test_step_formulas():
@@ -151,11 +154,14 @@ def test_max_stable_dt_analytic():
         dynamics.max_stable_dt(eps, 4)
 
 
-def test_max_stable_dt_bracket_error():
-    # the 200-step amplification at 4x the analytic dt is 7^200 < 1e300,
-    # so the bisection bracket holds no growth boundary
-    with pytest.raises(dynamics.BracketError):
-        dynamics.max_stable_dt(0.01, 32, empirical=True, amp_window=1e300)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=0.5, exclude_min=True, exclude_max=True),
+       st.integers(min_value=8, max_value=ops.K_MAX_LIMIT))
+def test_property_empirical_dt_is_the_growth_boundary(eps, K):
+    # |1 + dt nu|^200 = 10^6 with 1 + dt nu < 0: the bisection bracket holds this
+    # boundary over the whole domain
+    closed_form = (1.0 + 10**0.03) / abs(dynamics.nu(eps, K))
+    assert dynamics.max_stable_dt(eps, K, empirical=True) == pytest.approx(closed_form, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps,K", [(1e-2, 32), (1e-1, 512)])
@@ -173,11 +179,21 @@ def test_dt_shrinks_sixteenfold():
 
 
 def test_stability_sweep_rows():
-    rows = dynamics.stability_sweep(1e-2, [8, 16], empirical=True)
+    rows = dynamics.stability_sweep(1e-2, [8, 16])
     assert len(rows) == 2
     eps, K, ds, dt_a, dt_e = rows[0]
     assert eps == 1e-2 and K == 8 and ds == dynamics.grid_spacing(8)
     assert abs(dt_e - dt_a) / dt_a < 0.1
+
+
+def test_one_rate_per_k_max(monkeypatch):
+    ks = []
+    real_nu = dynamics.nu
+    monkeypatch.setattr(dynamics, "nu", lambda eps, k: ks.append(k) or real_nu(eps, k))
+    dynamics.stability_sweep(1e-2, [8, 16, 32])
+    assert ks == [8, 16, 32]
+    monkeypatch.setattr(dynamics, "_bisect_dt", None)  # the analytic step never bisects
+    assert dynamics.max_stable_dt(1e-2, 8) == 2.0 / abs(real_nu(1e-2, 8))
 
 
 def test_stability_slopes():
