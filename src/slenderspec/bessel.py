@@ -22,15 +22,13 @@ Two evaluation routes are kept deliberately independent:
 The series (``_series_sums``) and the continued fraction (``_cf``) are each
 one loop, run on a numpy array or on one Python float.  ``_kernel``, at the
 entry of ``bessel_k``, ``ratio_A`` and ``ratio_B``, is the one switch: a
-scalar or a batch of at most ``_SMALL`` points runs on Python floats from
-validation to result (``_k0_k1_floats``, which runs the loops point by
-point), free of numpy's ~1 us per call on tiny arrays; larger batches run
-the loops on arrays (``_k0_k1``).  The bits are the same: each point makes
-the same + - * /, abs, sqrt and comparisons in the same order, and IEEE
-rounds them alike.  A continued-fraction point stops on its own test; every
-series point of a batch takes the term count of the batch's largest
-t = z^2/4 (``_series_terms``).  np.log and np.exp stay numpy calls, one per
-batch, as math.log and math.exp need not round alike.
+scalar or a batch of at most ``_SMALL`` points goes point by point through
+``_k0_k1_point``, one Python float from the domain check to the result;
+larger batches run ``_k0_k1`` on arrays.  The bits are the same: each point
+makes the same + - * /, abs, sqrt, comparisons, np.log and np.exp calls in
+the same order (math.log and math.exp need not round alike).  A continued-
+fraction point stops on its own test; every series point of a batch takes
+the term count of the batch's largest t = z^2/4 (``_series_terms``).
 
 All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure.
 """
@@ -38,7 +36,7 @@ All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,11 +49,10 @@ SERIES_CUTOFF = 2.0
 #: then 0.0, and ``bessel_k_detail`` flags them
 UNDERFLOW_Z = 705.0
 
-#: scalars and batches of at most this many points run on Python floats (see
-#: the module docstring).  On a 2-vCPU x86-64 host with numpy 2.4, for
-#: bessel_k((0, 1), z) with every z just above 2 (the worst case for floats),
-#: floats take 0.6x numpy's time at 32 points, break even at 40-48 and take
-#: 1.25x at 64; on spread grids they stay under 0.4x past 96 points.
+#: scalars and batches of at most this many points run ``_k0_k1_point`` (see the
+#: module docstring).  On a 2-vCPU x86-64 host with numpy 2.4 and every z just
+#: above 2 (the worst case), bessel_k((0, 1), z) takes 0.75x numpy's time at 32
+#: points, 1.0x at 40-44 and 1.5x at 64; on spread grids under 0.45x to 96 points.
 _SMALL = 32
 
 #: lower edge of z: from the smallest normal double on, K1 ~ 1/z stays below
@@ -84,10 +81,8 @@ class BesselAccuracyError(RuntimeError):
     """Raised when the quadrature oracle cannot certify its target accuracy."""
 
 
-@dataclass(frozen=True)
-class BesselEval:
-    """One K_nu evaluation; ``underflowed`` marks z > UNDERFLOW_Z, where the
-    value is subnormal or 0.0."""
+class BesselEval(NamedTuple):
+    """One K_nu evaluation; ``underflowed`` marks z > UNDERFLOW_Z (a subnormal or 0.0 value)."""
 
     order: int
     value: float
@@ -99,10 +94,18 @@ def _in_domain(z, with_k2=False):
     return ((Z_MIN_K2 if with_k2 else Z_MIN) <= z) & (z < Z_MAX)
 
 
+def _as_float(z, too_large=Z_MAX):
+    """A Python float for a Python float or int, else a float array; past the double range
+    an int reads as +-``too_large`` (Z_MAX by default) and a sequence as ``too_large``."""
+    try:
+        return float(z) if isinstance(z, (float, int)) else np.asarray(z, dtype=float)
+    except OverflowError:
+        return -too_large if isinstance(z, int) and z < 0 else too_large
+
+
 def _validate_z(z, with_k2=False):
-    z = np.asarray(z, dtype=float)
+    z, z_min = _as_float(z), (Z_MIN_K2 if with_k2 else Z_MIN)
     if not np.all(_in_domain(z, with_k2)):
-        z_min = Z_MIN_K2 if with_k2 else Z_MIN
         if not np.all(np.isfinite(z)) or np.any(z < z_min):
             raise BesselDomainError(f"{'K2' if with_k2 else 'K_nu'} requires finite z >= "
                                     f"{z_min:.4g}; it overflows a double below")
@@ -250,48 +253,45 @@ def _k0_k1(z, with_k2=False, ratio=False):
     return k1 / k0 if ratio else (k0, k1)
 
 
-def _k0_k1_floats(zs, with_k2=False, ratio=False):
-    """``_k0_k1`` on a list of Python floats, with no masks: each point runs the
-    series or the continued fraction on its own, the series to the count of
-    the largest series point, and np.log and np.exp take one call each.
-    Returns the lists K0 and K1, or with ``ratio`` K1/K0."""
-    if not all(_in_domain(x, with_k2) for x in zs):
-        _validate_z(zs, with_k2)  # raises the numpy path's error
-    k0, k1 = [float(ratio)] * len(zs), [0.0] * len(zs)  # past the cutoff K0 = 1 with ``ratio``
-    series = [j for j, x in enumerate(zs) if x <= SERIES_CUTOFF]
-    large = [j for j, x in enumerate(zs) if x > SERIES_CUTOFF]
-    if series:
-        log_half_z = np.log([0.5 * zs[j] for j in series]).tolist()
-        t = [0.25 * zs[j] * zs[j] for j in series]
-        terms = _series_terms(max(t))
-        for j, log_j, t_j in zip(series, log_half_z, t):
-            k0[j], k1[j] = _series_k(zs[j], log_j, *_series_sums(t_j, terms))
-    if large and not ratio:
+def _k0_k1_point(x, with_k2, ratio, terms):
+    """``_k0_k1`` at one Python float x: K0 and K1, or with ``ratio`` K1/K0; the series
+    to ``terms`` terms (0: its own count).  Up to x = 708 exp(-x) is a normal double and
+    raises no floating-point flag, so only past it does np.exp run under np.errstate."""
+    if not _in_domain(x, with_k2):
+        _validate_z(x, with_k2)  # raises the numpy path's error
+    if x <= SERIES_CUTOFF:
+        t = 0.25 * x * x
+        k0, k1 = _series_k(x, float(np.log(0.5 * x)), *_series_sums(t, terms or _series_terms(t)))
+        return k1 / k0 if ratio else (k0, k1)
+    if ratio:  # K0 = 1.0, and 1.0 * y / x / 1.0 is y / x exactly
+        return (x + 0.5 - 0.25 * _cf(x, with_s=False)) / x
+    if x <= 708.0:
+        decay = float(np.exp(-x))
+    else:
         with np.errstate(under="ignore"):
-            decay = dict(zip(large, np.exp([-zs[j] for j in large]).tolist()))
-        large = [j for j in large if decay[j] > 0.0]  # where exp(-z) = 0.0, K stays 0.0
-    for j in large:
-        x = zs[j]
-        if ratio:
-            h = _cf(x, with_s=False)
-        else:
-            h, s = _cf(x, with_s=True)
-            k0[j] = math.sqrt(np.pi / (2.0 * x)) * decay[j] / s
-        k1[j] = k0[j] * (x + 0.5 - 0.25 * h) / x
-    return [b / a for a, b in zip(k0, k1)] if ratio else (k0, k1)
+            decay = float(np.exp(-x))
+        if decay == 0.0:
+            return 0.0, 0.0  # K stays 0.0 where exp(-z) is (s may overflow)
+    h, s = _cf(x, with_s=True)
+    k0 = math.sqrt(np.pi / (2.0 * x)) * decay / s
+    return k0, k0 * (x + 0.5 - 0.25 * h) / x
 
 
 def _kernel(z, with_k2=False, ratio=False):
-    """The one switch: z (1-d), ``_k0_k1``'s result (lists from ``_k0_k1_floats`` for a scalar
-    or a 1-d batch of at most ``_SMALL`` points, else arrays) and whether z was a scalar."""
-    if isinstance(z, (float, int)) and _SMALL:
-        zs, scalar = [float(z)], True
-    else:
-        scalar, z = np.ndim(z) == 0, np.atleast_1d(np.asarray(z, dtype=float))
-        if z.ndim > 1 or z.size > _SMALL:
-            return z, _k0_k1(z, with_k2, ratio), scalar
-        zs = z.tolist()
-    return zs, _k0_k1_floats(zs, with_k2, ratio), scalar
+    """The module docstring's switch: z (1-d), ``_k0_k1``'s result and whether z was a scalar."""
+    z = _as_float(z)
+    if isinstance(z, float) and _SMALL:
+        out = _k0_k1_point(z, with_k2, ratio, 0)
+        return [z], ([out] if ratio else ([out[0]], [out[1]])), True
+    scalar, z = np.ndim(z) == 0, np.atleast_1d(z)
+    if z.ndim > 1 or not 0 < z.size <= _SMALL:
+        return z, _k0_k1(z, with_k2, ratio), scalar
+    zs = z.tolist()
+    if not all(_in_domain(x, with_k2) for x in zs):
+        _validate_z(z, with_k2)  # the numpy path's error for the whole batch
+    terms = _series_terms(max([0.25 * x * x for x in zs if x <= SERIES_CUTOFF], default=0.0))
+    points = [_k0_k1_point(x, with_k2, ratio, terms) for x in zs]
+    return zs, (points if ratio else tuple(zip(*points))), scalar
 
 
 def _map(fn, *columns):
@@ -301,9 +301,9 @@ def _map(fn, *columns):
 
 def _check_orders(order):
     """Orders as a tuple, and whether ``order`` is one (0, 1 or 2), not a tuple of them."""
-    single = isinstance(order, int) or np.ndim(order) == 0
+    single = not isinstance(order, tuple) and (isinstance(order, int) or np.ndim(order) == 0)
     orders = (order,) if single else tuple(order)
-    if any(o not in (0, 1, 2) for o in orders):
+    if not all(isinstance(o, (int, np.integer)) and o in (0, 1, 2) for o in orders):
         raise ValueError("order must be 0, 1 or 2")
     return orders, single
 
@@ -335,10 +335,9 @@ def bessel_k(order, z):
 
 def bessel_k_detail(order, z):
     """Like ``bessel_k``, with a :class:`BesselEval` per order that flags underflow."""
-    z = float(z)
-    orders, single = _check_orders(order)
-    evals = tuple(BesselEval(o, float(v), underflowed=z > UNDERFLOW_Z)
-                  for o, v in zip(orders, bessel_k(orders, z)))
+    z, (orders, single) = float(_as_float(z)), _check_orders(order)
+    under = z > UNDERFLOW_Z
+    evals = tuple(BesselEval(o, v, under) for o, v in zip(orders, bessel_k(orders, z).tolist()))
     return evals[0] if single else evals
 
 
@@ -466,7 +465,7 @@ def check_ratio_bounds(z_grid):
     Returns (lower_margin, upper_margin) arrays; the bounds hold iff both
     are strictly positive everywhere.
     """
-    z = np.asarray(z_grid, dtype=float)
+    z = np.asarray(_as_float(z_grid))
     ratio = _k0_k1(z, ratio=True)  # validates z
     lower = ratio - (np.sqrt(z * z + z + 1.0) + 1.0) / (z + 1.0)
     upper = 1.0 + 0.5 / z - ratio
@@ -479,7 +478,7 @@ def check_small_z_bounds(z_grid):
     K0(z) >= -log z  and  z K1(z) >= 1 - z^2 (1 + |log z|).
     Returns (margin_k0, margin_k1) arrays; both must be nonnegative.
     """
-    z = np.asarray(z_grid, dtype=float)
+    z = np.asarray(_as_float(z_grid))
     k0, k1 = _k0_k1(z)  # validates z, so a domain error comes first
     if np.any(z >= 1.0):
         raise ValueError("small-z bounds are stated on (0, 1)")

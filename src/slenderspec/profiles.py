@@ -126,11 +126,11 @@ def _fields(sol, r, k0r, k1r, k2r=None):
 
 def _profile(sol, r):
     """The fields at radii r: arrays for an array r, lists built radius by radius for a list."""
-    a = math.pi * abs(sol.mode.k)
-    kr = np.ldexp(bessel_k(_PROFILES[sol.direction].orders, a * np.asarray(r)), -sol.scale)
+    a, orders = math.pi * abs(sol.mode.k), _PROFILES[sol.direction].orders
     if isinstance(r, np.ndarray):
-        return _fields(sol, r, *kr)
-    points = [_fields(sol, *point) for point in zip(r, *kr.tolist())]
+        return _fields(sol, r, *np.ldexp(bessel_k(orders, a * r), -sol.scale))
+    kr = bessel_k(orders, [a * x for x in r]).T.tolist()
+    points = [_fields(sol, x, *(math.ldexp(k, -sol.scale) for k in ks)) for x, ks in zip(r, kr)]
     return {key: [point[key] for point in points] for key in points[0]}
 
 

@@ -40,7 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import EULER_GAMMA, Z_MIN, _gauss_panels, _shape_rows, bessel_k, ratio_A, ratio_B
+from .bessel import (EULER_GAMMA, Z_MIN, _as_float, _gauss_panels, _shape_rows, bessel_k,
+                     ratio_A, ratio_B)
 
 SQRT_E = math.sqrt(math.e)
 
@@ -223,7 +224,7 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     """
     fams = (fam,) if isinstance(fam, str) else tuple(fam)
     scalar = isinstance(z, (float, int)) or np.ndim(z) == 0  # runs on floats to the result
-    z = float(z) if scalar else np.atleast_1d(np.asarray(z, dtype=float))
+    z = float(_as_float(z, math.inf)) if scalar else np.atleast_1d(_as_float(z, math.inf))
     if not _all((Z_MIN <= z) & (z < math.inf)):
         raise ValueError(f"b_function requires finite z >= {Z_MIN:.4g}; K1 ~ 1/z overflows below")
     if "B_n" in fams and not _all(z <= 2.0**511):  # its z * z overflows from z ~ 1.34e154

@@ -462,10 +462,10 @@ _SCALAR_FORMS = {"float": float, "float64": np.float64, "0-d": np.array}
 
 def _bits(out):
     """Type, dtype, shape and bytes of a result, recursively through tuples."""
+    if isinstance(out, bessel.BesselEval):  # a tuple too: test it first
+        return out.order, type(out.value), out.value.hex(), out.underflowed
     if isinstance(out, tuple):
         return tuple(map(_bits, out))
-    if isinstance(out, bessel.BesselEval):
-        return out.order, type(out.value), out.value.hex(), out.underflowed
     return type(out), np.asarray(out).dtype, np.shape(out), np.asarray(out).tobytes()
 
 
@@ -603,3 +603,67 @@ def test_order_is_one_order_or_a_sequence_of_them(order):
     for route in (bessel.bessel_k, bessel.bessel_k_detail):
         with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
             route(order, 1.0)
+
+
+@pytest.mark.parametrize("order", [1.0, np.float64(0.0), 2.0 + 0j, (0, 1.0), (np.float64(2.0),)],
+                         ids=["float", "float64", "complex", "tuple-float", "tuple-float64"])
+def test_order_must_be_an_integer(order):
+    # 1.0 == 1, so a float order passed the check: bessel_k raised "tuple indices
+    # must be integers" and the oracle returned K1
+    for route in (bessel.bessel_k, bessel.bessel_k_detail, bessel.oracle_bessel_k):
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            route(order, 3.0)
+
+
+def test_numpy_integer_orders_work():
+    one = np.int64(1)
+    assert bessel.bessel_k(one, 3.0) == bessel.bessel_k(1, 3.0)
+    assert bessel.oracle_bessel_k(one, 3.0) == bessel.oracle_bessel_k(1, 3.0)
+    assert bessel.bessel_k_detail(one, 3.0) == bessel.bessel_k_detail(1, 3.0)
+    rows = bessel.bessel_k((one, np.int32(0)), np.array([3.0, 4.0]))
+    assert np.array_equal(rows, bessel.bessel_k((1, 0), np.array([3.0, 4.0])))
+
+
+def test_bessel_eval_is_a_named_tuple():
+    ev = bessel.bessel_k_detail(1, 3.0)
+    assert ev._fields == ("order", "value", "underflowed")
+    assert ev == (1, bessel.bessel_k(1, 3.0), False) and type(ev.value) is float
+
+
+@pytest.mark.parametrize("z, match", [(10**400, r"K_nu requires z < 2\*\*1023"),
+                                      ([1.0, 10**400], r"K_nu requires z < 2\*\*1023"),
+                                      (-(10**400), "requires finite z >=")],
+                         ids=["int", "list", "negative"])
+def test_int_past_the_double_range_is_a_domain_error(z, match):
+    # float(z) raised a raw OverflowError ("int too large to convert to float")
+    routes = [bessel.ratio_A, bessel.ratio_B, bessel.check_ratio_bounds,
+              bessel.check_small_z_bounds, lambda z: bessel.bessel_k(0, z),
+              lambda z: bessel.bessel_k((0, 1, 2), z), lambda z: bessel.oracle_bessel_k(1, z)]
+    if np.ndim(z) == 0:
+        routes.append(lambda z: bessel.bessel_k_detail((0, 1), z))
+    for route in routes:
+        with pytest.raises(bessel.BesselDomainError, match=match):
+            route(z)
+    for small in (bessel._SMALL, 0):
+        with mock.patch.object(bessel, "_SMALL", small), pytest.raises(bessel.BesselDomainError):
+            bessel.bessel_k(1, z)
+
+
+def test_exp_underflow_band_raises_no_flag_on_the_point_route():
+    # exp(-z) is subnormal from z ~ 708.40 and 0.0 from z ~ 745.13: the point route
+    # runs np.exp under np.errstate only past 708, and its bits are the arrays'
+    z = np.unique(np.concatenate([np.linspace(700.0, 760.0, 2401), [708.0, 745.0, 745.2],
+                                  np.nextafter([708.0, 708.3964, 745.1332], [0.0, 1e3, 1e3])]))
+    assert np.exp(-z.max()) == 0.0 and 0.0 < np.exp(-710.0) < sys.float_info.min
+    with np.errstate(under="ignore"):
+        k0, k1 = bessel._k0_k1(z)
+        want = np.array([k0, k1, k0 + 2.0 * k1 / z])
+    ratio = bessel._k0_k1(z, ratio=True)
+    n = bessel._SMALL
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        scalars = np.transpose([bessel.bessel_k((0, 1, 2), x) for x in z.tolist()])
+        batches = np.hstack([bessel.bessel_k((0, 1, 2), z[i:i + n]) for i in range(0, z.size, n)])
+        ratio_b = [bessel.ratio_B(x) for x in z.tolist()]
+    assert scalars.tobytes() == want.tobytes() and batches.tobytes() == want.tobytes()
+    assert np.array(ratio_b).tobytes() == (z * ratio).tobytes()

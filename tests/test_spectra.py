@@ -352,6 +352,14 @@ def test_lower_edge_of_z():
                 spectra.b_function(fams, z, delta=2.0)
 
 
+@pytest.mark.parametrize("z", [10**400, [1.0, 10**400]], ids=["int", "list"])
+def test_int_past_the_double_range_is_no_finite_z(z):
+    # float(z) raised a raw OverflowError ("int too large to convert to float")
+    for fam in ("B", "B_SB", ("B_t", "B_n")):
+        with pytest.raises(ValueError, match=r"b_function requires finite z >= 2\.225e-308"):
+            spectra.b_function(fam, z, allow_past_singularity=True)
+
+
 def test_upper_edges_of_z():
     # B and B_t read nan from 2**1023 on (the kernel's 2 (1 + z) overflowed), B_n
     # from z ~ 1.34e154 on (its z * z); each now raises where its edge starts
