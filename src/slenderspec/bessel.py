@@ -13,7 +13,7 @@ Two evaluation routes are kept deliberately independent:
 
 * ``bessel_k`` -- ascending log series for small z, a Lentz-style continued
   fraction for large z.  No quadrature anywhere.  ``_k0_k1`` splits a batch
-  between the two: K0 and K1 for ``bessel_k``, K1/K0 for ``ratio_A``,
+  between the two: K0 and K1 for ``bessel_k``, one K1/K0 array for ``ratio_A``,
   ``ratio_B`` and ``check_ratio_bounds``.
 * ``oracle_bessel_k`` -- adaptive composite Gauss-Legendre quadrature of the
   integral representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
@@ -224,33 +224,34 @@ def _cf(z, with_s):
 
 
 def _k0_k1(z, with_k2=False, ratio=False):
-    """K0 and K1, or with ``ratio`` K1/K0.  For the ratio the continued fraction
-    skips s and sets K0 = 1, so K1/K0 carries no exp(-z) and stays finite far
-    past the underflow point of K itself; dividing by 1.0 moves no bit."""
+    """K0 and K1, or with ``ratio`` K1/K0 in one array: k1/k0 at series points and
+    (z + 1/2 - h/4)/z at continued-fraction points, which skip s and exp(-z), so
+    K1/K0 stays finite far past the underflow point of K itself."""
     z = np.atleast_1d(_validate_z(z, with_k2))
-    k0 = np.empty_like(z)
-    k1 = np.zeros(z.shape)  # calloc'd: no page is touched before it is written
+    k0 = np.empty_like(z)  # K1/K0 with ``ratio``
+    k1 = None if ratio else np.zeros(z.shape)  # calloc'd: no page is touched before it is written
     small = z <= SERIES_CUTOFF
     if np.any(small):
         zs = z[small]
         t = 0.25 * zs * zs
-        sums = _series_sums(t, _series_terms(float(t.max())))
-        k0[small], k1[small] = _series_k(zs, np.log(0.5 * zs), *sums)
-    if np.any(large := ~small) and not ratio:
+        k0s, k1s = _series_k(zs, np.log(0.5 * zs), *_series_sums(t, _series_terms(float(t.max()))))
+        k0[small] = k1s / k0s if ratio else k0s
+        if not ratio:
+            k1[small] = k1s
+    if np.any(large := ~small) and ratio:
+        zl = z[large]
+        k0[large] = (zl + 0.5 - 0.25 * _cf(zl, with_s=False)) / zl
+    elif np.any(large):
         with np.errstate(under="ignore"):
             k0[large] = np.exp(-z[large])  # K0 = exp(-z) so far
         large &= k0 > 0.0  # where exp(-z) = 0.0, K stays 0.0 (s may overflow)
-    if np.any(large):
-        zl = z[large]
-        if ratio:
-            h = _cf(zl, with_s=False)
-            k0[large] = 1.0
-        else:
+        if np.any(large):
+            zl = z[large]
             h, s = _cf(zl, with_s=True)
             with np.errstate(under="ignore"):
                 k0[large] = np.sqrt(np.pi / (2.0 * zl)) * k0[large] / s
-        k1[large] = k0[large] * (zl + 0.5 - 0.25 * h) / zl
-    return k1 / k0 if ratio else (k0, k1)
+            k1[large] = k0[large] * (zl + 0.5 - 0.25 * h) / zl
+    return k0 if ratio else (k0, k1)
 
 
 def _k0_k1_point(x, with_k2, ratio, terms):
@@ -263,7 +264,7 @@ def _k0_k1_point(x, with_k2, ratio, terms):
         t = 0.25 * x * x
         k0, k1 = _series_k(x, float(np.log(0.5 * x)), *_series_sums(t, terms or _series_terms(t)))
         return k1 / k0 if ratio else (k0, k1)
-    if ratio:  # K0 = 1.0, and 1.0 * y / x / 1.0 is y / x exactly
+    if ratio:  # as ``_k0_k1`` writes it
         return (x + 0.5 - 0.25 * _cf(x, with_s=False)) / x
     if x <= 708.0:
         decay = float(np.exp(-x))

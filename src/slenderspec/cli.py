@@ -87,12 +87,9 @@ def _apply_config_defaults(argv, parser):
 
 
 def cmd_spectrum(args):
-    ks = _parse_krange(args.k)
-    direction = args.direction
-    setting = args.setting
-    methods = args.methods.split(",")
+    ks, setting, direction = _parse_krange(args.k), args.setting, args.direction
     rows = ["setting,direction,method,delta,eps,k,lambda"]
-    for method in methods:
+    for method in args.methods.split(","):
         delta = args.delta if method == "delta_reg" else None
         fam = EigenFamily(setting, direction, method, delta=delta)
         lam = eigenvalues(fam, args.eps, np.array(ks))
@@ -134,9 +131,7 @@ def cmd_dynamics(args):
         if args.dt is not None and not 0.0 < args.dt < np.inf:
             raise ValueError("--dt must be finite and positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
-        dt = args.dt
-        if dt is None:
-            dt = 0.5 * dynamics.max_stable_dt(args.eps, args.k_max)
+        dt = 0.5 * dynamics.max_stable_dt(args.eps, args.k_max) if args.dt is None else args.dt
         rows = ["step,t,energy"]
         for i in range(args.steps + 1):
             if i:
@@ -165,10 +160,7 @@ def cmd_profile(args):
     header = "r," + ",".join(f"{c}_re,{c}_im" for c in cols)
     rows = [header]
     for i, ri in enumerate(r):
-        vals = []
-        for c in cols:
-            v = prof[c][i]
-            vals.extend([_FMT.format(v.real), _FMT.format(v.imag)])
+        vals = [_FMT.format(x) for c in cols for x in (prof[c][i].real, prof[c][i].imag)]
         rows.append(_FMT.format(ri) + "," + ",".join(vals))
     return "\n".join(rows) + "\n", 0
 

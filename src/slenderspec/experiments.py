@@ -70,7 +70,7 @@ def _required_k_max(eps_min):
 def _input_field(setting, regularity, k_max, seed):
     profile, s = {"H1": ("h1_rough", 1), "H2": ("h2_rough", 2)}[regularity]
     u = make_test_field(profile, k_max, seed=seed, n_components=_setting(setting).n_components)
-    return PeriodicField(u.coeffs / sobolev_norm(u, s))
+    return PeriodicField(np.divide(u.coeffs, sobolev_norm(u, s), out=u.coeffs))  # u is fresh
 
 
 def _families(setting, method, delta):
@@ -84,9 +84,8 @@ def _families(setting, method, delta):
 def approximation_error(setting, method, u, eps, delta=None):
     """||L_eps^{-1} u - approx^{-1} u||_{L^2} for one input field."""
     pde, approx = _families(setting, method, delta)
-    f_exact = apply_operator(pde, u, eps, inverse=True)
-    f_approx = apply_operator(approx, u, eps, inverse=True)
-    diff = PeriodicField(f_exact.coeffs - f_approx.coeffs)
+    diff = apply_operator(pde, u, eps, inverse=True)  # fresh: f_approx is subtracted in place
+    np.subtract(diff.coeffs, apply_operator(approx, u, eps, inverse=True).coeffs, out=diff.coeffs)
     return sobolev_norm(diff, 0)
 
 
@@ -131,11 +130,8 @@ def wellposedness_constant(setting, eps_grid=None, seed=11, profile="h1_rough",
     pde = EigenFamily(setting, entry.direction, "pde")
     u = make_test_field(profile, k_max, seed=seed, n_components=entry.n_components)
     h1 = sobolev_norm(u, 1)
-    out = []
-    for eps in eps_grid:
-        f = apply_operator(pde, u, eps, inverse=True)
-        out.append(sobolev_norm(f, 0) * abs(math.log(eps)) / h1)
-    return eps_grid, out
+    return eps_grid, [sobolev_norm(apply_operator(pde, u, eps, inverse=True), 0)
+                      * abs(math.log(eps)) / h1 for eps in eps_grid]
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,14 @@ class PeriodicField:
 
 
 def sobolev_norm(field, s):
-    """H^s norm under the (1 + pi^2 k^2)^s weight, Parseval constant 2."""
+    """H^s norm under the (1 + pi^2 k^2)^s weight, Parseval constant 2.  |fhat_k|^2 is the one
+    temporary, weighted in place for s > 0; at s = 0 the weight is 1.0 and x * 1.0 = x."""
     if s < 0:
         raise ValueError("s >= 0 required")
-    w = (1.0 + (math.pi * field.k_values) ** 2) ** s
-    return math.sqrt(2.0 * float(np.sum(w[None, :] * np.abs(field.coeffs) ** 2)))
+    sq = np.abs(field.coeffs) ** 2
+    if s:
+        sq *= (1.0 + (math.pi * field.k_values) ** 2) ** s
+    return math.sqrt(2.0 * float(np.sum(sq)))
 
 
 def _component_family(family, component_index, n_components):
@@ -96,7 +99,8 @@ def apply_operator(family, field, eps, inverse):
 
     Eigenvalues depend on |k| only: the distinct component families (x and
     y share the normal one) are evaluated together on k = 1..K_max, and
-    each spectrum is written to k > 0 as is and to k < 0 reversed.
+    each spectrum is written to k > 0 as is and to k < 0 reversed, straight into
+    the output (no other full-size array is made), whose k = 0 column is zeroed.
     """
     if not field.mean_free:
         raise MeanModeError("k = 0 coefficient must vanish before applying operators")
@@ -106,7 +110,8 @@ def apply_operator(family, field, eps, inverse):
     distinct = tuple(dict.fromkeys(fams))
     spectra = dict(zip(distinct, eigenvalues(distinct, eps, np.arange(1, k_max + 1))))
     c = field.coeffs
-    out = np.zeros_like(c)
+    out = np.empty_like(c)
+    out[:, k_max] = 0.0
     op = np.multiply if inverse else np.divide
     for ci, fam in enumerate(fams):
         lam = spectra[fam]
@@ -117,11 +122,9 @@ def apply_operator(family, field, eps, inverse):
                 k_bad = np.concatenate([-k_bad[::-1], k_bad])
                 # truncated families legitimately zero out the high band;
                 # forward application there is division by zero = a pole hit
-                raise PoleError(
-                    f"forward map undefined at k in {k_bad[:5].tolist()} (1/lambda = 0)"
-                )
-        out[ci, k_max + 1:] = op(c[ci, k_max + 1:], lam)
-        out[ci, :k_max] = op(c[ci, :k_max], lam[::-1])
+                raise PoleError(f"forward map undefined at k in {k_bad[:5].tolist()} (1/lambda = 0)")
+        op(c[ci, k_max + 1:], lam, out=out[ci, k_max + 1:])
+        op(c[ci, :k_max], lam[::-1], out=out[ci, :k_max])
     return PeriodicField(out)
 
 

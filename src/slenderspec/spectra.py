@@ -109,6 +109,14 @@ def _all(cond):  # a bool as it is, an array reduced
     return cond.all() if isinstance(cond, np.ndarray) else cond
 
 
+def _z(eps, k, scalar=True):
+    """z = pi eps k for k = |k| (a float if ``scalar``); a ValueError past the double range."""
+    try:
+        return math.pi * eps * (float(k) if scalar else k.astype(float))
+    except OverflowError:  # an int that no float holds
+        raise ValueError("z = pi eps |k| cannot be formed: |k| is past the double range") from None
+
+
 @dataclass(frozen=True)
 class Mode:
     """A single periodic wavenumber paired with a fiber radius."""
@@ -123,7 +131,7 @@ class Mode:
 
     @property
     def z(self):
-        return math.pi * self.eps * abs(self.k)
+        return _z(self.eps, abs(self.k))
 
 
 @dataclass(frozen=True)
@@ -385,7 +393,7 @@ def eigenvalues(family, eps, k):
     if not _all(k != 0):
         raise ValueError("k = 0 is excluded")
     _check_eps(eps)
-    z = math.pi * eps * (float(k) if scalar else k.astype(float))
+    z = _z(eps, k, scalar)
     names = tuple(_B_FAMILY[f.method][f.direction] for f in families)
     if first.method in ("sbt", "sbt_truncated"):
         for f, name in zip(families, names):

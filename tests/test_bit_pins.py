@@ -186,6 +186,27 @@ def _stability():
     return out
 
 
+#: criterion 07's eight studies: its eps grids and K_max, one seed
+_DELTA_H1_GRID = tuple(np.geomspace(1e-1, 10**-2.5, 6))
+_DELTA_H2_GRID = tuple(np.geomspace(10**-2.5, 1e-4, 6))
+_CONVERGENCE_07 = [(setting, method, reg, grid, k_max)
+                   for setting in ("laplace", "stokes")
+                   for method, reg, grid, k_max in (
+                       ("sbt_truncated", "H1", None, 20_000),
+                       ("sbt_truncated", "H2", None, 20_000),
+                       ("delta_reg", "H1", _DELTA_H1_GRID, 20_000),
+                       ("delta_reg", "H2", _DELTA_H2_GRID, 60_000))]
+
+
+def _convergence_07():
+    """errors and slope of each criterion-07 study at seed 11."""
+    out = []
+    for setting, method, reg, grid, k_max in _CONVERGENCE_07:
+        rep = xp.convergence_study(setting, method, reg, eps_grid=grid, seed=11, k_max=k_max)
+        out += [*rep.errors, rep.slope]
+    return out
+
+
 #: name -> the values on one grid
 GRIDS = {
     "ratio_A": lambda: bessel.ratio_A(_RATIO_Z),
@@ -210,6 +231,7 @@ GRIDS = {
        for (method, direction), f in _SCALAR_FAMILIES.items()},
     "incompressibility_06": _incompressibility_06,
     "stability": _stability,
+    "convergence_07": _convergence_07,
 }
 
 #: name -> sha256 of the grid's values, recorded at e2788c0, before the K1/K0
@@ -255,6 +277,9 @@ GRID_DIGESTS = {
     "incompressibility_06": "f7d099b5fb1b37c34f168a2ecaa4000af7aa433eb68dbf3f7aaa62936ae2872a",
     # recorded at 344ca72, before the stability code took both steps from one rate
     "stability": "61627b348b2ca7ede91af64745a949e73889e25f1a845560618d4daa2029cd5e",
+    # recorded at b2973d3, before the studies' operators and norms stopped making
+    # full-size temporaries and the K1/K0 route stopped dividing by a K0 of ones
+    "convergence_07": "c9fc4c30b04c8897a41379aed09b76b91997d5f89b428a5041075e274da6bc0b",
 }
 
 

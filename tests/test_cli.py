@@ -137,6 +137,10 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
       for bound in ("--eps-min=-1e-3", "--eps-max=inf", "--eps-min=nan")],
     (["converge", "--setting", "laplace", "--method", "sbt_truncated", "--eps-min=1e-320"],
      "eps = 9.99989e-321 needs k_max > K_MAX_LIMIT = 1048576"),
+    # a |k| that no float holds raised "int too large to convert to float"
+    (["spectrum", "--setting", "stokes", "--direction", "normal", "--eps", "0.1",
+      "--k", str(10**400), "--methods", "pde"],
+     "z = pi eps |k| cannot be formed: |k| is past the double range"),
 ])
 def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     # zero or negative sizes used to fall back to defaults or print a bare header

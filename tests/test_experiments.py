@@ -26,6 +26,36 @@ def test_single_mode_error_is_exact():
     assert err == pytest.approx(abs(lam_pde - lam_d) * 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("setting,n_components", [("laplace", 1), ("stokes", 3)])
+def test_approximation_error_leaves_the_field_unchanged(setting, n_components):
+    # f_approx is subtracted in place, into the fresh output of the exact map
+    u = ops.make_test_field("h1_rough", 64, seed=5, n_components=n_components)
+    before = u.coeffs.tobytes()
+    errors = [xp.approximation_error(setting, method, u, 0.01, delta=delta)
+              for method, delta in (("sbt_truncated", None), ("delta_reg", 2.0))]
+    assert u.coeffs.tobytes() == before
+    assert errors == [xp.approximation_error(setting, method, u, 0.01, delta=delta)
+                      for method, delta in (("sbt_truncated", None), ("delta_reg", 2.0))]
+
+
+def test_convergence_study_leaves_its_field_unchanged(monkeypatch):
+    # every eps of the grid must see the same input field
+    seen = []
+    input_field = xp._input_field
+
+    def recording(*args):
+        u = input_field(*args)
+        seen.append((u, u.coeffs.tobytes()))
+        return u
+
+    monkeypatch.setattr(xp, "_input_field", recording)
+    rep = xp.convergence_study("stokes", "delta_reg", "H1", eps_grid=DELTA_H1_GRID, k_max=400)
+    (u, before), = seen
+    assert u.coeffs.tobytes() == before
+    assert rep.errors == tuple(xp.approximation_error("stokes", "delta_reg", u, e, delta=2.0)
+                               for e in DELTA_H1_GRID)
+
+
 def test_fit_slope_recovers_powers():
     eps = np.geomspace(0.1, 1e-3, 6)
     slope, resid = xp.fit_slope(eps, 3.7 * eps**1.5)

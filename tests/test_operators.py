@@ -1,5 +1,7 @@
 import math
 import re
+import struct
+import types
 
 import numpy as np
 import pytest
@@ -126,6 +128,50 @@ def test_apply_operator_matches_signed_k_spectrum_bitwise(setting, n_components,
         expected[ci, nonzero] = c * lam if inverse else c / lam
     got = ops.apply_operator(fams[-1], f, eps, inverse)
     assert np.array_equal(got.coeffs, expected)
+
+
+@pytest.mark.parametrize("inverse", [True, False])
+@pytest.mark.parametrize("setting,direction,n_components",
+                         [("laplace", "longitudinal", 1), ("stokes", "tangential", 3)])
+def test_apply_operator_mean_column_is_positive_zero(monkeypatch, setting, direction,
+                                                     n_components, inverse):
+    # the output starts uninitialised (here: filled with nan) and only its k = 0
+    # column is zeroed; that column must be +0j bit for bit, as np.zeros_like gave
+    def nan_filled(a, *args, **kwargs):
+        out = np.empty_like(a, *args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    f = ops.make_test_field("h1_rough", 40, seed=3, n_components=n_components)
+    monkeypatch.setattr(ops, "np", types.SimpleNamespace(**{**vars(np), "empty_like": nan_filled}))
+    got = ops.apply_operator(EigenFamily(setting, direction, "pde"), f, 0.01, inverse).coeffs
+    assert got.shape == f.coeffs.shape
+    assert np.all(got[:, [f.k_max]].view(np.int64) == 0)
+    assert not np.any(np.isnan(got))
+
+
+def _parent_sobolev_norm(field, s):
+    """sobolev_norm as written before it skipped the s = 0 weight and weighted in place."""
+    w = (1.0 + (math.pi * field.k_values) ** 2) ** s
+    return math.sqrt(2.0 * float(np.sum(w[None, :] * np.abs(field.coeffs) ** 2)))
+
+
+@pytest.mark.parametrize("s", [0, 0.0, 1, 1.5, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_sobolev_norm_bits_match_the_weighted_formula(s, seed):
+    rng = np.random.default_rng(seed)
+    n, k_max = int(rng.choice((1, 3))), int(rng.integers(1, 300))
+    scale = 10.0 ** rng.uniform(-100.0, 100.0, size=(n, 2 * k_max + 1))
+    c = scale * (rng.standard_normal(scale.shape) + 1j * rng.standard_normal(scale.shape))
+    fields = [c]
+    for bad in (math.inf, -math.inf, math.nan, complex(math.inf, math.nan)):
+        d = c.copy()
+        d[rng.integers(n), rng.integers(2 * k_max + 1)] = bad
+        fields.append(d)
+    for coeffs in fields:
+        field = ops.PeriodicField(coeffs)
+        got, want = ops.sobolev_norm(field, s), _parent_sobolev_norm(field, s)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_band_limited_inverse_exact():

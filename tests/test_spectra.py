@@ -376,6 +376,28 @@ def test_upper_edges_of_z():
                 spectra.b_function(("B", "B_n"), [1.0, z])
 
 
+@pytest.mark.parametrize("k", [10**400, -(10**400), [1, 10**400],
+                               np.array([1, -(10**400)], dtype=object)],
+                         ids=["int", "negative_int", "list", "object_array"])
+def test_int_k_past_the_double_range_is_a_typed_error(k):
+    # float(k) and astype(float) raised a raw OverflowError ("int too large to convert
+    # to float"); the message must not format |k| as a float, which overflows too
+    for method in ("pde", "sbt", "sbt_truncated", "delta_reg"):
+        family = EigenFamily("stokes", "normal", method, delta=2.0 if method == "delta_reg" else None)
+        with pytest.raises(ValueError, match=r"z = pi eps \|k\| cannot be formed: "
+                                             r"\|k\| is past the double range"):
+            spectra.eigenvalues(family, 0.1, k)
+
+
+def test_mode_past_the_double_range_is_a_typed_error():
+    for k in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match=r"z = pi eps \|k\| cannot be formed"):
+            Mode(k, 0.1).z
+    # the largest int that still rounds to a double forms z as before
+    k = 2**1024 - 2**970 - 1
+    assert Mode(k, 1e-300).z == math.pi * 1e-300 * float(k)
+
+
 @pytest.mark.parametrize("direction", ["longitudinal", "tangential"])
 def test_pde_eigenvalue_past_the_double_range_raises(direction):
     # 2 pi B ~ 2 pi z, and 4 pi B_t (B_t reads z/2 there), leave the double range
