@@ -36,7 +36,6 @@ All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +45,7 @@ EULER_GAMMA = 0.57721566490153286061
 SERIES_CUTOFF = 2.0
 
 #: exp(-z) leaves the normal double range past here; K values are subnormal,
-#: then 0.0, and ``bessel_k_detail`` flags them
+#: then 0.0, and ``bessel_k_detail`` returns the flag z > UNDERFLOW_Z with them
 UNDERFLOW_Z = 705.0
 
 #: scalars and batches of at most this many points run ``_k0_k1_point`` (see the
@@ -79,14 +78,6 @@ class BesselDomainError(ValueError):
 
 class BesselAccuracyError(RuntimeError):
     """Raised when the quadrature oracle cannot certify its target accuracy."""
-
-
-class BesselEval(NamedTuple):
-    """One K_nu evaluation; ``underflowed`` marks z > UNDERFLOW_Z (a subnormal or 0.0 value)."""
-
-    order: int
-    value: float
-    underflowed: bool = False
 
 
 def _in_domain(z, with_k2=False):
@@ -325,7 +316,7 @@ def bessel_k(order, z):
     row per order (shape ``(len(order),)`` for scalar z, ``(len(order),
     z.size)`` otherwise), each bitwise equal to the single-order call.
     Past UNDERFLOW_Z values underflow gracefully to subnormals, then 0.0
-    (``bessel_k_detail`` flags them).  K2 comes from the recurrence
+    (``bessel_k_detail`` returns a flag for that).  K2 comes from the recurrence
     K2 = K0 + 2 K1/z, which makes the recurrence residual exact.
     """
     orders, single = _check_orders(order)
@@ -335,11 +326,10 @@ def bessel_k(order, z):
 
 
 def bessel_k_detail(order, z):
-    """Like ``bessel_k``, with a :class:`BesselEval` per order that flags underflow."""
-    z, (orders, single) = float(_as_float(z)), _check_orders(order)
-    under = z > UNDERFLOW_Z
-    evals = tuple(BesselEval(o, v, under) for o, v in zip(orders, bessel_k(orders, z).tolist()))
-    return evals[0] if single else evals
+    """``(bessel_k(order, z), z > UNDERFLOW_Z)`` for scalar z.  It stays because the benchmark
+    tracer wraps ``profiles.solve_mode``'s call to it; ROADMAP item 6 retires it with the tracer."""
+    z = float(_as_float(z))
+    return bessel_k(order, z), z > UNDERFLOW_Z
 
 
 def ratio_B(z):

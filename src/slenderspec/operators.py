@@ -141,27 +141,29 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
     if k_max < 8:
         raise ValueError("k_max >= 8 required")
     check_count("k_max", k_max)
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros((n_components, 2 * k_max + 1), dtype=complex)
-    kpos = np.arange(1, k_max + 1)
-    for ci in range(n_components):
-        if profile == "single_mode":
-            if mode_k is None or not (1 <= abs(int(mode_k)) <= k_max):
-                raise ValueError("single_mode needs mode_k with 1 <= |mode_k| <= k_max")
-            amp = np.zeros(k_max)
-            amp[abs(int(mode_k)) - 1] = 1.0
-            phase = np.zeros(k_max)
+    if profile == "single_mode":
+        if mode_k is None or not (1 <= abs(int(mode_k)) <= k_max):
+            raise ValueError("single_mode needs mode_k with 1 <= |mode_k| <= k_max")
+        amp = np.zeros(k_max)
+        amp[abs(int(mode_k)) - 1] = 1.0
+        phase = np.zeros((n_components, k_max))
+    else:
+        kpos = np.arange(1, k_max + 1)
+        if profile == "h1_rough":
+            amp = kpos.astype(float) ** -1.6
+        elif profile == "h2_rough":
+            amp = kpos.astype(float) ** -2.6
+        elif profile == "smooth":
+            amp = np.exp(-kpos / 4.0)
         else:
-            if profile == "h1_rough":
-                amp = kpos.astype(float) ** -1.6
-            elif profile == "h2_rough":
-                amp = kpos.astype(float) ** -2.6
-            elif profile == "smooth":
-                amp = np.exp(-kpos / 4.0)
-            else:
-                raise ValueError(f"unknown profile {profile!r}")
-            phase = rng.uniform(0.0, 2.0 * math.pi, size=k_max)
-        pos = amp * np.exp(1j * phase)
+            raise ValueError(f"unknown profile {profile!r}")
+        # one draw of n rows is the stream of n draws of one row each
+        phase = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (n_components, k_max))
+    coeffs = np.zeros((n_components, 2 * k_max + 1), dtype=complex)
+    for ci in range(n_components):
+        # one row on a fresh temporary: from 2**14 points on numpy forms the product in it,
+        # operands swapped, which fixes the sign of a zero part where amp is subnormal
+        pos = amp * np.exp(1j * phase[ci])
         coeffs[ci, k_max + 1:] = pos
         coeffs[ci, :k_max] = np.conj(pos[::-1])
     return PeriodicField(coeffs)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_k, bessel_k_detail
+from .bessel import Z_MAX, bessel_k, bessel_k_detail
 from .spectra import Mode, eigenvalue, pde_family
 
 
@@ -80,11 +80,11 @@ def solve_mode(direction, mode):
     """Compute the profile constants for one (direction, mode) pair."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    evals = bessel_k_detail(_PROFILES[direction].orders, mode.z)
-    if any(ev.underflowed for ev in evals):
+    values, underflowed = bessel_k_detail(_PROFILES[direction].orders, mode.z)
+    if underflowed:
         raise UnderflowError(f"K underflow at z = pi*eps*|k| = {mode.z:.3f}")
-    scale = math.frexp(evals[1].value)[1]
-    k0, k1, *rest = (math.ldexp(ev.value, -scale) for ev in evals)
+    scale = math.frexp(values[1])[1]
+    k0, k1, *rest = (math.ldexp(v, -scale) for v in values.tolist())
     eps, k, z = mode.eps, mode.k, mode.z
     sgn = 1.0 if k > 0 else -1.0
 
@@ -145,6 +145,11 @@ def evaluate_profile(sol, r):
         raise ValueError("profile radii must be finite")
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
         raise ValueError("profiles are defined for r >= eps only")
+    # on Python floats, which overflow to inf without a warning, before numpy forms pi |k| r
+    z = math.pi * abs(sol.mode.k) * float(np.max(r, initial=0.0))
+    if z >= Z_MAX:
+        raise ValueError(f"profiles need z = pi |k| r < 2**1023 ~ {Z_MAX:.4g}; "
+                         f"the largest radius gives z = {z:.4g}")
     return _profile(sol, r)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slenderspec import bessel, dynamics, profiles, spectra
+from slenderspec import bessel, dynamics, operators, profiles, spectra
 from slenderspec import experiments as xp
 from slenderspec.spectra import Mode
 
@@ -207,6 +207,23 @@ def _convergence_07():
     return out
 
 
+#: make_test_field's random profiles on one and three components at each (K_max, seed),
+#: then single_mode at each mode_k
+_FIELD_PROFILES = ("h1_rough", "h2_rough", "smooth")
+_FIELD_SIZES = ((8, 0), (64, 5), (20000, 11), (60000, 47))
+_FIELD_MODES = (1, 3, -5, 8)
+
+
+def _test_fields():
+    """Every field's coefficients, concatenated and read as float64 pairs, so the
+    digest covers the sign of each zero."""
+    fields = [operators.make_test_field(profile, k_max, seed, n)
+              for profile in _FIELD_PROFILES for n in (1, 3) for k_max, seed in _FIELD_SIZES]
+    fields += [operators.make_test_field("single_mode", k_max, seed, n, mode_k)
+               for n in (1, 3) for k_max, seed in _FIELD_SIZES[:2] for mode_k in _FIELD_MODES]
+    return np.concatenate([field.coeffs.ravel() for field in fields]).view(float)
+
+
 #: name -> the values on one grid
 GRIDS = {
     "ratio_A": lambda: bessel.ratio_A(_RATIO_Z),
@@ -232,6 +249,7 @@ GRIDS = {
     "incompressibility_06": _incompressibility_06,
     "stability": _stability,
     "convergence_07": _convergence_07,
+    "test_fields": _test_fields,
 }
 
 #: name -> sha256 of the grid's values, recorded at e2788c0, before the K1/K0
@@ -280,6 +298,9 @@ GRID_DIGESTS = {
     # recorded at b2973d3, before the studies' operators and norms stopped making
     # full-size temporaries and the K1/K0 route stopped dividing by a K0 of ones
     "convergence_07": "c9fc4c30b04c8897a41379aed09b76b91997d5f89b428a5041075e274da6bc0b",
+    # recorded at 933f8ba, before make_test_field built each amplitude once and drew
+    # every phase in one call
+    "test_fields": "53244ce6bb2fa2479ac0f2221700a8dc97bc83ee639dab184e8540564f7fbcf4",
 }
 
 

@@ -246,6 +246,20 @@ def test_profile_past_underflow_exit_2(capsys):
     assert captured.err == "error: K underflow at z = pi*eps*|k| = 716.283\n"
 
 
+def test_profile_radius_past_the_kernel_range_exit_2(capsys):
+    # pi |k| r = 1.57e310 overflowed in numpy's multiply: a RuntimeWarning (a traceback
+    # and exit 1 with warnings as errors), else exit 2 naming K2's lower edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["profile", "--direction", "normal", "--eps", "0.05", "--k", "1000",
+                     "--r-mult", "1e308"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: profiles need z = pi |k| r < 2**1023 ~ 8.988e+307; "
+                            "the largest radius gives z = inf\n")
+
+
 def test_converge_json(capsys):
     code, out = run(capsys, "converge", "--setting", "laplace", "--method",
                     "sbt_truncated", "--eps-max", "0.0316", "--eps-min", "0.01",

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +114,33 @@ def test_evaluate_profile_rejects_non_finite_radii(bad):
     sol = profiles.solve_mode("normal", Mode(3, 0.05))
     with pytest.raises(ValueError, match="profile radii must be finite"):
         profiles.evaluate_profile(sol, np.array([0.05, bad]))
+
+
+@pytest.mark.parametrize("direction", profiles.DIRECTIONS)
+def test_radii_past_the_kernel_range_are_a_value_error(direction):
+    # pi |k| r overflowed in numpy's multiply (a RuntimeWarning), and the kernel then
+    # reported K2's lower edge for the inf it was given
+    sol = profiles.solve_mode(direction, Mode(1000, 0.05))
+    r_top = bessel.Z_MAX / (math.pi * 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r in ([0.05, 5e306], [0.05, r_top], [0.05] * 40 + [1e308]):
+            with pytest.raises(ValueError, match=r"z = pi \|k\| r < 2\*\*1023"):
+                profiles.evaluate_profile(sol, r)
+        # just below the edge every K value has underflowed to 0.0
+        for r in ([0.05, np.nextafter(r_top, 0.0)], [0.05] * 40 + [np.nextafter(r_top, 0.0)]):
+            assert all(v[-1] == 0.0 for v in profiles.evaluate_profile(sol, r).values())
+
+
+@pytest.mark.parametrize("direction", profiles.DIRECTIONS)
+def test_solve_mode_calls_bessel_k_detail_once_through_its_binding(direction):
+    # the benchmark tracer counts solve_mode's kernel calls by wrapping this binding
+    mode = Mode(37, 0.05)
+    with mock.patch.object(profiles, "bessel_k_detail", wraps=bessel.bessel_k_detail) as spy:
+        profiles.solve_mode(direction, mode)
+        spy.assert_called_once_with(profiles._PROFILES[direction].orders, mode.z)
+        profiles.traction_vs_closed_form(direction, mode)
+        assert spy.call_count == 2
 
 
 def test_underflow_guard():
