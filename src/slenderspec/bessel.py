@@ -22,13 +22,14 @@ Two evaluation routes are kept deliberately independent:
 The series (``_series_sums``) and the continued fraction (``_cf``) are each
 one loop, run on a numpy array or on one Python float.  ``_kernel``, at the
 entry of ``bessel_k``, ``ratio_A`` and ``ratio_B``, is the one switch: a
-scalar or a batch of at most ``_SMALL`` points goes point by point through
-``_k0_k1_point``, one Python float from the domain check to the result;
-larger batches run ``_k0_k1`` on arrays.  The bits are the same: each point
-makes the same + - * /, abs, sqrt, comparisons, np.log and np.exp calls in
-the same order (math.log and math.exp need not round alike).  A continued-
-fraction point stops on its own test; every series point of a batch takes
-the term count of the batch's largest t = z^2/4 (``_series_terms``).
+scalar or a batch of at most ``_SMALL`` points is checked against the domain
+there, then goes point by point through ``_k0_k1_point``, one Python float from
+the series or the continued fraction to the result; larger batches run
+``_k0_k1`` on arrays.  The bits are the same: each point makes the same + - * /,
+abs, sqrt, comparisons, np.log and np.exp calls in the same order (math.log and
+math.exp need not round alike).  A continued-fraction point stops on its own
+test; every series point of a batch takes the term count of the batch's
+largest t = z^2/4 (``_series_terms``).
 
 All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure.
 """
@@ -246,11 +247,9 @@ def _k0_k1(z, with_k2=False, ratio=False):
 
 
 def _k0_k1_point(x, with_k2, ratio, terms):
-    """``_k0_k1`` at one Python float x: K0 and K1, or with ``ratio`` K1/K0; the series
-    to ``terms`` terms (0: its own count).  Up to x = 708 exp(-x) is a normal double and
-    raises no floating-point flag, so only past it does np.exp run under np.errstate."""
-    if not _in_domain(x, with_k2):
-        _validate_z(x, with_k2)  # raises the numpy path's error
+    """``_k0_k1`` at one Python float x that ``_kernel`` has checked: K0 and K1, or with
+    ``ratio`` K1/K0; the series to ``terms`` terms (0: its own count).  Up to x = 708
+    exp(-x) is a normal double and raises no flag; only past it np.exp runs in np.errstate."""
     if x <= SERIES_CUTOFF:
         t = 0.25 * x * x
         k0, k1 = _series_k(x, float(np.log(0.5 * x)), *_series_sums(t, terms or _series_terms(t)))
@@ -273,6 +272,8 @@ def _kernel(z, with_k2=False, ratio=False):
     """The module docstring's switch: z (1-d), ``_k0_k1``'s result and whether z was a scalar."""
     z = _as_float(z)
     if isinstance(z, float) and _SMALL:
+        if not _in_domain(z, with_k2):
+            _validate_z(z, with_k2)  # the numpy path's error
         out = _k0_k1_point(z, with_k2, ratio, 0)
         return [z], ([out] if ratio else ([out[0]], [out[1]])), True
     scalar, z = np.ndim(z) == 0, np.atleast_1d(z)

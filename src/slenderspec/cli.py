@@ -179,12 +179,10 @@ def build_parser():
     sp.add_argument("--k", default="1..50", help="k range, e.g. 1..50 or 3 or 1,4,9")
     sp.add_argument("--methods", default="pde,sbt,delta_reg")
     sp.add_argument("--delta", type=float, default=2.0)
-    sp.add_argument("--output")
     sp.set_defaults(func=cmd_spectrum)
 
     vp = sub.add_parser("verify", help="run a verification suite")
     vp.add_argument("suite", choices=list(checks.SUITES) + ["all"])
-    vp.add_argument("--output")
     vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("converge", help="convergence-rate study")
@@ -198,13 +196,11 @@ def build_parser():
     cp.add_argument("--delta", type=float, default=2.0)
     cp.add_argument("--k-max", type=int, default=None)
     cp.add_argument("--format", choices=["json", "csv"], default="json")
-    cp.add_argument("--output")
     cp.set_defaults(func=cmd_converge)
 
     dp = sub.add_parser("delta-opt", help="optimal regularization parameter")
     dp.add_argument("--setting", choices=list(_SETTINGS), required=True)
     dp.add_argument("--ratio", type=float, required=True)
-    dp.add_argument("--output")
     dp.set_defaults(func=cmd_delta_opt)
 
     yp = sub.add_parser("dynamics", help="stability sweep or per-step energy CSV")
@@ -218,7 +214,6 @@ def build_parser():
     yp.add_argument("--dt", type=float, default=None)
     yp.add_argument("--scheme", choices=["explicit_euler", "implicit_exact"],
                     default="implicit_exact")
-    yp.add_argument("--output")
     yp.set_defaults(func=cmd_dynamics)
 
     pp = sub.add_parser("profile", help="radial velocity/pressure profiles as CSV")
@@ -227,8 +222,9 @@ def build_parser():
     pp.add_argument("--k", type=int, required=True)
     pp.add_argument("--r-mult", type=float, default=10.0)
     pp.add_argument("--points", type=int, default=100)
-    pp.add_argument("--output")
     pp.set_defaults(func=cmd_profile)
+    for command in sub.choices.values():
+        command.add_argument("--output")
     return p
 
 

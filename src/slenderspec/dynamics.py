@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiments import _bisect, fit_slope
 from .operators import check_count
 from .spectra import _check_eps, eigenvalues, pde_family
 
@@ -81,20 +82,18 @@ def step(state, dt, scheme):
     """One time step: explicit_euler (1 + dt nu) or implicit_exact (e^{dt nu})."""
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
-    k = state.k_values
-    mult = np.ones_like(k, dtype=float)
-    nz = k != 0
-    rates = nu(state.eps, k[nz])
+    rates = nu(state.eps, np.arange(1, state.k_max + 1))  # nu reads |k| only
     # Python floats overflow to inf silently, so this test itself never warns
     dt_nu = float(dt) * float(np.max(np.abs(rates), initial=0.0))
     if not (math.isfinite(dt_nu) and math.isfinite(float(state.t) + float(dt))):
         raise ValueError(f"dt = {dt:g} is too large: dt * max|nu| or t + dt overflows")
     if scheme == "explicit_euler":
-        mult[nz] = 1.0 + dt * rates
+        half = 1.0 + dt * rates
     elif scheme == "implicit_exact":
-        mult[nz] = np.exp(dt * rates)
+        half = np.exp(dt * rates)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    mult = np.concatenate((half[::-1], [1.0], half))  # k = -K..K
     with np.errstate(over="ignore"):  # energy() below rejects the overflowed state
         new = DynamicsState(state.coeffs * mult[None, :], state.eps, state.t + dt)
     energy(new)
@@ -132,13 +131,7 @@ def _bisect_dt(rate):
     """The dt in [0.5, 4] x 2/|rate| where 200 explicit steps grow a mode 10^6-fold;
     |1 + dt rate| runs from ~0 to 7 (7^200 ~ 1e169) over it, so it holds the boundary."""
     analytic = 2.0 / abs(rate)
-    lo, hi = 0.5 * analytic, 4.0 * analytic
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if abs(1.0 + mid * rate) ** 200 > 1e6:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda dt: abs(1.0 + dt * rate) ** 200 <= 1e6, 0.5 * analytic, 4.0 * analytic)
     return 0.5 * (lo + hi)
 
 
@@ -164,7 +157,5 @@ def stability_sweep(eps, k_max_list):
 
 def stability_slope(eps, k_max_list):
     """OLS slope of log(max stable dt) against log(ds) across the sweep."""
-    ds = np.log([grid_spacing(k) for k in k_max_list])
-    dt = np.log([max_stable_dt(eps, k) for k in k_max_list])
-    slope, _ = np.polyfit(ds, dt, 1)
-    return float(slope)
+    return fit_slope([grid_spacing(k) for k in k_max_list],
+                     [max_stable_dt(eps, k) for k in k_max_list])[0]

@@ -144,6 +144,17 @@ def _root_lhs(setting, delta):
     return delta**2 * (c0 + m * math.log(delta)) ** 2 * (3.0 + 2.0 * math.log(delta)) / m
 
 
+def _bisect(below, lo, hi):
+    """Halve [lo, hi] until lo and hi are adjacent doubles, keeping below(lo) and
+    not below(hi) for a ``below`` that holds up to one point and fails past it."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def optimal_delta(setting, ratio):
     """delta* solving the monotone optimality equation at C2/C1 = ratio."""
     lo = _setting(setting).threshold * (1.0 + 1e-12)
@@ -153,13 +164,7 @@ def optimal_delta(setting, ratio):
     hi = 10.0
     while _root_lhs(setting, hi) < ratio:
         hi *= 2.0
-    # _root_lhs increases on [lo, hi]: bisect until lo, hi are adjacent doubles
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _root_lhs(setting, mid) < ratio:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(lambda d: _root_lhs(setting, d) < ratio, lo, hi)[0]  # increasing on [lo, hi]
 
 
 def cdelta_profile(setting, delta_grid, c1, c2):

@@ -161,9 +161,10 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
         phase = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (n_components, k_max))
     coeffs = np.zeros((n_components, 2 * k_max + 1), dtype=complex)
     for ci in range(n_components):
-        # one row on a fresh temporary: from 2**14 points on numpy forms the product in it,
-        # operands swapped, which fixes the sign of a zero part where amp is subnormal
-        pos = amp * np.exp(1j * phase[ci])
-        coeffs[ci, k_max + 1:] = pos
-        coeffs[ci, :k_max] = np.conj(pos[::-1])
+        # e^{i phase} times amp in place, one operand order at every size: the order fixes the
+        # sign of a zero part where amp is subnormal, and numpy's temporary elision would
+        # give `amp * e` this order from 2**14 points on only
+        pos = np.exp(1j * phase[ci], out=coeffs[ci, k_max + 1:])
+        pos *= amp
+        np.conj(pos[::-1], out=coeffs[ci, :k_max])
     return PeriodicField(coeffs)

@@ -71,6 +71,44 @@ def test_step_formulas():
         dynamics.step(s0, dt, "rk7")
 
 
+@pytest.mark.parametrize("scheme", ["explicit_euler", "implicit_exact"])
+@pytest.mark.parametrize("k_max", [8, 20, 100])
+def test_step_evaluates_nu_once_per_wavenumber_magnitude(monkeypatch, scheme, k_max):
+    # K_max = 20 puts the signed table (40 points) past bessel._SMALL and |k| inside it
+    eps, dt = 0.01, 1e-6
+    k = np.arange(-k_max, k_max + 1)
+    nz = k != 0
+    rates = dynamics.nu(eps, k[nz])
+    signed = np.ones(k.size)
+    signed[nz] = 1.0 + dt * rates if scheme == "explicit_euler" else np.exp(dt * rates)
+    sizes = []
+    real_eigenvalues = dynamics.eigenvalues
+    monkeypatch.setattr(dynamics, "eigenvalues",
+                        lambda fam, e, kk: sizes.append(np.size(kk)) or real_eigenvalues(fam, e, kk))
+    ones = np.ones((2, 2 * k_max + 1), dtype=complex)
+    ones[:, k_max] = 0.0
+    mult = dynamics.step(dynamics.DynamicsState(ones, eps), dt, scheme).coeffs
+    assert sizes == [k_max]
+    signed_row = np.where(nz, signed, 0.0).astype(complex)
+    for row in mult:
+        assert np.array_equal(row.view(np.uint64), signed_row.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e12, max_value=-1e-6))
+def test_property_bisect_dt_matches_the_fixed_step_loop(rate):
+    # the 80-step loop that _bisect_dt replaced; it stands still once lo, hi are adjacent
+    analytic = 2.0 / abs(rate)
+    lo, hi = 0.5 * analytic, 4.0 * analytic
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if abs(1.0 + mid * rate) ** 200 > 1e6:
+            hi = mid
+        else:
+            lo = mid
+    assert dynamics._bisect_dt(rate) == 0.5 * (lo + hi)
+
+
 @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
 def test_step_rejects_non_finite_dt(dt):
     s0 = dynamics.single_mode_state(0.01, 8, 3)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slenderspec import experiments as xp
 from slenderspec import operators as ops
@@ -61,6 +62,22 @@ def test_fit_slope_recovers_powers():
     slope, resid = xp.fit_slope(eps, 3.7 * eps**1.5)
     assert slope == pytest.approx(1.5, abs=1e-10)
     assert resid < 1e-10
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE, min_size=3, max_size=3, unique=True).map(sorted), st.booleans())
+def test_property_bisect_ends_on_adjacent_doubles(points, through_atan):
+    # below holds up to the threshold and fails from it on: x < t, or atan x < atan t
+    lo, threshold, hi = points
+    below = ((lambda x: math.atan(x) < math.atan(threshold)) if through_atan
+             else (lambda x: x < threshold))
+    assume(below(lo) and not below(hi))  # atan rounds neighbouring points alike
+    lo, hi = xp._bisect(below, lo, hi)
+    assert np.nextafter(lo, np.inf) == hi
+    assert below(lo) and not below(hi)
 
 
 @pytest.mark.parametrize("setting", ["laplace", "stokes"])

@@ -192,6 +192,14 @@ def test_make_test_field_deterministic():
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
+def test_smooth_field_bits_do_not_depend_on_k_max_below_or_from_2_14():
+    # the subnormal amplitudes past k ~ 2834 give zero imaginary parts whose sign follows
+    # the operand order of the complex product; it must be one order at every size
+    a = ops.make_test_field("smooth", 2**14 - 1, seed=1).coeffs[0, 2**14:]
+    b = ops.make_test_field("smooth", 2**14, seed=1).coeffs[0, 2**14 + 1:-1]
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_make_test_field_real_and_mean_free():
     for profile in ("h1_rough", "h2_rough", "smooth"):
         f = ops.make_test_field(profile, 16, seed=4, n_components=3)
