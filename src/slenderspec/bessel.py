@@ -78,7 +78,7 @@ class BesselDomainError(ValueError):
 
 
 class BesselAccuracyError(RuntimeError):
-    """Raised when the quadrature oracle cannot certify its target accuracy."""
+    """Raised when a quadrature cannot certify its target accuracy."""
 
 
 def _in_domain(z, with_k2=False):
@@ -246,7 +246,7 @@ def _k0_k1(z, with_k2=False, ratio=False):
     return k0 if ratio else (k0, k1)
 
 
-def _k0_k1_point(x, with_k2, ratio, terms):
+def _k0_k1_point(x, ratio, terms):
     """``_k0_k1`` at one Python float x that ``_kernel`` has checked: K0 and K1, or with
     ``ratio`` K1/K0; the series to ``terms`` terms (0: its own count).  Up to x = 708
     exp(-x) is a normal double and raises no flag; only past it np.exp runs in np.errstate."""
@@ -274,7 +274,7 @@ def _kernel(z, with_k2=False, ratio=False):
     if isinstance(z, float) and _SMALL:
         if not _in_domain(z, with_k2):
             _validate_z(z, with_k2)  # the numpy path's error
-        out = _k0_k1_point(z, with_k2, ratio, 0)
+        out = _k0_k1_point(z, ratio, 0)
         return [z], ([out] if ratio else ([out[0]], [out[1]])), True
     scalar, z = np.ndim(z) == 0, np.atleast_1d(z)
     if z.ndim > 1 or not 0 < z.size <= _SMALL:
@@ -283,7 +283,7 @@ def _kernel(z, with_k2=False, ratio=False):
     if not all(_in_domain(x, with_k2) for x in zs):
         _validate_z(z, with_k2)  # the numpy path's error for the whole batch
     terms = _series_terms(max([0.25 * x * x for x in zs if x <= SERIES_CUTOFF], default=0.0))
-    points = [_k0_k1_point(x, with_k2, ratio, terms) for x in zs]
+    points = [_k0_k1_point(x, ratio, terms) for x in zs]
     return zs, (points if ratio else tuple(zip(*points))), scalar
 
 

@@ -30,12 +30,6 @@ class SuiteResult:
     def ok(self):
         return all(v[0] for v in self.checks.values())
 
-    def lines(self):
-        out = [f"[{'PASS' if self.ok else 'FAIL'}] suite {self.name}"]
-        for check, (ok, detail) in self.checks.items():
-            out.append(f"  {'ok  ' if ok else 'FAIL'} {check}: {detail:.6e}")
-        return out
-
 
 def verify_bessel():
     """Implementation vs quadrature oracle, recurrence, crossover continuity."""

@@ -10,6 +10,7 @@ SLENDERSPEC_OUTDIR environment variable supplies a default directory for
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -18,9 +19,6 @@ import numpy as np
 from . import checks, dynamics, experiments, profiles
 from .operators import check_count
 from .spectra import _DIRECTIONS, _SETTINGS, EigenFamily, Mode, _check_eps, eigenvalues
-
-_FMT = "{:.17g}"
-
 
 class UsageError(Exception):
     pass
@@ -38,6 +36,13 @@ def _parse_krange(text):
     if not ks:
         raise ValueError(f"k range {text!r} selects no wavenumber")
     return ks
+
+
+def _csv(header, rows):
+    """A CSV table: floats to 17 significant digits, which read back bit for bit;
+    ints and strings as they are."""
+    cells = ((format(x, ".17g") if isinstance(x, float) else str(x) for x in row) for row in rows)
+    return "\n".join([header, *map(",".join, cells)]) + "\n"
 
 
 def _emit(text, path):
@@ -88,22 +93,24 @@ def _apply_config_defaults(argv, parser):
 
 def cmd_spectrum(args):
     ks, setting, direction = _parse_krange(args.k), args.setting, args.direction
-    rows = ["setting,direction,method,delta,eps,k,lambda"]
+    rows = []
     for method in args.methods.split(","):
         delta = args.delta if method == "delta_reg" else None
-        fam = EigenFamily(setting, direction, method, delta=delta)
-        lam = eigenvalues(fam, args.eps, np.array(ks))
-        for k, v in zip(ks, np.atleast_1d(lam)):
-            dcol = _FMT.format(delta) if delta is not None else ""
-            rows.append(f"{setting},{direction},{method},{dcol},"
-                        f"{_FMT.format(args.eps)},{k},{_FMT.format(v)}")
-    return "\n".join(rows) + "\n", 0
+        lam = eigenvalues(EigenFamily(setting, direction, method, delta=delta), args.eps,
+                          np.array(ks))
+        rows.extend((setting, direction, method, "" if delta is None else delta, args.eps, k, v)
+                    for k, v in zip(ks, np.atleast_1d(lam)))
+    return _csv("setting,direction,method,delta,eps,k,lambda", rows), 0
 
 
 def cmd_verify(args):
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     results = [checks.SUITES[name]() for name in names]
-    out = [line for r in results for line in r.lines()]
+    out = []
+    for r in results:
+        out.append(f"[{'PASS' if r.ok else 'FAIL'}] suite {r.name}")
+        out.extend(f"  {'ok  ' if ok else 'FAIL'} {check}: {detail:.6e}"
+                   for check, (ok, detail) in r.checks.items())
     return "\n".join(out) + "\n", 0 if all(r.ok for r in results) else 1
 
 
@@ -112,11 +119,17 @@ def cmd_converge(args):
     _check_eps(args.eps_min)
     check_count("--eps-points", args.eps_points)
     eps_grid = np.geomspace(args.eps_max, args.eps_min, args.eps_points)
-    report = experiments.convergence_study(
+    rep = experiments.convergence_study(
         args.setting, args.method, args.regularity, eps_grid=eps_grid,
         seed=args.seed, delta=args.delta, k_max=args.k_max)
-    text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
-    return text, 0
+    if args.format == "json":
+        return json.dumps({
+            "setting": rep.setting, "method": rep.method, "regularity": rep.regularity,
+            "eps": list(rep.eps_grid), "errors": list(rep.errors), "slope": rep.slope,
+            "residual": rep.residual, "seed": rep.seed}) + "\n", 0
+    return _csv("setting,method,regularity,seed,eps,error,slope,residual",
+                [(rep.setting, rep.method, rep.regularity, rep.seed, e, err, rep.slope,
+                  rep.residual) for e, err in zip(rep.eps_grid, rep.errors)]), 0
 
 
 def cmd_delta_opt(args):
@@ -132,18 +145,14 @@ def cmd_dynamics(args):
             raise ValueError("--dt must be finite and positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
         dt = 0.5 * dynamics.max_stable_dt(args.eps, args.k_max) if args.dt is None else args.dt
-        rows = ["step,t,energy"]
+        rows = []
         for i in range(args.steps + 1):
             if i:
                 state = dynamics.step(state, dt, args.scheme)
-            rows.append(f"{i},{_FMT.format(state.t)},{_FMT.format(dynamics.energy(state))}")
-    else:
-        k_list = _parse_krange(args.sweep)
-        rows = ["eps,K_max,ds,dt_max_analytic,dt_max_empirical"]
-        for eps, k_max, ds, dt_a, dt_e in dynamics.stability_sweep(args.eps, k_list):
-            rows.append(f"{_FMT.format(eps)},{k_max},{_FMT.format(ds)},"
-                        f"{_FMT.format(dt_a)},{_FMT.format(dt_e)}")
-    return "\n".join(rows) + "\n", 0
+            rows.append((i, state.t, dynamics.energy(state)))
+        return _csv("step,t,energy", rows), 0
+    return _csv("eps,K_max,ds,dt_max_analytic,dt_max_empirical",
+                dynamics.stability_sweep(args.eps, _parse_krange(args.sweep))), 0
 
 
 def cmd_profile(args):
@@ -157,12 +166,8 @@ def cmd_profile(args):
     r = np.linspace(args.eps, args.eps * args.r_mult, args.points)
     prof = profiles.evaluate_profile(sol, r)
     cols = profiles._PROFILES[args.direction].columns
-    header = "r," + ",".join(f"{c}_re,{c}_im" for c in cols)
-    rows = [header]
-    for i, ri in enumerate(r):
-        vals = [_FMT.format(x) for c in cols for x in (prof[c][i].real, prof[c][i].imag)]
-        rows.append(_FMT.format(ri) + "," + ",".join(vals))
-    return "\n".join(rows) + "\n", 0
+    parts = [part for c in cols for part in (prof[c].real, prof[c].imag)]
+    return _csv("r," + ",".join(f"{c}_re,{c}_im" for c in cols), zip(r, *parts)), 0
 
 
 def build_parser():

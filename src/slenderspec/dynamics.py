@@ -34,6 +34,8 @@ def nu(eps, k):
         raise ValueError("k = 0 is excluded from the dynamics")
     lam = eigenvalues(_NORMAL_PDE, eps, k_arr)
     kk = np.abs(k_arr).astype(float)
+    if not np.all(kk < 2.0**256):
+        raise ValueError("nu requires |k| < 2**256 ~ 1.158e+77; k**4 overflows past it")
     out = (-(kk**4) + kk**2) / lam
     return float(out[0]) if np.ndim(k) == 0 else out
 

@@ -17,7 +17,6 @@ Three experiment families:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,23 +39,6 @@ class ConvergenceReport:
     slope: float
     residual: float
     seed: int
-
-    def to_json(self):
-        return json.dumps({
-            "setting": self.setting, "method": self.method,
-            "regularity": self.regularity, "eps": list(self.eps_grid),
-            "errors": list(self.errors), "slope": self.slope,
-            "residual": self.residual, "seed": self.seed,
-        })
-
-    def to_csv(self):
-        lines = ["setting,method,regularity,seed,eps,error,slope,residual"]
-        for e, err in zip(self.eps_grid, self.errors):
-            lines.append(
-                f"{self.setting},{self.method},{self.regularity},{self.seed},"
-                f"{e:.17g},{err:.17g},{self.slope:.17g},{self.residual:.17g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _required_k_max(eps_min):

@@ -23,6 +23,7 @@ p), since a later division rounds differently on complex data.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from collections import namedtuple
@@ -101,6 +102,11 @@ def solve_mode(direction, mode):
         c_p = 4.0 * math.pi * abs(k) * k1 * k2 / den
         consts = (c_p, 2.0 / k0 - c_p * eps * k1 / (2.0 * k0),
                   1j * c_p * eps * k0 * sgn / (2.0 * k1), -c_p * eps * k1 / (2.0 * k2))
+    # at small z the scaled tangential c_p is about 2 / (eps (2 K0 - 1)): past the double
+    # range only for a subnormal eps, where Python's complex arithmetic sets no flag
+    if not all(map(cmath.isfinite, consts)):
+        raise OverflowError(f"the {direction} profile constants overflow a double at "
+                            f"eps = {eps:.4g}, k = {k}")
     return RadialModeSolution(mode, direction, scale, *consts)
 
 

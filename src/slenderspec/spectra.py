@@ -40,8 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import (EULER_GAMMA, Z_MIN, _as_float, _gauss_panels, _shape_rows, bessel_k,
-                     ratio_A, ratio_B)
+from .bessel import (EULER_GAMMA, Z_MIN, BesselAccuracyError, _as_float, _gauss_panels,
+                     _shape_rows, bessel_k, ratio_A, ratio_B)
 
 SQRT_E = math.sqrt(math.e)
 
@@ -608,7 +608,8 @@ def periodization_identity_check(tol=1e-10):
 
     The integrand has a removable singularity at z = 0, handled by a series
     branch for small |z|; composite Gauss-Legendre panels are doubled until
-    two levels agree to ``tol``.  Returns (value, closed_form, abs_error).
+    two levels agree to ``tol``, else BesselAccuracyError past 256 panels.
+    Returns (value, closed_form, abs_error).
     """
 
     def integral(n_panels):
@@ -626,6 +627,9 @@ def periodization_identity_check(tol=1e-10):
         if abs(val - coarse) <= tol:
             break
         coarse = val
+    else:
+        raise BesselAccuracyError(f"periodization quadrature: no two panel levels up to 256 "
+                                  f"agree to tol = {tol:.3g}")
     total = 2.0 * float(val)
     closed = -2.0 * math.log(math.pi / 4.0)
     return total, closed, abs(total - closed)

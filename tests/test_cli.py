@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slenderspec
+from slenderspec import dynamics, experiments, profiles
 from slenderspec.cli import main
+from slenderspec.spectra import SQRT_E, EigenFamily, Mode, eigenvalues
 
 
 def run(capsys, *args):
@@ -141,6 +149,14 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
     (["spectrum", "--setting", "stokes", "--direction", "normal", "--eps", "0.1",
       "--k", str(10**400), "--methods", "pde"],
      "z = pi eps |k| cannot be formed: |k| is past the double range"),
+    # k**4 in nu overflowed numpy's power: a RuntimeWarning, else a row of inf and 0
+    (["dynamics", "--eps", "0.125", "--sweep", str(10**100)],
+     "nu requires |k| < 2**256 ~ 1.158e+77; k**4 overflows past it"),
+    # with a subnormal eps the scaled tangential constants overflowed silently in Python's
+    # complex arithmetic, and numpy's multiply warned on their inf * 0
+    (["profile", "--direction", "tangential", "--eps", "5e-324", "--k", str(2**63),
+      "--points", "1"], "the tangential profile constants overflow a double at "
+                        "eps = 4.941e-324, k = 9223372036854775808"),
 ])
 def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     # zero or negative sizes used to fall back to defaults or print a bare header
@@ -266,6 +282,23 @@ def test_converge_json(capsys):
                     "--eps-points", "4", "--k-max", "2000")
     assert code == 0
     assert '"slope"' in out
+
+
+def test_report_serialization(capsys):
+    # the JSON keys in their order and the CSV layout of one 4-point study
+    argv = ["converge", "--setting", "laplace", "--method", "sbt_truncated", "--k-max", "2000",
+            "--eps-max", repr(10**-1.5), "--eps-min", "0.01", "--eps-points", "4"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.endswith("}\n")
+    data = json.loads(out)
+    assert list(data) == ["setting", "method", "regularity", "eps", "errors", "slope",
+                          "residual", "seed"]
+    assert len(data["eps"]) == len(data["errors"]) == 4
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "setting,method,regularity,seed,eps,error,slope,residual"
+    assert len(lines) == 1 + 4
 
 
 def test_usage_error_exit_2(capsys):
@@ -427,3 +460,196 @@ def test_config_key_the_subcommand_does_not_take_exit_2(tmp_path, capsys, argv, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: config key {key!r} is not an option of {command!r}\n"
+
+
+def _table(out):
+    header, *rows = out.strip().split("\n")
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def _same_bits(cells, values):
+    # hex() tells -0.0 from 0.0, and reads every bit of the double
+    return [float(c).hex() for c in cells] == [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("setting, direction", [
+    ("laplace", "longitudinal"), ("stokes", "tangential"), ("stokes", "normal")])
+def test_spectrum_cells_read_back_to_the_library_bits(capsys, setting, direction):
+    # the README's determinism promise, checked against the library on this host
+    # rather than against a digest recorded on another
+    ks = [1, 2, 3, 7, 20, 31]
+    methods = ("pde", "sbt", "sbt_truncated", "delta_reg")
+    code, out = run(capsys, "spectrum", "--setting", setting, "--direction", direction,
+                    "--eps", "0.013", "--k", "1,2,3,7,20,31", "--methods", ",".join(methods),
+                    "--delta", "2.5")
+    assert code == 0
+    _, rows = _table(out)
+    assert len(rows) == len(methods) * len(ks)
+    for i, method in enumerate(methods):
+        delta = 2.5 if method == "delta_reg" else None
+        block = rows[i * len(ks):(i + 1) * len(ks)]
+        assert {tuple(r[:3]) for r in block} == {(setting, direction, method)}
+        assert [r[3] for r in block] == ["2.5" if delta else ""] * len(ks)
+        assert [int(r[5]) for r in block] == ks
+        lam = eigenvalues(EigenFamily(setting, direction, method, delta=delta), 0.013,
+                          np.array(ks))
+        assert _same_bits([r[6] for r in block], lam)
+        assert _same_bits([r[4] for r in block], [0.013] * len(ks))
+
+
+@pytest.mark.parametrize("direction, eps, k, r_mult", [
+    ("laplace_scalar", 0.05, 3, 7.5), ("tangential", 0.05, 3, 7.5), ("normal", 0.05, 3, 7.5),
+    # K underflows to 0.0 at the outer radii, where three cells print as -0
+    ("normal", 0.4, -500, 1.25)])
+def test_profile_cells_read_back_to_the_library_bits(capsys, direction, eps, k, r_mult):
+    code, out = run(capsys, "profile", "--direction", direction, "--eps", str(eps),
+                    f"--k={k}", "--r-mult", str(r_mult), "--points", "9")
+    assert code == 0
+    header, rows = _table(out)
+    r = np.linspace(eps, eps * r_mult, 9)
+    prof = profiles.evaluate_profile(profiles.solve_mode(direction, Mode(k, eps)), r)
+    assert _same_bits([row[0] for row in rows], r)
+    for j, name in enumerate(header[1:], start=1):
+        column, part = name.rsplit("_", 1)
+        values = getattr(prof[column], "real" if part == "re" else "imag")
+        assert _same_bits([row[j] for row in rows], values)
+
+
+def test_dynamics_cells_read_back_to_the_library_bits(capsys):
+    code, out = run(capsys, "dynamics", "--eps", "0.02", "--sweep", "8,13,64")
+    assert code == 0
+    _, rows = _table(out)
+    sweep = dynamics.stability_sweep(0.02, [8, 13, 64])
+    assert [int(row[1]) for row in rows] == [8, 13, 64]
+    for j in (0, 2, 3, 4):
+        assert _same_bits([row[j] for row in rows], [entry[j] for entry in sweep])
+
+    code, out = run(capsys, "dynamics", "--eps", "0.02", "--energy-mode", "5",
+                    "--k-max", "16", "--steps", "6", "--scheme", "explicit_euler")
+    assert code == 0
+    _, rows = _table(out)
+    state = dynamics.single_mode_state(0.02, 16, 5)
+    dt = 0.5 * dynamics.max_stable_dt(0.02, 16)
+    times, energies = [], []
+    for i in range(7):
+        if i:
+            state = dynamics.step(state, dt, "explicit_euler")
+        times.append(state.t)
+        energies.append(dynamics.energy(state))
+    assert [int(row[0]) for row in rows] == list(range(7))
+    assert _same_bits([row[1] for row in rows], times)
+    assert _same_bits([row[2] for row in rows], energies)
+
+
+def test_converge_cells_read_back_to_the_library_bits(capsys):
+    code, out = run(capsys, "converge", "--setting", "stokes", "--method", "delta_reg",
+                    "--eps-max", "0.05", "--eps-min", "0.01", "--eps-points", "5",
+                    "--seed", "23", "--delta", "2.25", "--format", "csv")
+    assert code == 0
+    _, rows = _table(out)
+    report = experiments.convergence_study(
+        "stokes", "delta_reg", "H1", eps_grid=np.geomspace(0.05, 0.01, 5), seed=23,
+        delta=2.25)
+    assert {tuple(row[:4]) for row in rows} == {("stokes", "delta_reg(2.25)", "H1", "23")}
+    assert _same_bits([row[4] for row in rows], report.eps_grid)
+    assert _same_bits([row[5] for row in rows], report.errors)
+    assert _same_bits([row[6] for row in rows], [report.slope] * 5)
+    assert _same_bits([row[7] for row in rows], [report.residual] * 5)
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract, fuzzed: every argv exits 0 or 2, never with a traceback, a
+# RuntimeWarning or a non-finite number, and prints the same bytes twice
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 2.0**-1022, 1e-200, 1e308,
+    -1.0, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, math.nextafter(0.5, 0.0), 1.0,
+    math.nextafter(1.0, 2.0), SQRT_E, math.nextafter(SQRT_E, 0.0), math.nextafter(SQRT_E, 2.0),
+    2.0, 10.0]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-1.0, 50.0)).map(repr)
+_eps = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(1e-4, 0.49)).map(repr)
+_maybe_float = st.one_of(_floats, st.sampled_from(["", "abc", "1e", "0x10"]))
+_wavenumber = st.one_of(st.integers(-70, 70), st.sampled_from(
+    [2**31, 2**63, 10**20, 10**154, 10**160, 10**308, 10**309, 10**400]))
+# sizes past the cap only where the count is rejected before anything is allocated
+_count = st.one_of(st.integers(-3, 64), st.sampled_from([_PAST_CAP, 10**30]))
+_krange = st.one_of(
+    st.builds(lambda lo, n: f"{lo}..{lo + n}", _wavenumber, st.integers(-3, 63)),
+    st.builds(lambda lo, hi: f"{lo}..{hi}", _wavenumber, _wavenumber),
+    st.lists(_wavenumber, min_size=1, max_size=64).map(lambda ks: ",".join(map(str, ks))),
+    st.sampled_from(["", "..", "1..", "..5", "1...3", "1..2..3", "1,,2", "a", "1.5", "3..1"]))
+_setting = st.sampled_from(["laplace", "stokes", "oseen"])
+_direction = st.sampled_from(["longitudinal", "tangential", "normal", "radial"])
+
+
+def _flags(**options):
+    return [f"--{name.replace('_', '-')}={value}" for name, value in options.items()
+            if value is not None]
+
+
+@st.composite
+def _spectrum_argv(draw):
+    methods = draw(st.lists(st.sampled_from(["pde", "sbt", "sbt_truncated", "delta_reg", "x"]),
+                            min_size=1, max_size=4))
+    return ["spectrum"] + _flags(
+        setting=draw(_setting), direction=draw(_direction), eps=draw(_eps), k=draw(_krange),
+        methods=",".join(methods), delta=draw(st.none() | _maybe_float))
+
+
+@st.composite
+def _profile_argv(draw):
+    return ["profile"] + _flags(
+        direction=draw(st.sampled_from(["laplace_scalar", "tangential", "normal", "radial"])),
+        eps=draw(_eps), k=draw(_wavenumber), r_mult=draw(st.none() | _maybe_float),
+        points=draw(_count))
+
+
+@st.composite
+def _dynamics_argv(draw):
+    if draw(st.booleans()):
+        return ["dynamics"] + _flags(eps=draw(_eps), sweep=draw(st.none() | _krange))
+    return ["dynamics"] + _flags(
+        eps=draw(_eps), energy_mode=draw(_wavenumber), k_max=draw(_count),
+        steps=draw(_count), dt=draw(st.none() | _maybe_float),
+        scheme=draw(st.none() | st.sampled_from(["explicit_euler", "implicit_exact"])))
+
+
+@st.composite
+def _converge_argv(draw):
+    eps_min, k_max = draw(_eps), draw(st.none() | _count)
+    if k_max is None and 6.1e-7 < float(eps_min) < 0.0115:
+        k_max = draw(st.integers(8, 64))  # the default K_max would pass 64
+    return ["converge"] + _flags(
+        setting=draw(_setting), method=draw(st.sampled_from(["sbt_truncated", "delta_reg"])),
+        regularity=draw(st.sampled_from(["H1", "H2"])), eps_max=draw(st.none() | _eps),
+        eps_min=eps_min, eps_points=draw(st.none() | _count), seed=draw(st.integers(-2, 2**64)),
+        delta=draw(st.none() | _maybe_float), k_max=k_max,
+        format=draw(st.sampled_from(["json", "csv"])))
+
+
+_delta_opt_argv = st.builds(lambda setting, ratio: ["delta-opt"] + _flags(
+    setting=setting, ratio=ratio), _setting, _maybe_float)
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(_spectrum_argv(), _profile_argv(), _dynamics_argv(), _converge_argv(),
+                 _delta_opt_argv))
+def test_cli_contract_fuzz(argv):
+    code, out, err = first = _call(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert not re.search(r"(?i)\b(nan|inf)", out)
+    else:
+        assert out == ""
+    assert _call(argv) == first

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -127,19 +126,6 @@ def test_convergence_study_guards():
         xp.convergence_study("laplace", "sbt_truncated", "H1", k_max=50)
     with pytest.raises(ValueError):
         xp.convergence_study("laplace", "midpoint", "H1")
-
-
-def test_report_serialization():
-    rep = xp.convergence_study("laplace", "sbt_truncated", "H1", k_max=2000,
-                               eps_grid=np.geomspace(10**-1.5, 1e-2, 4))
-    data = json.loads(rep.to_json())
-    assert set(data) == {"setting", "method", "regularity", "eps", "errors",
-                         "slope", "residual", "seed"}
-    assert len(data["eps"]) == len(data["errors"]) == 4
-    csv = rep.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "setting,method,regularity,seed,eps,error,slope,residual"
-    assert len(lines) == 5
 
 
 @pytest.mark.parametrize("setting", ["laplace", "stokes"])

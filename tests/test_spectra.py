@@ -594,6 +594,13 @@ def test_periodization_identity_to_rounding():
     assert spectra.periodization_identity_check()[2] < 1e-12
 
 
+def test_periodization_identity_unreachable_tol_raises():
+    # the 128- and 256-panel levels differ by ~2.8e-17: tol = 0 returned the
+    # 256-panel value as if two levels had agreed
+    with pytest.raises(bessel.BesselAccuracyError, match="tol = 0"):
+        spectra.periodization_identity_check(tol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
