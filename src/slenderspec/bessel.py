@@ -15,9 +15,9 @@ Two evaluation routes are kept deliberately independent:
   fraction for large z.  No quadrature anywhere.  ``_k0_k1`` splits a batch
   between the two: K0 and K1 for ``bessel_k``, one K1/K0 array for ``ratio_A``,
   ``ratio_B`` and ``check_ratio_bounds``.
-* ``oracle_bessel_k`` -- adaptive composite Gauss-Legendre quadrature of the
-  integral representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
-  refined until the self-estimated error is below 1e-14 relative.
+* ``oracle_bessel_k`` -- composite Gauss-Legendre quadrature of the integral
+  representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt, refined per
+  entry (order, z) until it agrees with the level below to 1e-14 relative.
 
 The series (``_series_sums``) and the continued fraction (``_cf``) are each
 one loop, run on a numpy array or on one Python float.  ``_kernel``, at the
@@ -365,35 +365,31 @@ def _oracle_quad(orders, z, n_panels):
 
     z is taken 16 points at a time so that the four temporaries (t, cosh t,
     exp(-z cosh t), the order-2 product), allocated once and filled in place,
-    stay in cache: at 64 panels each is 16 x 2560 doubles (320 KB).  The rows
-    do not depend on the chunk size.  Points below ``_ORACLE_DEEP_Z`` go to
-    ``_oracle_deep``.
+    stay in cache: at 64 panels each is 16 x 2560 doubles (320 KB).  A row's bits
+    depend on which points share its chunks (the ``@``), not on the other orders.
+    Points below ``_ORACLE_DEEP_Z`` go to ``_oracle_deep``.
     """
     u, w = _gauss_panels(n_panels, 40)
-    deep = z < _ORACLE_DEEP_Z
-    if deep.any():
-        out = np.empty((len(orders), z.size))
-        out[:, deep] = _oracle_deep(orders, z[deep], u, w)
-        out[:, ~deep] = _oracle_quad(orders, z[~deep], n_panels)
-        return out
+    out, deep = np.empty((len(orders), z.size)), z < _ORACLE_DEEP_Z
+    out[:, deep] = _oracle_deep(orders, z[deep], u, w)
+    near = np.flatnonzero(~deep)
     # truncation point: z (cosh T - 1) = 120 makes the tail utterly negligible
     # relative to K_nu(z) ~ exp(-z), even with the cosh(order t) growth.
-    T = np.arccosh(1.0 + 120.0 / z)
-    out = np.empty((len(orders), z.size))
-    buffers = np.empty((4, min(16, z.size), u.size))
+    T = np.arccosh(1.0 + 120.0 / z[near])
+    buffers = np.empty((4, min(16, near.size), u.size))
     with np.errstate(under="ignore", over="ignore"):
-        for lo in range(0, z.size, 16):
-            hi = min(lo + 16, z.size)
-            t, cosh_t, f0, f = buffers[:, :hi - lo]
-            np.multiply(T[lo:hi, None], u, out=t)
+        for lo in range(0, near.size, 16):
+            at = near[lo:lo + 16]
+            t, cosh_t, f0, f = buffers[:, :at.size]
+            np.multiply(T[lo:lo + 16, None], u, out=t)
             np.cosh(t, out=cosh_t)
-            np.exp(np.multiply(-z[lo:hi, None], cosh_t, out=f0), out=f0)
+            np.exp(np.multiply(-z[at, None], cosh_t, out=f0), out=f0)
             for row, order in enumerate(orders):
                 if order == 1:
                     np.multiply(f0, cosh_t, out=f)
                 elif order:
                     np.multiply(f0, np.cosh(np.multiply(t, order, out=f), out=f), out=f)
-                out[row, lo:hi] = T[lo:hi] * ((f if order else f0) @ w)
+                out[row, at] = T[lo:lo + 16] * ((f if order else f0) @ w)
     return out
 
 
@@ -414,36 +410,44 @@ def _oracle_deep(orders, z, u, w):
     return out
 
 
+def _refine(integral, shape, levels, settled, stalled):
+    """Panel doubling through ``levels``: each entry of ``shape`` keeps the first level where
+    ``settled(fine, coarse)`` holds; ``integral(n_panels, open_)`` gives the entries in the mask
+    ``open_``, in C order.  Still-open entries end in BesselAccuracyError(stalled(fine, coarse))."""
+    open_, out = np.ones(shape, dtype=bool), np.empty(shape)
+    fine = integral(levels[0], open_)
+    for n_panels in levels[1:]:
+        coarse, fine = fine, integral(n_panels, open_)
+        out[open_], keep = fine, ~settled(fine, coarse)
+        if not keep.any():
+            return out
+        open_[open_], fine, coarse = keep, fine[keep], coarse[keep]
+    raise BesselAccuracyError(stalled(fine, coarse))
+
+
 def oracle_bessel_k(order, z):
-    """Independent quadrature oracle for K_order(z).
+    """Independent quadrature oracle for K_order(z), z up to UNDERFLOW_Z.
 
-    Adaptive in the panel count: the composite rule is refined (doubling)
-    until two successive levels agree to ``_ORACLE_RTOL`` relative, and the final
-    refinement difference is the certified error estimate.
-
-    ``order`` is 0, 1 or 2, or a tuple of them such as ``(0, 1, 2)``; a
-    tuple shares one quadrature and returns rows shaped as in ``bessel_k``.
-    Each order retires at the first level where its own
-    points agree, so every row equals the single-order call bit for bit.
+    ``order`` is 0, 1 or 2, or a tuple of them such as ``(0, 1, 2)``, whose rows are
+    shaped as in ``bessel_k``.  Panels double from 32 to 512 until each entry agrees
+    with the level below to ``_ORACLE_RTOL`` relative, its certified error.  32 and 64
+    panels each run as one quadrature of all orders and points; past them each order
+    refines only its own open points, so every row equals the single-order call bit for bit.
     """
     orders, single = _check_orders(order)
     zarr = np.atleast_1d(_validate_z(z, 2 in orders))
-    out = np.empty((len(orders), zarr.size))
-    live = np.arange(len(orders))
-    coarse = _oracle_quad(orders, zarr, 32)
-    for n_panels in (64, 128, 256, 512):
-        fine = _oracle_quad([orders[i] for i in live], zarr, n_panels)
-        err = np.abs(fine - coarse)
-        done = np.all(err <= _ORACLE_RTOL * np.abs(fine), axis=1)
-        out[live[done]] = fine[done]
-        live, coarse = live[~done], fine[~done]
-        if not live.size:
-            break
-    else:
-        worst = float(np.max(err / np.abs(fine)))
-        raise BesselAccuracyError(
-            f"oracle quadrature stalled at relative error {worst:.3e} (target {_ORACLE_RTOL:.1e})"
-        )
+    if np.any(zarr > UNDERFLOW_Z):
+        raise BesselDomainError(f"the oracle requires z <= {UNDERFLOW_Z:g}: K is subnormal past it")
+
+    def integral(n_panels, open_):
+        parts = ([(orders, zarr)] if open_.all()
+                 else [((o,), zarr[row]) for o, row in zip(orders, open_) if row.any()])
+        return np.concatenate([_oracle_quad(some, at, n_panels).ravel() for some, at in parts])
+
+    out = _refine(integral, (len(orders), zarr.size), (32, 64, 128, 256, 512),
+                  lambda fine, coarse: np.abs(fine - coarse) <= _ORACLE_RTOL * np.abs(fine),
+                  lambda fine, coarse: "oracle quadrature stalled at relative error "
+                  f"{np.max(np.abs(fine - coarse) / np.abs(fine)):.3e} (target {_ORACLE_RTOL:.1e})")
     return _shape_rows(out, single, np.ndim(z) == 0)
 
 

@@ -40,8 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import (EULER_GAMMA, Z_MIN, BesselAccuracyError, _as_float, _gauss_panels,
-                     _shape_rows, bessel_k, ratio_A, ratio_B)
+from .bessel import (EULER_GAMMA, Z_MIN, _as_float, _gauss_panels, _refine, _shape_rows,
+                     bessel_k, ratio_A, ratio_B)
 
 SQRT_E = math.sqrt(math.e)
 
@@ -607,29 +607,24 @@ def periodization_identity_check(tol=1e-10):
     """Quadrature of int_-1^1 (pi/|2 sin(pi z/2)| - 1/|z|) dz vs -2 log(pi/4).
 
     The integrand has a removable singularity at z = 0, handled by a series
-    branch for small |z|; composite Gauss-Legendre panels are doubled until
-    two levels agree to ``tol``, else BesselAccuracyError past 256 panels.
+    branch for small |z|; ``bessel._refine`` doubles the Gauss-Legendre panels
+    (16 to 256) until two levels agree to ``tol``, else BesselAccuracyError.
     Returns (value, closed_form, abs_error).
     """
 
-    def integral(n_panels):
+    def integral(n_panels, _):
         z, w = _gauss_panels(n_panels, 20)
         # f(z) = (u/sin u - 1)/z with u = pi z / 2; below z = 0.02 the first
         # dropped series term, 127 u^8/604800, is under 2e-16
         u = 0.5 * math.pi * z
         u2 = u * u
         series = u2 / 6.0 + 7.0 * u2 * u2 / 360.0 + 31.0 * u2 * u2 * u2 / 15120.0
-        return (np.where(z < 0.02, series, u / np.sin(u) - 1.0) / z) @ w
+        return np.atleast_1d((np.where(z < 0.02, series, u / np.sin(u) - 1.0) / z) @ w)
 
-    coarse = integral(16)
-    for n_panels in (32, 64, 128, 256):
-        val = integral(n_panels)
-        if abs(val - coarse) <= tol:
-            break
-        coarse = val
-    else:
-        raise BesselAccuracyError(f"periodization quadrature: no two panel levels up to 256 "
-                                  f"agree to tol = {tol:.3g}")
+    val, = _refine(integral, (1,), (16, 32, 64, 128, 256),
+                   lambda fine, coarse: abs(fine - coarse) <= tol,
+                   lambda *_: f"periodization quadrature: no two panel levels up to 256 "
+                              f"agree to tol = {tol:.3g}")
     total = 2.0 * float(val)
     closed = -2.0 * math.log(math.pi / 4.0)
     return total, closed, abs(total - closed)

@@ -63,6 +63,7 @@ def test_scaled_values_vs_scipy_to_underflow():
                          ids=["bessel_k", "oracle"])
 @pytest.mark.parametrize("z", [np.geomspace(1e-8, 100.0, 10_000),  # verify_bessel grid
                                np.geomspace(1e-6, 90.0, 200),       # verify_oracle grid
+                               np.geomspace(1e-150, 700.0, 3001),   # deep form to the upper edge
                                50.0])
 def test_oracle_orders_tuple_matches_single_order_bitwise(route, z):
     rows = route((0, 1, 2), z)
@@ -74,6 +75,31 @@ def test_oracle_orders_tuple_matches_single_order_bitwise(route, z):
     assert np.array_equal(route((2,), z)[0], rows[2])
     with pytest.raises(ValueError):
         route((0, 3), z)
+
+
+def test_oracle_certifies_each_point_on_its_own():
+    # one point of 9003 that stalled at 1.523e-14 failed the whole call, though
+    # every entry certifies when called alone
+    z = np.geomspace(1e-150, 700.0, 3001)
+    got, want = bessel.oracle_bessel_k((0, 1, 2), z), bessel.bessel_k((0, 1, 2), z)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_oracle_slow_point_refines_alone():
+    # at z = 1e-120 order 2's 32- and 64-panel values differ by 1.2e-12: the
+    # point refines past 64 panels, and the other columns keep their bits
+    z = np.geomspace(1e-8, 100.0, 16)
+    slow = np.append(z[:-1], 1e-120)
+    rows, base = bessel.oracle_bessel_k((0, 1, 2), slow), bessel.oracle_bessel_k((0, 1, 2), z)
+    assert rows[:, :-1].tobytes() == base[:, :-1].tobytes()
+    want = bessel.bessel_k((0, 1, 2), slow)
+    assert np.max(np.abs(rows - want) / want) <= 1e-12
+
+
+def test_oracle_stall_names_the_worst_relative_error():
+    with mock.patch.object(bessel, "_ORACLE_RTOL", 0.0):
+        with pytest.raises(bessel.BesselAccuracyError, match=r"stalled at relative error \d"):
+            bessel.oracle_bessel_k((0, 1, 2), np.array([0.5, 3.0]))
 
 
 def test_recurrence_identity():
@@ -579,6 +605,19 @@ def test_oracle_at_the_lower_edges(order, z):
     if np.ndim(order):
         for row, o in zip(got, order):
             assert np.array_equal(row, bessel.oracle_bessel_k(o, z))
+
+
+def test_oracle_at_the_upper_edge():
+    # past UNDERFLOW_Z K is subnormal: the oracle stalled (2.082e-08 at z = 720)
+    # and from z ~ 740 returned a "certified" 0.0 where bessel_k gives 2e-323
+    for order in (0, 1, 2):
+        got = bessel.oracle_bessel_k(order, bessel.UNDERFLOW_Z)
+        assert got == pytest.approx(bessel.bessel_k(order, bessel.UNDERFLOW_Z), rel=1e-12)
+    for z in (np.nextafter(bessel.UNDERFLOW_Z, 1e3), 710.0, 740.0, 1e4):
+        for arg in (z, np.array([1.0, z])):
+            for order in (0, 1, 2, (0, 1, 2)):
+                with pytest.raises(bessel.BesselDomainError, match="705"):
+                    bessel.oracle_bessel_k(order, arg)
 
 
 def test_k_is_zero_where_exp_underflows():

@@ -59,12 +59,20 @@ EXPERIMENTS = {
 }
 
 
+#: periodization_identity_check() at its default tol: (value, closed form, abs error)
+PERIODIZATION = ["0x1.eeb95b094c18fp-2", "0x1.eeb95b094c193p-2", "0x1.0000000000000p-52"]
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
 def test_gronwall_constants_bits():
     assert {k: v.hex() for k, v in spectra.gronwall_constants().items()} == GRONWALL
+
+
+def test_periodization_identity_bits():
+    assert _hex(spectra.periodization_identity_check()) == PERIODIZATION
 
 
 @pytest.mark.parametrize("case", PAPER_BOUND)
