@@ -86,8 +86,7 @@ def verify_inequalities():
         base = math.pi**2 * eps * ks
         for direction, entry in spectra._DIRECTIONS.items():
             lam = spectra.eigenvalues(spectra.pde_family(direction), eps, ks)
-            lo_f, width = entry.growth
-            lo = lo_f * base
+            lo, width = entry.growth[0] * base, entry.growth[1]
             worst = min(worst, float(np.min(lam - lo)), float(np.min(lo + width - lam)))
     res.add("growth_bounds_margin", worst > 0, worst)
 

@@ -30,8 +30,6 @@ _NORMAL_PDE = pde_family("normal")
 def nu(eps, k):
     """Decay rate of the wavenumber-k normal perturbation; nu_1 = 0 exactly."""
     k_arr = np.atleast_1d(np.asarray(k))
-    if np.any(k_arr == 0):
-        raise ValueError("k = 0 is excluded from the dynamics")
     lam = eigenvalues(_NORMAL_PDE, eps, k_arr)
     kk = np.abs(k_arr).astype(float)
     if not np.all(kk < 2.0**256):
@@ -150,11 +148,8 @@ def max_stable_dt(eps, k_max, empirical=False):
 
 def stability_sweep(eps, k_max_list):
     """Rows (eps, K_max, ds, dt_analytic, dt_empirical), both steps from one nu per row."""
-    rows = []
-    for k_max in k_max_list:
-        rate = _rate(eps, k_max)
-        rows.append((eps, int(k_max), grid_spacing(k_max), 2.0 / abs(rate), _bisect_dt(rate)))
-    return rows
+    return [(eps, int(k_max), grid_spacing(k_max), 2.0 / abs(rate), _bisect_dt(rate))
+            for k_max in k_max_list for rate in [_rate(eps, k_max)]]
 
 
 def stability_slope(eps, k_max_list):

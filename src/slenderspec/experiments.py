@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel import _as_float
 from .operators import K_MAX_LIMIT, PeriodicField, apply_operator, make_test_field, sobolev_norm
-from .spectra import _DIRECTIONS, EigenFamily, _setting
+from .spectra import _DIRECTIONS, EigenFamily, _setting, _wavenumber
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(10**-1.5, 1e-3, 6))
 DEFAULT_SEEDS = (11, 23, 47)
@@ -43,7 +44,7 @@ class ConvergenceReport:
 
 def _required_k_max(eps_min):
     """K_max that resolves the 1/eps truncation scale; at most K_MAX_LIMIT."""
-    scale = 2.0 / (math.pi * float(eps_min))  # Python floats: inf, not a warning
+    scale = _wavenumber(2.0, eps_min, finite=False)  # inf compares past the cap
     if scale > K_MAX_LIMIT - 8:
         raise ValueError(f"eps = {eps_min:g} needs k_max > K_MAX_LIMIT = {K_MAX_LIMIT}")
     return int(math.ceil(scale)) + 8
@@ -73,8 +74,11 @@ def approximation_error(setting, method, u, eps, delta=None):
 
 def fit_slope(eps_grid, errors):
     """OLS slope of log(error) vs log(eps), plus RMS fit residual."""
-    x = np.log(np.asarray(eps_grid))
-    y = np.log(np.asarray(errors))
+    x, y = (np.asarray(_as_float(v, math.inf)) for v in (eps_grid, errors))
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2 or np.all(x == x[0]) or not np.all(
+            (0.0 < x) & (x < math.inf) & (0.0 < y) & (y < math.inf)):
+        raise ValueError("a log-log fit needs two or more distinct x, each x and y finite and > 0")
+    x, y = np.log(x), np.log(y)
     coef = np.polyfit(x, y, 1)
     resid = y - np.polyval(coef, x)
     return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
@@ -86,10 +90,9 @@ def convergence_study(setting, method, regularity, eps_grid=None, seed=11,
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
     if len(eps_grid) < 4 or not all(a > b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps_grid must be strictly decreasing with >= 4 points")
-    eps_min = float(min(eps_grid))
     if k_max is None:
-        k_max = _required_k_max(eps_min)
-    if k_max < 2.0 / (math.pi * eps_min):
+        k_max = _required_k_max(min(eps_grid))
+    if k_max < _wavenumber(2.0, min(eps_grid), finite=False):
         raise ValueError("k_max does not resolve the 1/eps truncation scale")
     u = _input_field(setting, regularity, k_max, seed)
     errors = tuple(approximation_error(setting, method, u, e, delta=delta)
@@ -140,7 +143,7 @@ def _bisect(below, lo, hi):
 def optimal_delta(setting, ratio):
     """delta* solving the monotone optimality equation at C2/C1 = ratio."""
     lo = _setting(setting).threshold * (1.0 + 1e-12)
-    floor = _root_lhs(setting, lo)
+    floor, ratio = _root_lhs(setting, lo), _as_float(ratio, math.inf)
     if not floor < ratio < math.inf:
         raise ValueError(f"ratio must be finite and above {floor:.3g}")
     hi = 10.0
@@ -151,13 +154,18 @@ def optimal_delta(setting, ratio):
 
 def cdelta_profile(setting, delta_grid, c1, c2):
     """The error constant C_delta = C1 d^2 (1 + log d) + C2/(c0 + m log d) on a grid,
-    with c0 + m log d the denominator of the setting's delta family."""
-    d = np.asarray(delta_grid, dtype=float)
+    with c0 + m log d the denominator of the setting's delta family; a ValueError where
+    delta, C1 or C2 is not finite or C_delta leaves the double range."""
+    d, c1, c2 = (_as_float(x, math.inf) for x in (delta_grid, c1, c2))
     threshold, direction, _ = _setting(setting)
     if np.any(d <= threshold):
         raise ValueError(f"{setting} requires delta > {threshold:.4f}")
     _, c0, m = _DIRECTIONS[direction].log_family
-    return c1 * d * d * (1.0 + np.log(d)) + c2 / (c0 + m * np.log(d))
+    with np.errstate(over="ignore", invalid="ignore"):  # nan and inf are rejected below
+        out = c1 * d * d * (1.0 + np.log(d)) + c2 / (c0 + m * np.log(d))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"C_delta not finite at C1 = {c1:g}, C2 = {c2:g}, delta <= {np.max(d):g}")
+    return out
 
 
 def measured_delta_error(setting, eps, delta_grid):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import EigenFamily, PoleError, eigenvalues
+from .spectra import EigenFamily, PoleError, _int_k, eigenvalues
 
 #: largest K_max a field or state may hold: each component stores 2 K_max + 1
 #: complex coefficients, about 34 MB per component at 2**20
@@ -137,15 +137,15 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
     single_mode: unit amplitude at k = +/- mode_k only
     All are real-valued (conjugate-symmetric) with zero mean.
     """
-    k_max = int(k_max)
-    if k_max < 8:
+    if not k_max >= 8:  # nan too
         raise ValueError("k_max >= 8 required")
     check_count("k_max", k_max)
+    k_max = int(k_max)
     if profile == "single_mode":
-        if mode_k is None or not (1 <= abs(int(mode_k)) <= k_max):
+        if mode_k is None or not (k := abs(_int_k(mode_k))) <= k_max:
             raise ValueError("single_mode needs mode_k with 1 <= |mode_k| <= k_max")
         amp = np.zeros(k_max)
-        amp[abs(int(mode_k)) - 1] = 1.0
+        amp[k - 1] = 1.0
         phase = np.zeros((n_components, k_max))
     else:
         kpos = np.arange(1, k_max + 1)

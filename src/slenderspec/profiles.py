@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import Z_MAX, bessel_k, bessel_k_detail
+from .bessel import Z_MAX, _as_float, bessel_k, bessel_k_detail
 from .spectra import Mode, eigenvalue, pde_family
 
 
@@ -146,7 +146,7 @@ def evaluate_profile(sol, r):
     Returns a dict of arrays.  Keys: laplace_scalar -> U, p (p = 0);
     tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p.
     """
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(_as_float(r))
     if not np.all(np.isfinite(r)):
         raise ValueError("profile radii must be finite")
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
@@ -214,10 +214,9 @@ def incompressibility_residual(sol, r):
     """Relative divergence residual at interior radii r (centered differences)."""
     if sol.direction == "laplace_scalar":
         raise ValueError("incompressibility applies to the Stokes directions")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    eps = sol.mode.eps
+    r = np.atleast_1d(_as_float(r))
+    eps, k = sol.mode.eps, sol.mode.k
     h = _fd_step(eps, 1e-6)
-    k = sol.mode.k
     # centered stencil; nudge boundary points inward so r - h stays >= eps
     r = np.maximum(r, eps + h)
     up, dn, mid = (evaluate_profile(sol, rr) for rr in (r + h, r - h, r))
@@ -239,7 +238,7 @@ def residual_momentum(sol, r):
     pressure gradient; pressure itself is harmonic (L_0 or L_1 annihilates
     it).  Residuals are measured against the magnitude of the largest term.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.atleast_1d(_as_float(r))
     if np.any(r <= sol.mode.eps):
         raise ValueError("residual_momentum needs strictly interior radii r > eps")
     # step resolves both the K-function oscillation scale 1/(pi|k|) and 1/r terms

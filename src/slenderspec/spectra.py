@@ -105,6 +105,14 @@ def _check_eps(eps):
         raise ValueError("fiber radius must lie in (0, 1/2)")
 
 
+def _int_k(k, degree=False):
+    """k as a Python int, a nonzero wavenumber or with ``degree`` a degree >= 0; a float is not."""
+    if not isinstance(k, (int, np.integer)) or ((k < 0) if degree else (k == 0)):
+        what = "a degree must be an integer >= 0" if degree else "k must be a nonzero integer"
+        raise ValueError(f"{what}, not {k!r}")
+    return int(k)
+
+
 def _all(cond):  # a bool as it is, an array reduced
     return cond.all() if isinstance(cond, np.ndarray) else cond
 
@@ -117,6 +125,15 @@ def _z(eps, k, scalar=True):
         raise ValueError("z = pi eps |k| cannot be formed: |k| is past the double range") from None
 
 
+def _wavenumber(z, eps, finite=True):
+    """|k| = z/(pi eps), inverse of ``_z``; inf past the double range (ValueError if ``finite``)."""
+    _check_eps(eps)
+    k = z / (math.pi * float(eps))  # Python floats: inf past the range, not a warning
+    if finite and k == math.inf:
+        raise ValueError(f"|k| = {z:g} / (pi eps) is past the double range at eps = {eps:.4g}")
+    return k
+
+
 @dataclass(frozen=True)
 class Mode:
     """A single periodic wavenumber paired with a fiber radius."""
@@ -125,8 +142,7 @@ class Mode:
     eps: float
 
     def __post_init__(self):
-        if self.k == 0:
-            raise ValueError("k = 0 is excluded (2D fundamental-solution mode)")
+        _int_k(self.k)  # k = 0 is the 2D fundamental-solution mode
         _check_eps(self.eps)
 
     @property
@@ -152,7 +168,7 @@ class EigenFamily:
     delta: float | None = None
 
     def __post_init__(self):
-        setting = _setting(self.setting)
+        threshold = _setting(self.setting).threshold
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
         if _DIRECTIONS[self.direction].setting != self.setting:
@@ -160,12 +176,10 @@ class EigenFamily:
         if self.method not in _B_FAMILY:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "delta_reg":
-            threshold = setting.threshold
             # the chained test also turns away nan and +/-inf
             if self.delta is None or not threshold < self.delta < math.inf:
-                raise ValueError(
-                    f"delta_reg in the {self.setting} setting needs delta > {threshold:.4f}"
-                )
+                raise ValueError(f"delta_reg in the {self.setting} setting needs "
+                                 f"delta > {threshold:.4f}")
         elif self.delta is not None:
             raise ValueError("delta only applies to delta_reg")
 
@@ -238,8 +252,9 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     if "B_n" in fams and not _all(z <= 2.0**511):  # its z * z overflows from z ~ 1.34e154
         raise ValueError("B_n requires z <= 2**511 ~ 6.704e+153; z * z overflows past it")
     needs_delta = [f for f in fams if f in _B_FAMILY["delta_reg"].values()]
-    if needs_delta and delta is None:
-        raise ValueError(f"{min(needs_delta)} requires delta")
+    if needs_delta and not 0.0 < ((delta := _as_float(delta, math.inf))  # None reads as nan
+                                  * float(np.min(z, initial=math.inf))):
+        raise ValueError(f"{min(needs_delta)} requires delta > 0, and delta * z > 0 for K0")
     if needs_delta and not math.isfinite(delta * float(np.max(z, initial=0.0))):
         raise ValueError(f"delta * z = {delta:g} * {np.max(z):g} overflows a double")
 
@@ -276,10 +291,9 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
 
 def ode_rhs(fam, z, b_value, delta=None):
     """Right-hand side of dB/dz for the named family, at (z, B)."""
-    z = np.asarray(z, dtype=float)
-    b = np.asarray(b_value, dtype=float)
-    if not np.all((z > 0) & (z < math.inf)):
-        raise ValueError("ode_rhs requires finite z > 0")
+    z, b = (np.asarray(_as_float(x, math.inf)) for x in (z, b_value))
+    if not (np.all((z > 0) & (z < math.inf)) and np.all(np.isfinite(b))):
+        raise ValueError("ode_rhs requires finite z > 0 and a finite B")
     if fam == "B":
         out = (b * b - z * z) / z
     elif fam == "B_t":
@@ -297,8 +311,7 @@ def ode_rhs(fam, z, b_value, delta=None):
             out = m / num * (delta * bessel_k(1, delta * z)) * b * b
     else:
         raise ValueError(f"unknown B-family {fam!r}")
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return _shape_rows([np.atleast_1d(out)], True, np.ndim(out) == 0)
 
 
 def h_function(z):
@@ -307,14 +320,11 @@ def h_function(z):
     Written in the well-scaled ratio variable A = K0/K1 in (0, 1) so that
     no K-powers overflow or underflow.
     """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
+    scalar, z = np.ndim(z) == 0, np.atleast_1d(_as_float(z))
     if np.any(z <= 0):
         raise ValueError("h_function requires z > 0")
     n3, d3 = _n3_d3(z)
-    out = 0.125 * z * n3 / d3
-    return float(out[0]) if scalar else out
+    return _shape_rows([0.125 * z * n3 / d3], True, scalar)
 
 
 def _n3_d3(z):
@@ -336,7 +346,7 @@ def _n3_d3(z):
 
 def appendix_c_margins(z):
     """(9 D3 - N3, 9 D3 + N3); strict positivity of both is |h| < 9z/8."""
-    n3, d3 = _n3_d3(np.atleast_1d(np.asarray(z, dtype=float)))
+    n3, d3 = _n3_d3(np.atleast_1d(_as_float(z)))
     return 9.0 * d3 - n3, 9.0 * d3 + n3
 
 
@@ -435,7 +445,7 @@ def sign_change_wavenumber(family, eps):
     """
     if family.method not in ("sbt", "sbt_truncated"):
         raise ValueError("sign changes only occur for sbt families")
-    return SBT_SINGULARITY[family.direction] / (math.pi * eps)
+    return _wavenumber(SBT_SINGULARITY[family.direction], eps)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +483,7 @@ class DifferenceMargin:
 
 def _difference_window(direction, method2, eps):
     """Largest |k| the method2 ('sbt' or 'delta_reg') difference bound admits."""
-    return _DIRECTIONS[direction].bounds[method2][0] / (math.pi * eps)
+    return _wavenumber(_DIRECTIONS[direction].bounds[method2][0], eps)
 
 
 def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
@@ -488,7 +498,7 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
         raise ValueError("method2 must be 'sbt' or 'delta_reg'")
     kmax = _difference_window(direction, method2, eps)
     if np.any(np.abs(k) > kmax):
-        raise WindowError(f"|k| = {np.abs(k).max()} exceeds the validity window |k| <= {kmax:.2f}")
+        raise WindowError(f"|k| = {np.max(np.abs(k))} exceeds the validity window |k| <= {kmax:.2f}")
     observed = abs(eigenvalues(EigenFamily(setting, direction, "pde"), eps, k)
                    - eigenvalues(EigenFamily(setting, direction, method2, delta=delta), eps, k))
 
@@ -499,9 +509,8 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
         bound = const * ek2
     else:
         bound = const * (delta * delta * (1.0 + math.log(delta))) * ek2
-    if np.ndim(k) == 0:
-        return DifferenceMargin(float(observed), float(bound))
-    return DifferenceMargin(observed, bound)
+    pair = (observed, bound)
+    return DifferenceMargin(*(map(float, pair) if np.ndim(k) == 0 else pair))
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +537,8 @@ def s_transform_apply(phi, resolution=512):
     resolution = int(resolution)
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
-    warning = None
-    if resolution < 64:
-        warning = "resolution below 64; expect > few-percent eigen-residuals"
+    warning = ("resolution below 64; expect > few-percent eigen-residuals"
+               if resolution < 64 else None)
     h = 2.0 / resolution
     s_eval = -1.0 + h * np.arange(1, resolution)
     mids = -1.0 + h * (np.arange(resolution) + 0.5)
@@ -552,23 +560,18 @@ def s_transform_apply(phi, resolution=512):
 
 def legendre_mu(k):
     """Eigenvalue magnitude mu_k = 2 H_k of the line operator; mu_0 = 0."""
-    return 2.0 * sum(1.0 / j for j in range(1, k + 1))
+    return 2.0 * sum(1.0 / j for j in range(1, _int_k(k, degree=True) + 1))
 
 
 def periodic_kernel_eigenvalue(k):
     """mu_k^per = 4 sum_{j=1}^{|k|} 1/(2j-1) for the periodic kernel; |k| >= 1."""
-    k = abs(int(k))
-    if k == 0:
-        raise ValueError("k = 0 has no periodic-kernel eigenvalue")
-    return 4.0 * sum(1.0 / (2 * j - 1) for j in range(1, k + 1))
+    return 4.0 * sum(1.0 / (2 * j - 1) for j in range(1, abs(_int_k(k)) + 1))
 
 
 def sbt_symbol_log_form(eps, k):
     """Asymptotic log form of the slender-body symbol: -2(log(pi eps |k|/2) + gamma)."""
-    k = abs(int(k))
-    if k == 0:
-        raise ValueError("k = 0 excluded")
-    return -2.0 * (math.log(0.5 * math.pi * eps * k) + EULER_GAMMA)
+    _check_eps(eps)
+    return -2.0 * (math.log(0.5 * _z(eps, abs(_int_k(k)))) + EULER_GAMMA)
 
 
 def sbt_symbol_harmonic_form(eps, k):
@@ -579,10 +582,7 @@ def sbt_symbol_harmonic_form(eps, k):
     shrinking quadratically), which is why the log form can stand in for the
     exact periodic-kernel spectrum in every estimate.
     """
-    k = abs(int(k))
-    if k == 0:
-        raise ValueError("k = 0 excluded")
-    return 2.0 * math.log(8.0 / (math.pi * eps)) - periodic_kernel_eigenvalue(k)
+    return 2.0 * math.log(_wavenumber(8.0, eps)) - periodic_kernel_eigenvalue(k)
 
 
 def periodic_kernel_apply_mode(k, resolution=4096):
@@ -592,15 +592,14 @@ def periodic_kernel_apply_mode(k, resolution=4096):
     close to -mu_k^per.  Midpoint rule on the torus; the evaluation point
     sits on the node grid, offset half a step from the quadrature grid.
     """
-    if k == 0:
-        raise ValueError("k = 0 excluded")
+    if not abs(_int_k(k)) < resolution // 2:  # past it the grid aliases e^{i pi k s}
+        raise ValueError(f"resolution = {resolution} resolves |k| < {resolution // 2} only")
     h = 2.0 / resolution
     mids = -1.0 + h * (np.arange(resolution) + 0.5)
     f_mid = np.exp(1j * math.pi * k * mids)
     # evaluation at s = 0, f(0) = 1
     kernel = np.abs(np.sin(math.pi * (0.0 - mids) / 2.0))
-    val = 0.5 * math.pi * h * np.sum((f_mid - 1.0) / kernel)
-    return complex(val)
+    return complex(0.5 * math.pi * h * np.sum((f_mid - 1.0) / kernel))
 
 
 def periodization_identity_check(tol=1e-10):

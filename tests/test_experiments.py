@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,47 @@ def test_fit_slope_recovers_powers():
     slope, resid = xp.fit_slope(eps, 3.7 * eps**1.5)
     assert slope == pytest.approx(1.5, abs=1e-10)
     assert resid < 1e-10
+
+
+@pytest.mark.parametrize("eps_grid, errors", [
+    ([0.1], [0.2]), ([], []), ([0.1, 0.1, 0.1], [0.2, 0.3, 0.4]), ([0.1, 0.05], [0.2]),
+    ([0.1, 0.05, 0.0], [1.0, 2.0, 3.0]), ([0.1, -0.05], [1.0, 2.0]),
+    ([0.1, 0.05], [1.0, math.nan]), ([0.1, math.inf], [1.0, 2.0]), ([0.1, 0.05], [1.0, 0.0]),
+    ([0.1, 10**400], [1.0, 2.0]), ([[0.1, 0.05]], [[1.0, 2.0]]),
+])
+def test_fit_slope_rejects_degenerate_input(eps_grid, errors):
+    # one point returned 0.3495 after numpy's RankWarning, an empty one a raw TypeError
+    with pytest.raises(ValueError, match="a log-log fit needs two or more distinct x"):
+        xp.fit_slope(eps_grid, errors)
+
+
+def test_stability_slope_rejects_degenerate_sweeps():
+    from slenderspec import dynamics
+
+    for k_max_list in ([8], [], [16, 16]):
+        with pytest.raises(ValueError, match="a log-log fit needs two or more distinct x"):
+            dynamics.stability_slope(0.01, k_max_list)
+    assert xp.fit_slope([0.1, 0.05], [0.4, 0.1])[0] == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: xp.convergence_study("laplace", "sbt_truncated", "H1", eps_grid=(0.4, 0.3, 0.2, 0.0)),
+    lambda: xp.convergence_study("laplace", "sbt_truncated", "H1", eps_grid=(0.4, 0.3, 0.2, -1.0),
+                                 k_max=64),
+    lambda: xp.wellposedness_constant("laplace", eps_grid=(0.1, 0.0)),
+    lambda: xp.measured_delta_error("laplace", 0.0, [2.0]),
+    lambda: xp.measured_delta_error("stokes", math.nan, [2.0]),
+], ids=["converge", "converge_k_max", "wellposedness", "measured", "measured_nan"])
+def test_k_max_floor_checks_eps_first(call):
+    # these raised ZeroDivisionError("float division by zero")
+    with pytest.raises(ValueError, match=r"fiber radius must lie in \(0, 1/2\)"):
+        call()
+
+
+def test_optimal_delta_ratio_past_the_double_range():
+    # 10**400 passed "finite" and returned the overflow point of the left side, 1.47e150
+    with pytest.raises(ValueError, match="ratio must be finite"):
+        xp.optimal_delta("laplace", 10**400)
 
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300)
@@ -191,6 +233,24 @@ def test_cdelta_profile_guards():
         xp.cdelta_profile("laplace", [0.9], 1.0, 1.0)
     with pytest.raises(ValueError):
         xp.cdelta_profile("helmholtz", [2.0], 1.0, 1.0)
+
+
+@pytest.mark.parametrize("grid, c1, c2", [
+    ([2.0, math.nan], 1.0, 2.0), ([2.0, math.inf], 1.0, 2.0), ([2.0], math.inf, 2.0),
+    ([2.0], 1.0, math.nan), ([2.0], -math.inf, 2.0), ([1e308], 1.0, 2.0), ([2.0, 1e200], 1.0, 2.0),
+    ([10**400], 1.0, 2.0), ([2.0], 10**400, 2.0), ([2.0], 1e308, 1e308),
+])
+def test_cdelta_profile_domain(grid, c1, c2):
+    # nan and inf rows came back silently, 1e308 overflowed with a RuntimeWarning, and
+    # 10**400 raised OverflowError("int too large to convert to float")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="C_delta not finite at C1 = "):
+            xp.cdelta_profile("laplace", grid, c1, c2)
+
+
+def test_cdelta_profile_scalar_and_int_inputs():
+    assert xp.cdelta_profile("stokes", 2.0, 1, 3) == xp.cdelta_profile("stokes", [2.0], 1.0, 3.0)[0]
 
 
 def test_measured_error_has_interior_minimum():

@@ -184,6 +184,21 @@ def test_band_limited_inverse_exact():
     assert np.max(np.abs(full.coeffs - trunc.coeffs)) == 0.0
 
 
+@pytest.mark.parametrize("k_max, message", [
+    (math.nan, "k_max >= 8 required"), (-math.inf, "k_max >= 8 required"),
+    (math.inf, "k_max = inf exceeds K_MAX_LIMIT"), (1e308, "k_max = 1e[+]308 exceeds K_MAX_LIMIT")])
+def test_make_test_field_rejects_non_finite_k_max(k_max, message):
+    # int(k_max) raised "cannot convert float NaN (infinity) to integer"
+    with pytest.raises(ValueError, match=message):
+        ops.make_test_field("h1_rough", k_max)
+
+
+@pytest.mark.parametrize("mode_k", [None, 0, 17, -17, 2.5])
+def test_single_mode_field_needs_an_integer_mode_within_k_max(mode_k):
+    with pytest.raises(ValueError, match="single_mode needs mode_k|nonzero integer"):
+        ops.make_test_field("single_mode", 16, mode_k=mode_k)
+
+
 def test_make_test_field_deterministic():
     a = ops.make_test_field("h1_rough", 32, seed=9)
     b = ops.make_test_field("h1_rough", 32, seed=9)

@@ -116,6 +116,16 @@ def test_evaluate_profile_rejects_non_finite_radii(bad):
         profiles.evaluate_profile(sol, np.array([0.05, bad]))
 
 
+@pytest.mark.parametrize("call", [profiles.evaluate_profile, profiles.incompressibility_residual,
+                                  profiles.residual_momentum])
+def test_int_radii_past_the_double_range_are_a_value_error(call):
+    # each raised OverflowError("int too large to convert to float")
+    sol = profiles.solve_mode("normal", Mode(3, 0.05))
+    for r in (10**400, [0.1, 10**400]):
+        with pytest.raises(ValueError, match=r"z = pi \|k\| r < 2\*\*1023"):
+            call(sol, r)
+
+
 @pytest.mark.parametrize("direction", profiles.DIRECTIONS)
 def test_radii_past_the_kernel_range_are_a_value_error(direction):
     # pi |k| r overflowed in numpy's multiply (a RuntimeWarning), and the kernel then

@@ -35,6 +35,88 @@ def test_eigenvalues_reject_eps_outside_domain(eps):
             spectra.eigenvalues(EigenFamily("laplace", "longitudinal", method), eps, [1, 2])
 
 
+_SBT = EigenFamily("laplace", "longitudinal", "sbt")
+_EPS_ERROR = r"fiber radius must lie in \(0, 1/2\)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EigenFamily("laplace", "longitudinal", "sbt_truncated").default_cutoff(0.0),
+    lambda: spectra.eigen_difference_margin("laplace", "longitudinal", 0.0, 1, "sbt"),
+    lambda: spectra.eigen_difference_margin("laplace", "longitudinal", -0.1, 1, "sbt"),
+    lambda: spectra.eigen_difference_margin("stokes", "normal", 0.7, 1, "delta_reg", delta=2.0),
+    lambda: spectra._difference_window("tangential", "sbt", math.nan),
+    lambda: spectra.sign_change_wavenumber(_SBT, -0.1),
+    lambda: spectra.sign_change_wavenumber(_SBT, 0.0),
+    lambda: spectra.sbt_symbol_log_form(0.0, 1),
+    lambda: spectra.sbt_symbol_harmonic_form(0.7, 1),
+    lambda: spectra.sbt_symbol_harmonic_form(0.0, 1),
+], ids=["default_cutoff", "margin_eps0", "margin_negative", "margin_delta_eps0.7", "window_nan",
+        "sign_change_negative", "sign_change_eps0", "log_form_eps0", "harmonic_form_eps0.7",
+        "harmonic_form_eps0"])
+def test_eps_to_wavenumber_checks_eps_first(call):
+    # these divided by pi eps unchecked: ZeroDivisionError, a window |k| <= -1.43, a
+    # negative sign-change wavenumber, "math domain error", or a value at eps = 0.7
+    with pytest.raises(ValueError, match=_EPS_ERROR):
+        call()
+
+
+def test_wavenumber_past_the_double_range_is_a_value_error():
+    # int(inf) raised "cannot convert float infinity to integer"
+    family = EigenFamily("laplace", "longitudinal", "sbt_truncated")
+    with pytest.raises(ValueError, match=r"\|k\| = 0\.45 / \(pi eps\) is past the double range"):
+        family.default_cutoff(1e-320)
+    with pytest.raises(ValueError, match="past the double range"):
+        spectra.sign_change_wavenumber(_SBT, 5e-324)
+    assert family.default_cutoff(1e-300) == int(0.45 / (math.pi * 1e-300))
+
+
+def test_eps_to_wavenumber_keeps_its_bits():
+    for eps in (0.1, 0.031, 1e-3, np.float64(0.02)):
+        assert spectra.sign_change_wavenumber(_SBT, eps) == (
+            spectra.SBT_SINGULARITY["longitudinal"] / (math.pi * eps))
+        assert spectra.sbt_symbol_harmonic_form(eps, 3) == (
+            2.0 * math.log(8.0 / (math.pi * eps)) - spectra.periodic_kernel_eigenvalue(3))
+        assert spectra.sbt_symbol_log_form(eps, -7) == (
+            -2.0 * (math.log(0.5 * math.pi * eps * 7) + GAMMA))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Mode(1.5, 0.1),
+    lambda: Mode(math.nan, 0.1),
+    lambda: Mode(3.0, 0.1),
+    lambda: spectra.sbt_symbol_log_form(0.01, 1.5),
+    lambda: spectra.sbt_symbol_harmonic_form(0.01, 1.5),
+    lambda: spectra.periodic_kernel_eigenvalue(2.5),
+    lambda: spectra.periodic_kernel_apply_mode(1.5),
+    lambda: spectra.periodic_kernel_apply_mode(0),
+    lambda: spectra.legendre_mu(2.5),
+    lambda: spectra.legendre_mu(-1),
+], ids=["mode_half", "mode_nan", "mode_float", "log_form", "harmonic_form", "kernel_eigenvalue",
+        "apply_mode", "apply_mode_0", "legendre_half", "legendre_negative"])
+def test_integer_wavenumbers_are_gated(call):
+    # each was truncated by int(), accepted as it was, or raised a raw TypeError
+    with pytest.raises(ValueError, match=r"must be an? (nonzero )?integer"):
+        call()
+
+
+def test_integer_gate_takes_numpy_integers_and_keeps_the_sign():
+    assert Mode(np.int64(-3), 0.1).z == Mode(-3, 0.1).z
+    assert spectra.periodic_kernel_eigenvalue(np.int32(5)) == spectra.periodic_kernel_eigenvalue(5)
+    assert spectra.legendre_mu(np.int64(0)) == 0.0
+    plus, minus = (spectra.periodic_kernel_apply_mode(k, resolution=512) for k in (3, -3))
+    assert minus.real == pytest.approx(plus.real, rel=1e-14)
+    assert minus.imag == pytest.approx(-plus.imag, abs=1e-12)
+
+
+def test_apply_mode_needs_a_resolution_past_twice_k():
+    # at |k| >= resolution/2 the midpoint grid aliases e^{i pi k s}; at |k| = 10**400 the
+    # phase overflowed: "int too large to convert to float"
+    assert math.isfinite(spectra.periodic_kernel_apply_mode(-7, resolution=16).real)
+    for k in (8, -8, 10**400):
+        with pytest.raises(ValueError, match=r"resolution = 16 resolves \|k\| < 8 only"):
+            spectra.periodic_kernel_apply_mode(k, resolution=16)
+
+
 def test_family_validation():
     EigenFamily("laplace", "longitudinal", "pde")
     EigenFamily("stokes", "tangential", "sbt")
@@ -419,6 +501,48 @@ def test_ode_rhs_rejects_non_finite_z():
         for z in (math.nan, math.inf, -math.inf, 0.0, np.array([1.0, math.nan])):
             with pytest.raises(ValueError, match="ode_rhs requires finite z > 0"):
                 spectra.ode_rhs(fam, z, 1.0, delta=2.0)
+
+
+def test_numbers_past_the_double_range_are_typed_errors():
+    # each raised OverflowError("int too large to convert to float")
+    for z, b in ((10**400, 1.0), (1.0, 10**400), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="ode_rhs requires finite z > 0 and a finite B"):
+            spectra.ode_rhs("B", z, b)
+    for call in (spectra.h_function, spectra.appendix_c_margins):
+        with pytest.raises(bessel.BesselDomainError, match=r"K_nu requires z < 2\*\*1023"):
+            call(10**400)
+        with pytest.raises(bessel.BesselDomainError, match=r"K_nu requires z < 2\*\*1023"):
+            call([1.0, 10**400])
+    with pytest.raises(ValueError, match="h_function requires z > 0"):
+        spectra.h_function(-(10**400))
+    # delta past the double range, or an overflowing numpy delta * z (a RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for delta, z in ((10**400, 1.0), (np.float64(1e10), 1e300)):
+            with pytest.raises(ValueError, match=r"delta \* z = .* overflows a double"):
+                spectra.b_function("B_delta", z, delta=delta)
+        with pytest.raises(ValueError, match=r"delta \* z = inf \* 0\.942478 overflows"):
+            spectra.eigenvalues(EigenFamily("laplace", "longitudinal", "delta_reg",
+                                            delta=10**400), 0.1, 3)
+
+
+@pytest.mark.parametrize("delta", [None, 0.0, -0.0, -1.0, math.nan, 5e-324])
+def test_delta_families_need_a_positive_delta_z(delta):
+    # delta <= 0 raised "math domain error", and a delta z that underflows to 0
+    # "float division by zero"
+    with pytest.raises(ValueError, match=r"B_delta_t requires delta > 0, and delta \* z > 0"):
+        spectra.b_function(("B_t", "B_delta_t"), 0.5, delta=delta)
+
+
+def test_h_function_and_ode_rhs_shapes():
+    z = np.array([0.5, 2.0, 7.0])
+    assert type(spectra.h_function(2.0)) is float
+    assert spectra.h_function(2.0) == spectra.h_function(z)[1]
+    assert spectra.h_function([2.0]).shape == (1,)
+    b = spectra.b_function("B", z)
+    assert type(spectra.ode_rhs("B", 2.0, b[1])) is float
+    assert spectra.ode_rhs("B", 2.0, b).shape == (3,)
+    assert spectra.ode_rhs("B", z, b)[1] == spectra.ode_rhs("B", 2.0, b[1])
 
 
 def test_k0_below_its_exponential_bound():
