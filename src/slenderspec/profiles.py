@@ -11,14 +11,10 @@ normal          U_r(eps) = 1, U_th(eps) = 1,    Stokes, cos/sin theta structure
 
 The traction of the solution, integrated over the cross-section, is an
 independent numerical route to the same eigenvalues that spectra.py writes
-down in closed form; matching the two to 1e-6 is the module's central
-oracle property.  Derivatives at r = eps use one-sided 4-point stencils
-(the fluid only exists for r >= eps).
-
-The traction stencil runs radius by radius on Python numbers, bit for bit with the arrays by
-two rules: ``_deriv_at_eps`` divides a complex by a real as numpy does, by the reciprocal; a
-field stays real where its constants are (laplace U; normal U_r, U_theta, U_plus, U_minus,
-p), since a later division rounds differently on complex data.
+down in closed form; matching the two (to ~5e-13; the tests gate it at
+1e-6) is the module's central oracle property.  The derivatives at r = eps
+are exact, from K0' = -K1, K1' = -K0 - K1/x and K2' = -K1 - 2 K2/x on the
+K values that ``solve_mode`` computed at the boundary.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ class UnderflowError(ArithmeticError):
 
 
 class AccuracyError(ArithmeticError):
-    """Finite-difference step fell below the resolvable precision floor."""
+    """A finite-difference step below the precision floor, or a traction eigenvalue not real."""
 
 
 @dataclass(frozen=True)
@@ -66,11 +62,13 @@ class RadialModeSolution:
     homogeneous of degree -1 in K: formed from K * 2**-scale, they stay finite and their
     K products normal up to UNDERFLOW_Z.  ``evaluate_profile`` multiplies them by
     K(pi |k| r) * 2**-scale, exact scaling that rounds as the unscaled product would.
+    ``boundary_k`` holds those scaled K values at r = eps, one per order the direction reads.
     """
 
     mode: Mode
     direction: str
     scale: int
+    boundary_k: tuple[float, ...]
     c_p: complex
     c0: complex | None = None
     c1: complex | None = None
@@ -85,7 +83,7 @@ def solve_mode(direction, mode):
     if underflowed:
         raise UnderflowError(f"K underflow at z = pi*eps*|k| = {mode.z:.3f}")
     scale = math.frexp(values[1])[1]
-    k0, k1, *rest = (math.ldexp(v, -scale) for v in values.tolist())
+    k0, k1, *rest = boundary_k = tuple(math.ldexp(v, -scale) for v in values.tolist())
     eps, k, z = mode.eps, mode.k, mode.z
     sgn = 1.0 if k > 0 else -1.0
 
@@ -107,11 +105,11 @@ def solve_mode(direction, mode):
     if not all(map(cmath.isfinite, consts)):
         raise OverflowError(f"the {direction} profile constants overflow a double at "
                             f"eps = {eps:.4g}, k = {k}")
-    return RadialModeSolution(mode, direction, scale, *consts)
+    return RadialModeSolution(mode, direction, scale, boundary_k, *consts)
 
 
 def _fields(sol, r, k0r, k1r, k2r=None):
-    """The fields at radii r from K_nu(pi |k| r) * 2**-scale, on arrays or one radius's floats."""
+    """The fields at radii r from K_nu(pi |k| r) * 2**-scale."""
     sgn = 1.0 if sol.mode.k > 0 else -1.0
     if sol.direction == "laplace_scalar":
         return {"U": sol.c0 * k0r, "p": 0j * k0r}  # complex zeros: K0 >= 0 is finite
@@ -130,16 +128,6 @@ def _fields(sol, r, k0r, k1r, k2r=None):
             "U_plus": u_plus, "U_minus": u_minus, "p": p}
 
 
-def _profile(sol, r):
-    """The fields at radii r: arrays for an array r, lists built radius by radius for a list."""
-    a, orders = math.pi * abs(sol.mode.k), _PROFILES[sol.direction].orders
-    if isinstance(r, np.ndarray):
-        return _fields(sol, r, *np.ldexp(bessel_k(orders, a * r), -sol.scale))
-    kr = bessel_k(orders, [a * x for x in r]).T.tolist()
-    points = [_fields(sol, x, *(math.ldexp(k, -sol.scale) for k in ks)) for x, ks in zip(r, kr)]
-    return {key: [point[key] for point in points] for key in points[0]}
-
-
 def evaluate_profile(sol, r):
     """Profile values at radii r >= eps.
 
@@ -152,11 +140,12 @@ def evaluate_profile(sol, r):
     if np.any(r < sol.mode.eps * (1.0 - 1e-12)):
         raise ValueError("profiles are defined for r >= eps only")
     # on Python floats, which overflow to inf without a warning, before numpy forms pi |k| r
-    z = math.pi * abs(sol.mode.k) * float(np.max(r, initial=0.0))
+    a = math.pi * abs(sol.mode.k)
+    z = a * float(np.max(r, initial=0.0))
     if z >= Z_MAX:
         raise ValueError(f"profiles need z = pi |k| r < 2**1023 ~ {Z_MAX:.4g}; "
                          f"the largest radius gives z = {z:.4g}")
-    return _profile(sol, r)
+    return _fields(sol, r, *np.ldexp(bessel_k(_PROFILES[sol.direction].orders, a * r), -sol.scale))
 
 
 def _fd_step(eps, rel):
@@ -168,34 +157,27 @@ def _fd_step(eps, rel):
     return h
 
 
-def _deriv_at_eps(f, h):
-    """One-sided 4-point first derivative at r = eps, O(h^3), from f(eps + h*[0, 1, 2, 3])."""
-    total = -11.0 * f[0] + 18.0 * f[1] - 9.0 * f[2] + 2.0 * f[3]
-    return total * (1.0 / (6.0 * h)) if isinstance(total, complex) else total / (6.0 * h)
-
-
 def traction_eigenvalue_numeric(direction, mode):
     """Surface-traction recomputation of the pde eigenvalue.
 
-    Differentiates the exterior profiles one-sidedly at r = eps and
-    assembles the cross-section-integrated force; theta integration is
-    analytic.  The result must be real to 1e-10 relative.
+    Differentiates the exterior profiles exactly at r = eps, on the boundary K
+    values of ``solve_mode``, and assembles the cross-section-integrated force;
+    theta integration is analytic.  The result must be real to 1e-10 relative.
     """
     sol = solve_mode(direction, mode)
-    eps = mode.eps
-    h = _fd_step(eps, 1e-5)
-    prof = _profile(sol, [eps + h * j for j in range(4)])
-
+    z, (k0, k1, *rest) = mode.z, sol.boundary_k
+    # each eps * d/dr at r = eps, written over z = pi |k| eps: c_p * pi |k| alone leaves the
+    # double range at large |k|, where c_p * eps stays O(1)
     if direction == "laplace_scalar":
-        lam = -2.0 * math.pi * eps * _deriv_at_eps(prof["U"], h)
+        lam = 2.0 * math.pi * z * sol.c0 * k1  # -2 pi eps dU/dr
     elif direction == "tangential":
-        dUz = _deriv_at_eps(prof["U_z"], h)
-        # sigma_rz = dU_z/dr + dU_r/dz with U_z(eps) = 1 normalization
-        lam = -2.0 * math.pi * eps * (dUz + 1j * math.pi * mode.k * prof["U_r"][0])
+        # -2 pi eps (dU_z/dr + i pi k U_r): sigma_rz with U_z(eps) = 1 normalization
+        sgn = 1.0 if mode.k > 0 else -1.0
+        lam = 2.0 * math.pi * z * (sol.c0 * k1 - 1j * sgn * (sol.c1 * k1 + sol.c_p * mode.eps * k0))
     else:
-        dUr = _deriv_at_eps(prof["U_r"], h)
-        dUth = _deriv_at_eps(prof["U_theta"], h)
-        lam = -math.pi * eps * (2.0 * dUr + dUth - prof["p"][0])
+        # -pi eps (2 dU_r/dr + dU_theta/dr - p), with U_r, U_theta = (U_plus +- U_minus) / 2
+        lam = math.pi * (1.5 * z * sol.c0 * k1 + sol.c2 * (0.5 * z * k1 + rest[0])
+                         + sol.c_p * mode.eps * (z * k0 + k1))
 
     lam = complex(lam)
     if abs(lam.imag) > 1e-10 * max(abs(lam.real), 1.0):
@@ -265,12 +247,12 @@ def residual_momentum(sol, r):
     for key, (m, rhs) in equations.items():
         val, first = mid[key], d1(key)
         d2 = (up[key] - 2.0 * val + dn[key]) / (h * h)
-        out = d2 + first / r - (m * m / (r * r) + a2) * val
+        out = d2 + first / r - ((m / r) ** 2 + a2) * val
         # scale from the pre-cancellation term sizes: for small pi|k|r the
         # Laplacian pieces cancel to O((pi k r)^2) of their own magnitude,
         # and a residual relative to that cancellation is the honest FD
         # figure of merit
-        scale = np.abs(d2) + np.abs(first) / r + (m * m / (r * r) + a2) * np.abs(val)
+        scale = np.abs(d2) + np.abs(first) / r + ((m / r) ** 2 + a2) * np.abs(val)
         res[key] = np.abs(out - rhs) / np.maximum(scale + np.abs(rhs), 1e-300)
     return res
 

@@ -400,6 +400,8 @@ def eigenvalues(family, eps, k):
         raise ValueError("families evaluated together must share setting, method and delta")
     scalar = isinstance(k, int) or np.ndim(k) == 0  # runs on floats to the result
     k = abs(k) if scalar else np.abs(np.atleast_1d(k))  # every formula reads |k| only
+    if not scalar and k.dtype.kind == "i":  # np.abs leaves the most negative int negative
+        k = k.view(f"u{k.dtype.itemsize}")
     if not _all(k != 0):
         raise ValueError("k = 0 is excluded")
     _check_eps(eps)

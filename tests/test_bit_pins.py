@@ -280,9 +280,9 @@ GRID_DIGESTS = {
     "g3_exact": "673d149f230469a9d4d3f55a918c393dc697f98e1d458b340c53503625ef8198",
     # recorded at 0019fa8, before the oracle's chunk buffers and lower edges
     "oracle": "bacdac6e665ee77467441093485a78934ca65d8362da895503b0d69b686b490d",
-    # recorded at 28bab26, before the traction route and the scalar eigenvalues ran
-    # on Python floats
-    "traction_sweep": "6b4aebda305695c3f4f00bb092b98e6a591381f0d0f8ff07b49b4d27ca25802a",
+    # re-recorded when the traction route took exact boundary derivatives; recorded at
+    # 28bab26, it read 6b4aebda305695c3f4f00bb092b98e6a591381f0d0f8ff07b49b4d27ca25802a to 82b29db
+    "traction_sweep": "6511107fa8d49ae2d38f4cb81da177947dfb1aff89dfcc71b66e63ad77d11e5f",
     "eigenvalue_pde_longitudinal": "e7210e267dbf4ac6f7146a285d567d382a65b64a0d9be5b8aa8316f64b060950",
     "eigenvalue_pde_tangential": "245a319b38c04ea9eb4a2adf09424891a3f05c5f059e8777fa3f202bd2fc9ae9",
     "eigenvalue_pde_normal": "765fd86a2724b7e0215174df93208f3616d0fa9cf48cb6e01ebcb365d9744122",

@@ -97,6 +97,8 @@ _ENTRIES = {
                                                         allow_past_singularity=allow),
         (st.sampled_from(spectra.ODE_FAMILIES), _Z, _DELTA, st.booleans())),
     "solve_mode": (lambda d, k, eps: profiles.solve_mode(d, Mode(k, eps)), (_DIRECTION, _K, _EPS)),
+    "traction_vs_closed_form": (lambda d, k, eps: profiles.traction_vs_closed_form(d, Mode(k, eps)),
+                                (_DIRECTION, _K, _EPS)),
     "optimal_delta": (xp.optimal_delta, (_SETTING, _Z)),
     "max_stable_dt": (dynamics.max_stable_dt, (_EPS, _K_MAX)),
     "stability_slope": (dynamics.stability_slope,

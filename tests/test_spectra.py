@@ -786,6 +786,15 @@ def test_property_int_k_runs_on_floats_bitwise(family, k, eps):
     assert scalar == row
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_most_negative_int_in_a_k_array_reads_its_modulus(dtype):
+    # np.abs leaves it negative, so z came out negative and raised "requires finite z >= ..."
+    k = np.iinfo(dtype).min
+    for family in (spectra.pde_family("longitudinal"), spectra.pde_family("normal")):
+        row = spectra.eigenvalues(family, 0.25, np.array([k, -1, 1], dtype=dtype))
+        assert row.tolist() == [spectra.eigenvalues(family, 0.25, kk) for kk in (-k, 1, 1)]
+
+
 def _raising_int_k_cases():
     """(family, eps, k): k = 0, eps outside (0, 1/2) and z below Z_MIN for every
     family; z past 2**511 for B_n, past the kernel's upper edge for pde, and
