@@ -5,12 +5,12 @@ wavenumber, each mode decaying at rate
 
     nu_k = (-k^4 + k^2) / lambda_n(eps, k)
 
-with lambda_n the normal-direction Dirichlet-to-force eigenvalue.  nu_1
-vanishes exactly (translation-like neutral mode) and every |k| >= 2 mode
-decays.  Two steppers are provided: explicit Euler, whose stability
-ceiling dt < 2/|nu_Kmax| reproduces the dt ~ ds^4 (grid coarser than the
-fiber radius) and dt ~ eps * ds^3 (grid finer than the radius) scalings,
-and the exact exponential integrator, unconditionally stable.
+with lambda_n the normal-direction Dirichlet-to-force eigenvalue: nu_1
+vanishes exactly (translation-like neutral mode), every |k| >= 2 mode decays.
+A ``DynamicsState`` is the (x, y) coefficient table of Y, an
+``operators.PeriodicField`` with eps and t.  Explicit Euler's stability ceiling
+dt < 2/|nu_Kmax| gives dt ~ ds^4 on grids coarser than the fiber radius and
+dt ~ eps * ds^3 on finer ones; the exponential integrator is unconditionally stable.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel import _as_float
 from .experiments import _bisect, fit_slope
-from .operators import check_count
-from .spectra import _check_eps, eigenvalues, pde_family
+from .operators import PeriodicField, check_count
+from .spectra import _check_eps, _int_k, eigenvalues, pde_family
 
 _NORMAL_PDE = pde_family("normal")
 
@@ -39,53 +40,43 @@ def nu(eps, k):
 
 
 @dataclass(frozen=True)
-class DynamicsState:
-    """Normal displacement coefficients for 1 <= |k| <= K_max, two components."""
+class DynamicsState(PeriodicField):
+    """Normal displacement, two components (x, y) and zero at k = 0, at radius eps and time t."""
 
-    coeffs: np.ndarray  # shape (2, 2*K_max+1), k = -K..K, k=0 slot always 0
     eps: float
     t: float = 0.0
+    _COMPONENTS = (2,)
 
     def __post_init__(self):
         _check_eps(self.eps)
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != 2 or c.shape[1] % 2 == 0:
-            raise ValueError("coeffs must have shape (2, 2*K_max+1)")
-        if c[:, (c.shape[1] - 1) // 2].any():
+        super().__post_init__()
+        if not (math.isfinite(_as_float(self.t, math.inf)) and np.isfinite(self.coeffs).all()):
+            raise ValueError("t and every coefficient must be finite doubles")
+        if not self.mean_free:
             raise ValueError("the k = 0 coefficient must vanish (zero-mean constraint)")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def k_max(self):
-        return (self.coeffs.shape[1] - 1) // 2
-
-    @property
-    def k_values(self):
-        return np.arange(-self.k_max, self.k_max + 1)
-
-    def norm(self):
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
 
 def single_mode_state(eps, k_max, k, amplitude=1.0):
     """A state holding one conjugate-symmetric mode pair in the x component."""
-    if not 1 <= abs(k) <= k_max:
+    if not (isinstance(k_max, (int, np.integer)) and 1 <= abs(k) <= k_max):
         raise ValueError(f"mode k must satisfy 1 <= |k| <= k_max = {k_max}")
     check_count("k_max", k_max)
+    if not _as_float(abs(amplitude), math.inf) < math.inf:  # nan too, and an int past the range
+        raise ValueError("the amplitude must be a finite double")
+    k = abs(_int_k(k))
     coeffs = np.zeros((2, 2 * k_max + 1), dtype=complex)
-    coeffs[0, k_max + abs(k)] = amplitude
-    coeffs[0, k_max - abs(k)] = np.conj(amplitude)
+    coeffs[0, [k_max - k, k_max + k]] = np.conj(amplitude), amplitude
     return DynamicsState(coeffs, eps)
 
 
 def step(state, dt, scheme):
     """One time step: explicit_euler (1 + dt nu) or implicit_exact (e^{dt nu})."""
-    if not 0.0 < dt < math.inf:
+    if not 0.0 < (dt := float(_as_float(dt, math.inf))) < math.inf:
         raise ValueError("dt must be finite and positive")
     rates = nu(state.eps, np.arange(1, state.k_max + 1))  # nu reads |k| only
     # Python floats overflow to inf silently, so this test itself never warns
-    dt_nu = float(dt) * float(np.max(np.abs(rates), initial=0.0))
-    if not (math.isfinite(dt_nu) and math.isfinite(float(state.t) + float(dt))):
+    t = float(state.t) + dt
+    if not (math.isfinite(dt * float(np.max(np.abs(rates), initial=0.0))) and math.isfinite(t)):
         raise ValueError(f"dt = {dt:g} is too large: dt * max|nu| or t + dt overflows")
     if scheme == "explicit_euler":
         half = 1.0 + dt * rates
@@ -94,10 +85,10 @@ def step(state, dt, scheme):
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     mult = np.concatenate((half[::-1], [1.0], half))  # k = -K..K
-    with np.errstate(over="ignore"):  # energy() below rejects the overflowed state
-        new = DynamicsState(state.coeffs * mult[None, :], state.eps, state.t + dt)
-    energy(new)
-    return new
+    with np.errstate(over="ignore"):  # _energy below rejects the overflowed table
+        coeffs = state.coeffs * mult[None, :]
+    _energy(coeffs, state.k_values, t)
+    return DynamicsState(coeffs, state.eps, t)
 
 
 def energy(state):
@@ -106,12 +97,16 @@ def energy(state):
     Raises OverflowError where it leaves the double range (an unstable
     explicit step grows |Y| by |1 + dt nu| each time).
     """
-    pk2 = (math.pi * state.k_values) ** 2
+    return _energy(state.coeffs, state.k_values, state.t)
+
+
+def _energy(coeffs, k, t):  # energy() of a table over wavenumbers k, at time t
+    pk2 = (math.pi * k) ** 2
     with np.errstate(over="ignore"):  # checked below
-        mag2 = np.sum(np.abs(state.coeffs) ** 2, axis=0)
+        mag2 = np.sum(np.abs(coeffs) ** 2, axis=0)
         value = float(0.5 * np.sum((pk2 * pk2 + pk2) * mag2))
     if not math.isfinite(value):
-        raise OverflowError(f"the energy at t = {state.t:g} overflows a double")
+        raise OverflowError(f"the energy at t = {t:g} overflows a double")
     return value
 
 

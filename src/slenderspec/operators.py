@@ -1,12 +1,13 @@
 """Periodic Fourier fields and diagonal application of the spectral maps.
 
 Fields live on the period-2 torus with convention f(z) = sum_k fhat_k
-e^{i pi k z}, stored densely for -K_max <= k <= K_max.  Every operator in
-the toolkit is diagonal in this basis, so applying a forward or inverse
-map is coefficient-wise multiplication by 1/lambda or lambda.  The k = 0
-mode is excluded from all operators (it corresponds to the 2D fundamental
-solution, which does not decay); feeding a field with nonzero mean to an
-operator is a hard error rather than a silent drop.
+e^{i pi k z}, stored densely for -K_max <= k <= K_max.  ``PeriodicField`` is
+the one coefficient-table type (``dynamics.DynamicsState`` adds eps and t),
+and each class states the component counts it holds.  Every operator is
+diagonal in this basis: a forward or inverse map multiplies by 1/lambda or
+lambda.  The k = 0 mode (the 2D fundamental solution, which does not decay)
+is excluded from all operators; a field with nonzero mean is a hard error
+there rather than a silent drop.
 
 Sobolev convention: ||f||_{H^s}^2 = 2 sum_k (1 + pi^2 k^2)^s |fhat_k|^2,
 the factor 2 being Parseval's constant for the length-2 period, so that
@@ -42,13 +43,16 @@ class PeriodicField:
     """components x (2 K_max + 1) complex coefficient table, k = -K..K."""
 
     coeffs: np.ndarray
+    _COMPONENTS = (1, 3)  # scalar or vector; a subclass states its own counts
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim == 1:
-            c = c[None, :]
-        if c.shape[0] not in (1, 3):
-            raise ValueError("fields have 1 (scalar) or 3 (vector) components")
+        try:
+            c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
+        except OverflowError:  # an int that no double holds
+            raise ValueError("a coefficient is past the double range") from None
+        if c.ndim != 2 or c.shape[0] not in self._COMPONENTS:
+            counts = " or ".join(map(str, self._COMPONENTS))
+            raise ValueError(f"a {type(self).__name__} has {counts} components")
         if c.shape[1] % 2 == 0 or c.shape[1] < 3:
             raise ValueError("coefficient axis must have odd length 2*K_max+1 >= 3")
         object.__setattr__(self, "coeffs", c)

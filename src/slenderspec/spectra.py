@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import (EULER_GAMMA, Z_MIN, _as_float, _gauss_panels, _refine, _shape_rows,
+from .bessel import (EULER_GAMMA, Z_MIN, Z_MIN_K2, _as_float, _gauss_panels, _refine, _shape_rows,
                      bessel_k, ratio_A, ratio_B)
 
 SQRT_E = math.sqrt(math.e)
@@ -225,6 +225,15 @@ def _k0_delta(z, delta, fams):
     return k0d
 
 
+def _delta(fam, delta, z):
+    """delta as a float (None reads as nan), with delta * z > 0 and finite at the ends of z."""
+    if not 0.0 < (delta := _as_float(delta, math.inf)) * float(np.min(z, initial=math.inf)):
+        raise ValueError(f"{fam} requires delta > 0, and delta * z > 0 for K0")
+    if not math.isfinite(delta * float(np.max(z, initial=0.0))):
+        raise ValueError(f"delta * z = {delta:g} * {np.max(z):g} overflows a double")
+    return delta
+
+
 def b_function(fam, z, delta=None, allow_past_singularity=False):
     """Evaluate one of the scalar eigenvalue profiles at z > 0.
 
@@ -252,11 +261,7 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
     if "B_n" in fams and not _all(z <= 2.0**511):  # its z * z overflows from z ~ 1.34e154
         raise ValueError("B_n requires z <= 2**511 ~ 6.704e+153; z * z overflows past it")
     needs_delta = [f for f in fams if f in _B_FAMILY["delta_reg"].values()]
-    if needs_delta and not 0.0 < ((delta := _as_float(delta, math.inf))  # None reads as nan
-                                  * float(np.min(z, initial=math.inf))):
-        raise ValueError(f"{min(needs_delta)} requires delta > 0, and delta * z > 0 for K0")
-    if needs_delta and not math.isfinite(delta * float(np.max(z, initial=0.0))):
-        raise ValueError(f"delta * z = {delta:g} * {np.max(z):g} overflows a double")
+    delta = _delta(min(needs_delta), delta, z) if needs_delta else delta
 
     # the kernels the families share, one pass each
     a = ratio_A(z) if {"B_t", "B_n"}.intersection(fams) else None
@@ -292,8 +297,8 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
 def ode_rhs(fam, z, b_value, delta=None):
     """Right-hand side of dB/dz for the named family, at (z, B)."""
     z, b = (np.asarray(_as_float(x, math.inf)) for x in (z, b_value))
-    if not (np.all((z > 0) & (z < math.inf)) and np.all(np.isfinite(b))):
-        raise ValueError("ode_rhs requires finite z > 0 and a finite B")
+    if not (np.all((Z_MIN <= z) & (z < math.inf)) and np.all(np.isfinite(b))):
+        raise ValueError(f"ode_rhs requires finite z >= {Z_MIN:.4g} and a finite B")
     if fam == "B":
         out = (b * b - z * z) / z
     elif fam == "B_t":
@@ -305,9 +310,8 @@ def ode_rhs(fam, z, b_value, delta=None):
         method, _, (num, _, m) = _LOG_FAMILIES[fam]
         if method == "sbt":
             out = m / num * b * b / z
-        elif delta is None:
-            raise ValueError(f"{fam} requires delta")
         else:
+            delta = _delta(fam, delta, z)
             out = m / num * (delta * bessel_k(1, delta * z)) * b * b
     else:
         raise ValueError(f"unknown B-family {fam!r}")
@@ -315,20 +319,16 @@ def ode_rhs(fam, z, b_value, delta=None):
 
 
 def h_function(z):
-    """Forcing term of the normal-direction ODE; satisfies |h(z)| < 9z/8.
-
-    Written in the well-scaled ratio variable A = K0/K1 in (0, 1) so that
-    no K-powers overflow or underflow.
-    """
-    scalar, z = np.ndim(z) == 0, np.atleast_1d(_as_float(z))
-    if np.any(z <= 0):
-        raise ValueError("h_function requires z > 0")
-    n3, d3 = _n3_d3(z)
-    return _shape_rows([0.125 * z * n3 / d3], True, scalar)
+    """Forcing term of the normal-direction ODE; satisfies |h(z)| < 9z/8.  It is z/8 times
+    N3/D3, both in z and A = K0/K1 in (0, 1), so no power of K overflows; z >= 2**-511."""
+    zf, n3, d3 = _n3_d3(z)
+    return _shape_rows([0.125 * zf * (n3 / d3)], True, np.ndim(z) == 0)
 
 
 def _n3_d3(z):
-    """N3 and D3 of h = z N3 / (8 D3), as polynomials in z and A(z)."""
+    """z as a float array, and N3 and D3 of h = z N3 / (8 D3) as polynomials in z and A(z)."""
+    if not np.all((z := np.atleast_1d(_as_float(z))) >= Z_MIN_K2):
+        raise ValueError(f"h needs z >= 2**-511 ~ {Z_MIN_K2:.4g}, below which z * z is subnormal")
     a = ratio_A(z)
     z2 = z * z
     n3 = (
@@ -341,12 +341,12 @@ def _n3_d3(z):
         - 3.0 * z2 * (8.0 + z2)
     )
     inner = z * z * a**3 + z * a * a - (2.0 + z * z) * a - z
-    return n3, inner * inner
+    return z, n3, inner * inner
 
 
 def appendix_c_margins(z):
     """(9 D3 - N3, 9 D3 + N3); strict positivity of both is |h| < 9z/8."""
-    n3, d3 = _n3_d3(np.atleast_1d(_as_float(z)))
+    _, n3, d3 = _n3_d3(z)
     return 9.0 * d3 - n3, 9.0 * d3 + n3
 
 

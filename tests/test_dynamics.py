@@ -55,6 +55,46 @@ def test_state_validation():
             dynamics.DynamicsState(np.zeros((2, 7), dtype=complex), eps)
 
 
+@pytest.mark.parametrize("cls, shape, n_components", [
+    (dynamics.DynamicsState, (2, 7), 2),
+    (ops.PeriodicField, (2, 7), None),
+    (dynamics.DynamicsState, (1, 7), None),
+    (dynamics.DynamicsState, (3, 7), None),
+    (dynamics.DynamicsState, (2, 6), None),
+    (dynamics.DynamicsState, (2, 1), None),  # K_max = 0, which the state accepted on its own
+])
+def test_a_state_is_a_two_component_field(cls, shape, n_components):
+    args = (np.zeros(shape, dtype=complex),) + ((0.01,) if cls is dynamics.DynamicsState else ())
+    if n_components is None:
+        with pytest.raises(ValueError, match="components|odd length"):
+            cls(*args)
+        return
+    s = cls(*args)
+    assert isinstance(s, ops.PeriodicField) and s.n_components == n_components
+    assert s.k_max == 3 and s.mean_free
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: dynamics.single_mode_state(0.01, 8, 2.5), "k must be a nonzero integer"),
+    (lambda: dynamics.single_mode_state(0.01, 8.5, 2), "k_max = 8.5"),
+    (lambda: dynamics.single_mode_state(0.01, 8, 3, math.inf), "amplitude must be a finite"),
+    (lambda: dynamics.single_mode_state(0.01, 8, 3, 10**400), "amplitude must be a finite"),
+    (lambda: dynamics.step(dynamics.single_mode_state(0.01, 8, 3), 10**400, "implicit_exact"),
+     "dt must be finite and positive"),
+    (lambda: ops.PeriodicField([0, 10**400, 0]), "past the double range"),
+    (lambda: dynamics.DynamicsState([[0, 0, 10**400], [0, 0, 0]], 0.01), "past the double range"),
+    (lambda: dynamics.DynamicsState([[0, 0, math.inf], [0, 0, 0]], 0.01), "every coefficient"),
+    (lambda: dynamics.DynamicsState(np.zeros((2, 3)), 0.01, math.nan), "t and every"),
+    (lambda: dynamics.DynamicsState(np.zeros((2, 3)), 0.01, 10**400), "t and every"),
+], ids=["k_2.5", "k_max_8.5", "amplitude_inf", "amplitude_int", "dt_int", "field_int",
+        "state_int", "state_inf", "t_nan", "t_int"])
+def test_dynamics_entries_give_typed_errors(call, match):
+    # an IndexError, a TypeError, Python's "int too large to convert to float", or a state
+    # that held a non-finite number
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_step_formulas():
     eps, K, k = 0.01, 16, 5
     s0 = dynamics.single_mode_state(eps, K, k)
@@ -155,7 +195,7 @@ def test_explicit_instability_amplification():
     dt = 3.0 / abs(rate)
     s = dynamics.single_mode_state(eps, K, k)
     s1 = dynamics.step(s, dt, "explicit_euler")
-    assert s1.norm() == pytest.approx(2.0 * s.norm(), rel=1e-12)
+    assert ops.sobolev_norm(s1, 0) == pytest.approx(2.0 * ops.sobolev_norm(s, 0), rel=1e-12)
 
 
 def test_implicit_energy_nonincreasing():

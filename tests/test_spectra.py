@@ -211,6 +211,38 @@ def test_h_function_bound_and_ratio():
     assert np.max(np.abs(h) / (1.125 * z)) > 0.9
 
 
+@pytest.mark.parametrize("z", [2.0**-511, 1e-150, 1e-100])
+def test_h_near_its_lower_edge_is_close_to_minus_z(z):
+    # h read -0.0 on [1e-160, 1e-140], where z * N3 left the normal range
+    assert -1.0 < spectra.h_function(z) / z < -0.95
+    assert all(m[0] > 0 for m in spectra.appendix_c_margins(z))
+
+
+@pytest.mark.parametrize("call", [spectra.h_function, spectra.appendix_c_margins])
+def test_h_and_the_margins_reject_z_below_two_to_the_minus_511(call):
+    # h read nan with a RuntimeWarning there, and the margins (0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for z in (math.nextafter(2.0**-511, 0.0), 1e-200, bessel.Z_MIN):
+            with pytest.raises(ValueError, match=r"h needs z >= 2\*\*-511"):
+                call(z)
+
+
+@pytest.mark.parametrize("fam, z, delta, match", [
+    ("B", 1e-310, None, "ode_rhs requires finite z >= 2.225e-308"),
+    ("B_t", 1e-308, None, "ode_rhs requires finite z >= 2.225e-308"),
+    ("B_n", bessel.Z_MIN, None, r"h needs z >= 2\*\*-511"),
+    ("B_delta", 2.0, 10**400, r"delta \* z = inf \* 2 overflows"),
+    ("B_delta", 2.0, 1e308, r"delta \* z = 1e\+308 \* 2 overflows"),
+], ids=["B_subnormal_z", "B_t_subnormal_z", "B_n_z_min", "delta_int", "delta_1e308"])
+def test_ode_rhs_reads_z_and_delta_as_b_function_does(fam, z, delta, match):
+    # each overflowed or read nan with a RuntimeWarning, or raised Python's own overflow text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=match):
+            spectra.ode_rhs(fam, z, 1.0, delta)
+
+
 def test_appendix_c_positivity():
     z = np.geomspace(1e-3, 50.0, 20_000)
     m_minus, m_plus = spectra.appendix_c_margins(z)
@@ -499,21 +531,22 @@ def test_ode_rhs_rejects_non_finite_z():
     # nan passed the z <= 0 test: B read nan, and B_SB at z = inf read 0.0
     for fam in ("B", "B_SB", "B_t", "B_delta"):
         for z in (math.nan, math.inf, -math.inf, 0.0, np.array([1.0, math.nan])):
-            with pytest.raises(ValueError, match="ode_rhs requires finite z > 0"):
+            with pytest.raises(ValueError, match="ode_rhs requires finite z >= 2.225e-308"):
                 spectra.ode_rhs(fam, z, 1.0, delta=2.0)
 
 
 def test_numbers_past_the_double_range_are_typed_errors():
     # each raised OverflowError("int too large to convert to float")
     for z, b in ((10**400, 1.0), (1.0, 10**400), (1.0, math.nan), (1.0, -math.inf)):
-        with pytest.raises(ValueError, match="ode_rhs requires finite z > 0 and a finite B"):
+        with pytest.raises(ValueError,
+                           match="ode_rhs requires finite z >= 2.225e-308 and a finite B"):
             spectra.ode_rhs("B", z, b)
     for call in (spectra.h_function, spectra.appendix_c_margins):
         with pytest.raises(bessel.BesselDomainError, match=r"K_nu requires z < 2\*\*1023"):
             call(10**400)
         with pytest.raises(bessel.BesselDomainError, match=r"K_nu requires z < 2\*\*1023"):
             call([1.0, 10**400])
-    with pytest.raises(ValueError, match="h_function requires z > 0"):
+    with pytest.raises(ValueError, match=r"h needs z >= 2\*\*-511"):
         spectra.h_function(-(10**400))
     # delta past the double range, or an overflowing numpy delta * z (a RuntimeWarning)
     with warnings.catch_warnings():
