@@ -9,10 +9,13 @@ Modules:
     experiments convergence rates, well-posedness constants, optimal delta
     checks      verification suites
     cli         command-line interface
+
+The exports in ``__all__`` are resolved on first access (PEP 562), from
+``bessel`` or ``spectra``: ``import slenderspec`` loads neither, nor numpy, so
+the command line pays only for the modules its subcommand runs.
 """
 
-from .bessel import bessel_k, oracle_bessel_k, ratio_A, ratio_B
-from .spectra import EigenFamily, Mode, b_function, eigenvalue, eigenvalues
+import importlib
 
 __version__ = "0.1.0"
 
@@ -21,3 +24,16 @@ __all__ = [
     "EigenFamily", "Mode", "b_function", "eigenvalue", "eigenvalues",
     "__version__",
 ]
+
+#: the module that defines each lazy export, in the order of ``__all__``
+_HOMES = dict.fromkeys(__all__[:4], "bessel") | dict.fromkeys(__all__[4:-1], "spectra")
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

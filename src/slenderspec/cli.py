@@ -10,22 +10,25 @@ SLENDERSPEC_OUTDIR environment variable supplies a default directory for
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-import numpy as np
-
-from . import checks, dynamics, experiments, profiles
-from .operators import check_count
-from .spectra import _DIRECTIONS, _SETTINGS, EigenFamily, Mode, _check_eps, eigenvalues
 
 class UsageError(Exception):
     pass
 
 
+def __getattr__(name):  # perfbench/tracing.py wraps cli.eigenvalues, until ROADMAP item 6
+    if name != "eigenvalues":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .spectra import eigenvalues
+    return eigenvalues
+
+
 def _parse_krange(text):
     """'1..50' or '3' or '1,4,9' -> nonempty list of at most K_MAX_LIMIT ints."""
+    from .operators import check_count
+
     if ".." in text:
         lo, hi = (int(p) for p in text.split(".."))
         check_count(f"the length of k range {text!r}", hi - lo + 1)
@@ -57,25 +60,25 @@ def _emit(text, path):
         fh.write(text)
 
 
-def _apply_config_defaults(argv, parser):
-    """Expand --config key=value files into leading defaults.  Each key must
-    name an option of the subcommand: files shared between subcommands are not
-    supported."""
+def _apply_config_defaults(argv):
+    """The parser of argv's subcommand, and argv with --config key=value files expanded
+    into leading defaults.  Each key must name an option of the subcommand: files shared
+    between subcommands are not supported."""
     # --config=FILE means --config FILE, as --opt=value does for every other flag
     argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
+    i = argv.index("--config") if "--config" in argv else len(argv)
+    if i == len(argv) - 1:
         raise UsageError("--config needs a file path")
     rest = argv[:i] + argv[i + 2:]
+    # the subcommand is the first argument once --config FILE is taken out
     command = rest[1] if len(rest) > 1 else None
+    parser = build_parser(command)
+    if i == len(argv):
+        return parser, rest
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices.get(command)  # None: argparse reports the command
     extra = []
-    with open(path) as fh:
+    with open(argv[i + 1]) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -88,10 +91,13 @@ def _apply_config_defaults(argv, parser):
             extra.extend([f"--{key}", value])
     # flags from the command line come last and win over config values;
     # insert right after the subcommand so argparse routes them correctly
-    return rest[:2] + extra + rest[2:]
+    return parser, rest[:2] + extra + rest[2:]
 
 
 def cmd_spectrum(args):
+    import numpy as np
+    from .spectra import EigenFamily, eigenvalues
+
     ks, setting, direction = _parse_krange(args.k), args.setting, args.direction
     rows = []
     for method in args.methods.split(","):
@@ -104,6 +110,8 @@ def cmd_spectrum(args):
 
 
 def cmd_verify(args):
+    from . import checks
+
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     results = [checks.SUITES[name]() for name in names]
     out = []
@@ -115,9 +123,13 @@ def cmd_verify(args):
 
 
 def cmd_converge(args):
-    _check_eps(args.eps_max)
-    _check_eps(args.eps_min)
-    check_count("--eps-points", args.eps_points)
+    import json
+    import numpy as np
+    from . import experiments, operators, spectra
+
+    spectra._check_eps(args.eps_max)
+    spectra._check_eps(args.eps_min)
+    operators.check_count("--eps-points", args.eps_points)
     eps_grid = np.geomspace(args.eps_max, args.eps_min, args.eps_points)
     rep = experiments.convergence_study(
         args.setting, args.method, args.regularity, eps_grid=eps_grid,
@@ -133,14 +145,19 @@ def cmd_converge(args):
 
 
 def cmd_delta_opt(args):
+    from . import experiments
+
     return f"{experiments.optimal_delta(args.setting, args.ratio):.10f}\n", 0
 
 
 def cmd_dynamics(args):
+    import numpy as np
+    from . import dynamics, operators
+
     if args.energy_mode is not None:
         if args.steps < 0:
             raise ValueError("--steps must be >= 0")
-        check_count("--steps", args.steps)
+        operators.check_count("--steps", args.steps)
         if args.dt is not None and not 0.0 < args.dt < np.inf:
             raise ValueError("--dt must be finite and positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
@@ -156,12 +173,15 @@ def cmd_dynamics(args):
 
 
 def cmd_profile(args):
+    import numpy as np
+    from . import operators, profiles, spectra
+
     if args.points < 1:
         raise ValueError("--points must be >= 1")
-    check_count("--points", args.points)
+    operators.check_count("--points", args.points)
     if not np.isfinite(args.r_mult):
         raise ValueError("--r-mult must be finite")
-    mode = Mode(args.k, args.eps)
+    mode = spectra.Mode(args.k, args.eps)
     sol = profiles.solve_mode(args.direction, mode)
     r = np.linspace(args.eps, args.eps * args.r_mult, args.points)
     prof = profiles.evaluate_profile(sol, r)
@@ -170,7 +190,9 @@ def cmd_profile(args):
     return _csv("r," + ",".join(f"{c}_re,{c}_im" for c in cols), zip(r, *parts)), 0
 
 
-def build_parser():
+def build_parser(command):
+    """The parser of every subcommand's name and help, with the arguments of ``command``
+    only: the choice lists of the others would import modules this run does not use."""
     p = argparse.ArgumentParser(
         prog="slenderspec",
         description="Spectra of the slender-fiber inverse problem: tables, "
@@ -178,66 +200,76 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalue tables as CSV")
-    sp.add_argument("--setting", choices=list(_SETTINGS), required=True)
-    sp.add_argument("--direction", choices=list(_DIRECTIONS), required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--k", default="1..50", help="k range, e.g. 1..50 or 3 or 1,4,9")
-    sp.add_argument("--methods", default="pde,sbt,delta_reg")
-    sp.add_argument("--delta", type=float, default=2.0)
-    sp.set_defaults(func=cmd_spectrum)
+    if command == "spectrum":
+        from .spectra import _DIRECTIONS, _SETTINGS
+        sp.add_argument("--setting", choices=list(_SETTINGS), required=True)
+        sp.add_argument("--direction", choices=list(_DIRECTIONS), required=True)
+        sp.add_argument("--eps", type=float, required=True)
+        sp.add_argument("--k", default="1..50", help="k range, e.g. 1..50 or 3 or 1,4,9")
+        sp.add_argument("--methods", default="pde,sbt,delta_reg")
+        sp.add_argument("--delta", type=float, default=2.0)
+        sp.set_defaults(func=cmd_spectrum)
 
     vp = sub.add_parser("verify", help="run a verification suite")
-    vp.add_argument("suite", choices=list(checks.SUITES) + ["all"])
-    vp.set_defaults(func=cmd_verify)
+    if command == "verify":
+        from .checks import SUITES
+        vp.add_argument("suite", choices=list(SUITES) + ["all"])
+        vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("converge", help="convergence-rate study")
-    cp.add_argument("--setting", choices=list(_SETTINGS), required=True)
-    cp.add_argument("--method", choices=["sbt_truncated", "delta_reg"], required=True)
-    cp.add_argument("--regularity", choices=["H1", "H2"], default="H1")
-    cp.add_argument("--eps-max", type=float, default=10**-1.5)
-    cp.add_argument("--eps-min", type=float, default=1e-3)
-    cp.add_argument("--eps-points", type=int, default=6)
-    cp.add_argument("--seed", type=int, default=11)
-    cp.add_argument("--delta", type=float, default=2.0)
-    cp.add_argument("--k-max", type=int, default=None)
-    cp.add_argument("--format", choices=["json", "csv"], default="json")
-    cp.set_defaults(func=cmd_converge)
+    if command == "converge":
+        from .spectra import _SETTINGS
+        cp.add_argument("--setting", choices=list(_SETTINGS), required=True)
+        cp.add_argument("--method", choices=["sbt_truncated", "delta_reg"], required=True)
+        cp.add_argument("--regularity", choices=["H1", "H2"], default="H1")
+        cp.add_argument("--eps-max", type=float, default=10**-1.5)
+        cp.add_argument("--eps-min", type=float, default=1e-3)
+        cp.add_argument("--eps-points", type=int, default=6)
+        cp.add_argument("--seed", type=int, default=11)
+        cp.add_argument("--delta", type=float, default=2.0)
+        cp.add_argument("--k-max", type=int, default=None)
+        cp.add_argument("--format", choices=["json", "csv"], default="json")
+        cp.set_defaults(func=cmd_converge)
 
     dp = sub.add_parser("delta-opt", help="optimal regularization parameter")
-    dp.add_argument("--setting", choices=list(_SETTINGS), required=True)
-    dp.add_argument("--ratio", type=float, required=True)
-    dp.set_defaults(func=cmd_delta_opt)
+    if command == "delta-opt":
+        from .spectra import _SETTINGS
+        dp.add_argument("--setting", choices=list(_SETTINGS), required=True)
+        dp.add_argument("--ratio", type=float, required=True)
+        dp.set_defaults(func=cmd_delta_opt)
 
     yp = sub.add_parser("dynamics", help="stability sweep or per-step energy CSV")
-    yp.add_argument("--eps", type=float, required=True)
-    yp.add_argument("--sweep", default="8,16,32,64,128",
-                    help="K_max values for the stability sweep")
-    yp.add_argument("--energy-mode", type=int, default=None,
-                    help="emit per-step energy of this single mode instead")
-    yp.add_argument("--k-max", type=int, default=64)
-    yp.add_argument("--steps", type=int, default=200)
-    yp.add_argument("--dt", type=float, default=None)
-    yp.add_argument("--scheme", choices=["explicit_euler", "implicit_exact"],
-                    default="implicit_exact")
-    yp.set_defaults(func=cmd_dynamics)
+    if command == "dynamics":
+        yp.add_argument("--eps", type=float, required=True)
+        yp.add_argument("--sweep", default="8,16,32,64,128",
+                        help="K_max values for the stability sweep")
+        yp.add_argument("--energy-mode", type=int, default=None,
+                        help="emit per-step energy of this single mode instead")
+        yp.add_argument("--k-max", type=int, default=64)
+        yp.add_argument("--steps", type=int, default=200)
+        yp.add_argument("--dt", type=float, default=None)
+        yp.add_argument("--scheme", choices=["explicit_euler", "implicit_exact"],
+                        default="implicit_exact")
+        yp.set_defaults(func=cmd_dynamics)
 
     pp = sub.add_parser("profile", help="radial velocity/pressure profiles as CSV")
-    pp.add_argument("--direction", choices=list(profiles.DIRECTIONS), required=True)
-    pp.add_argument("--eps", type=float, required=True)
-    pp.add_argument("--k", type=int, required=True)
-    pp.add_argument("--r-mult", type=float, default=10.0)
-    pp.add_argument("--points", type=int, default=100)
-    pp.set_defaults(func=cmd_profile)
-    for command in sub.choices.values():
-        command.add_argument("--output")
+    if command == "profile":
+        from .profiles import DIRECTIONS
+        pp.add_argument("--direction", choices=list(DIRECTIONS), required=True)
+        pp.add_argument("--eps", type=float, required=True)
+        pp.add_argument("--k", type=int, required=True)
+        pp.add_argument("--r-mult", type=float, default=10.0)
+        pp.add_argument("--points", type=int, default=100)
+        pp.set_defaults(func=cmd_profile)
+    if command in sub.choices:
+        sub.choices[command].add_argument("--output")
     return p
 
 
 def main(argv=None):
     argv = list(sys.argv if argv is None else ["slenderspec"] + list(argv))
-    parser = build_parser()
     try:
-        argv = _apply_config_defaults(argv, parser)
+        parser, argv = _apply_config_defaults(argv)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,6 +106,9 @@ def apply_operator(family, field, eps, inverse):
     each spectrum is written to k > 0 as is and to k < 0 reversed, straight into
     the output (no other full-size array is made), whose k = 0 column is zeroed.
     """
+    if field.n_components not in PeriodicField._COMPONENTS:
+        raise ValueError(f"apply_operator takes a scalar or vector field, not a "
+                         f"{type(field).__name__} of {field.n_components} components")
     if not field.mean_free:
         raise MeanModeError("k = 0 coefficient must vanish before applying operators")
     k_max = field.k_max
@@ -144,6 +147,8 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
     if not k_max >= 8:  # nan too
         raise ValueError("k_max >= 8 required")
     check_count("k_max", k_max)
+    if not isinstance(k_max, (int, np.integer)):
+        raise ValueError(f"k_max must be an integer, not {k_max!r}")
     k_max = int(k_max)
     if profile == "single_mode":
         if mode_k is None or not (k := abs(_int_k(mode_k))) <= k_max:

@@ -379,18 +379,65 @@ def test_dynamics_energy_eps_outside_domain_exit_2(capsys, eps):
     assert captured.err == "error: fiber radius must lie in (0, 1/2)\n"
 
 
-def test_cli_never_imports_scipy():
-    script = (
-        "import contextlib, io, sys\n"
-        "import slenderspec.cli as cli\n"
-        "assert 'scipy' not in sys.modules\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', 'all']) == 0\n"
-        "assert 'scipy' not in sys.modules\n"
-    )
+def _fresh(script, **env):
+    """stdout of ``script`` in a fresh interpreter that imports slenderspec from this checkout."""
     src = os.path.dirname(os.path.dirname(slenderspec.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('slenderspec')))"
+_CLI_ONLY = ["slenderspec", "slenderspec.cli"]
+
+
+def test_cli_never_imports_scipy():
+    _fresh("import contextlib, io, sys\n"
+           "import slenderspec.cli as cli\n"
+           "assert 'scipy' not in sys.modules\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert cli.main(['verify', 'all']) == 0\n"
+           "assert 'scipy' not in sys.modules\n")
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import slenderspec", ["slenderspec"]),
+    ("import slenderspec.cli", _CLI_ONLY),
+    ("from slenderspec.cli import main; assert main(['--help']) == 0", _CLI_ONLY),
+    ("from slenderspec.cli import main; assert main([]) == 2", _CLI_ONLY),
+    ("from slenderspec.cli import main; assert main(['nonsense']) == 2", _CLI_ONLY),
+])
+def test_help_and_top_level_usage_errors_load_no_numpy(statement, loaded):
+    script = ("import contextlib, io, sys\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()):\n"
+              f"    {statement}\n{_LOADED}")
+    assert _fresh(script) == f"{loaded}\n"
+
+
+def test_spectrum_loads_neither_checks_nor_profiles():
+    script = ("import sys; from slenderspec.cli import main; main(['spectrum', '--setting', "
+              "'laplace', '--direction', 'longitudinal', '--eps', '0.01', '--k', '1..3'])\n"
+              + _LOADED)
+    loaded = _fresh(script).splitlines()[-1]
+    assert "'numpy'" in loaded and "checks" not in loaded and "profiles" not in loaded
+
+
+_HELP = Path(__file__).resolve().parent / "cli_help"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="recorded under Python 3.11; argparse's layout moves between versions")
+@pytest.mark.parametrize("command", ["", "spectrum", "verify", "converge", "delta-opt",
+                                     "dynamics", "profile"])
+def test_help_text_is_unchanged(command):
+    # recorded from a parser that added every subcommand's arguments at once; build_parser
+    # now adds only those of the subcommand it runs
+    argv = [command, "--help"] if command else ["--help"]
+    script = f"import sys; from slenderspec.cli import main; sys.exit(main({argv!r}))"
+    out = _fresh(script, COLUMNS="80")
+    assert out == (_HELP / f"{command or 'slenderspec'}.txt").read_text()
 
 
 def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):

@@ -186,11 +186,26 @@ def test_band_limited_inverse_exact():
 
 @pytest.mark.parametrize("k_max, message", [
     (math.nan, "k_max >= 8 required"), (-math.inf, "k_max >= 8 required"),
-    (math.inf, "k_max = inf exceeds K_MAX_LIMIT"), (1e308, "k_max = 1e[+]308 exceeds K_MAX_LIMIT")])
+    (math.inf, "k_max = inf exceeds K_MAX_LIMIT"), (1e308, "k_max = 1e[+]308 exceeds K_MAX_LIMIT"),
+    (16.5, "k_max must be an integer, not 16.5"),
+    (np.float64(16.0), "k_max must be an integer, not ")])
 def test_make_test_field_rejects_non_finite_k_max(k_max, message):
-    # int(k_max) raised "cannot convert float NaN (infinity) to integer"
+    # int(k_max) raised "cannot convert float NaN (infinity) to integer", and truncated
+    # 16.5 to 16 without a word
     with pytest.raises(ValueError, match=message):
         ops.make_test_field("h1_rough", k_max)
+
+
+def test_apply_operator_rejects_a_dynamics_state_before_any_spectrum(monkeypatch):
+    # the whole spectrum was evaluated, then "a PeriodicField has 1 or 3 components" named
+    # the output
+    from slenderspec import dynamics
+
+    monkeypatch.setattr(ops, "eigenvalues", lambda *_: pytest.fail("a spectrum was evaluated"))
+    state = dynamics.single_mode_state(0.01, 8, 3)
+    with pytest.raises(ValueError, match="apply_operator takes a scalar or vector field, "
+                                         "not a DynamicsState of 2 components"):
+        ops.apply_operator(EigenFamily("stokes", "normal", "pde"), state, 0.01, True)
 
 
 @pytest.mark.parametrize("mode_k", [None, 0, 17, -17, 2.5])

@@ -718,6 +718,29 @@ def test_periodic_kernel_eigenvalues():
         spectra.periodic_kernel_eigenvalue(0)
 
 
+@pytest.mark.parametrize("n", [spectra.HARMONIC_SERIES_N + d for d in (1, 2, 3, 1000)]
+                         + [2**16 + 1, 10**6])
+def test_harmonic_series_past_the_crossover_keeps_to_the_exact_sum(n):
+    # the loop's terms summed exactly (math.fsum) and rounded once; the plain loop itself
+    # drifts from them by up to ~90 ulps at n ~ 1e5
+    mu = 2.0 * math.fsum(1.0 / j for j in range(1, n + 1))
+    per = 4.0 * math.fsum(1.0 / (2 * j - 1) for j in range(1, n + 1))
+    assert abs(spectra.legendre_mu(n) - mu) <= 2 * math.ulp(mu)
+    assert abs(spectra.periodic_kernel_eigenvalue(-n) - per) <= 2 * math.ulp(per)
+
+
+def test_harmonic_sums_take_bounded_work_at_any_k():
+    # the loop over j = 1..|k| never returned at 10**400
+    n = 10**400
+    log_n = 400 * math.log(10)
+    assert spectra.legendre_mu(n) == pytest.approx(2 * (log_n + GAMMA), rel=1e-15)
+    assert spectra.periodic_kernel_eigenvalue(n) == pytest.approx(
+        2 * (log_n + GAMMA) + 4 * math.log(2), rel=1e-15)
+    # up to the crossover the loop runs, bit for bit
+    n = spectra.HARMONIC_SERIES_N
+    assert spectra.legendre_mu(n) == 2.0 * sum(1.0 / j for j in range(1, n + 1))
+
+
 def test_periodic_kernel_quadrature_matches():
     for k in range(1, 9):
         val = spectra.periodic_kernel_apply_mode(k, resolution=8192)
