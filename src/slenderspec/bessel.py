@@ -394,19 +394,21 @@ def _oracle_quad(orders, z, n_panels):
 
 
 def _oracle_deep(orders, z, u, w):
-    """``_oracle_quad`` in log form, one point at a time: T = log(240/z) (that is
-    arccosh(1 + 120/z) to rounding) and the integrand is
-    exp(log cosh(order t) - z cosh t), z cosh t = exp(t + log(z/2)) + (z/2) e^-t."""
-    T = np.log(240.0) - np.log(z)
-    out = np.empty((len(orders), z.size))
+    """``_oracle_quad`` one point at a time on s = t - L, L = log(2/z), with nodes s = -L v on
+    [-L, 0] and log(120) v on [0, log 120], so those near the peak keep their relative precision:
+    z cosh t = e^s + q, q = (z/2)^2 e^-s, and cosh(nu t) = (2/z)^nu (e^{nu s} + q^nu) / 2, with
+    (2/z)^nu applied after the sum as nu multiplications by 2/z (exp(nu L) loses ~1e-13)."""
+    out, v, vw = np.empty((len(orders), z.size)), np.concatenate((-u, u)), np.concatenate((w, w))
     with np.errstate(under="ignore"):
         for j, half_z in enumerate(0.5 * z):
-            t = T[j] * u
-            z_cosh = np.exp(t + np.log(half_z)) + half_z * np.exp(-t)
+            spans = np.repeat((math.log(1.0 / half_z), math.log(120.0)), u.size)
+            e = np.exp(v * spans)
+            q = half_z * (half_z / e)
+            f0 = np.exp(-(e + q)) * (spans * vw)
             for row, order in enumerate(orders):
-                log_cosh = (order * t + np.log1p(np.exp(-2.0 * order * t)) - np.log(2.0)
-                            if order else 0.0)
-                out[row, j] = T[j] * (np.exp(log_cosh - z_cosh) @ w)
+                out[row, j] = f0 @ (0.5 * (e**order + q**order))
+                for _ in range(order):
+                    out[row, j] *= 1.0 / half_z
     return out
 
 

@@ -27,14 +27,14 @@ def __getattr__(name):  # perfbench/tracing.py wraps cli.eigenvalues, until ROAD
 
 def _parse_krange(text):
     """'1..50' or '3' or '1,4,9' -> nonempty list of at most K_MAX_LIMIT ints."""
-    from .operators import check_count
+    from .spectra import K_MAX_LIMIT, _count
 
     if ".." in text:
         lo, hi = (int(p) for p in text.split(".."))
-        check_count(f"the length of k range {text!r}", hi - lo + 1)
+        _count(max(hi - lo + 1, 0), f"the length of k range {text!r}", 0, K_MAX_LIMIT)
         ks = list(range(lo, hi + 1))
     else:
-        check_count("the length of the k list", text.count(",") + 1)
+        _count(text.count(",") + 1, "the length of the k list", 1, K_MAX_LIMIT)
         ks = [int(p) for p in text.split(",")]
     if not ks:
         raise ValueError(f"k range {text!r} selects no wavenumber")
@@ -125,12 +125,12 @@ def cmd_verify(args):
 def cmd_converge(args):
     import json
     import numpy as np
-    from . import experiments, operators, spectra
+    from . import experiments, spectra
 
     spectra._check_eps(args.eps_max)
     spectra._check_eps(args.eps_min)
-    operators.check_count("--eps-points", args.eps_points)
-    eps_grid = np.geomspace(args.eps_max, args.eps_min, args.eps_points)
+    points = spectra._count(args.eps_points, "--eps-points", 0, spectra.K_MAX_LIMIT)
+    eps_grid = np.geomspace(args.eps_max, args.eps_min, points)
     rep = experiments.convergence_study(
         args.setting, args.method, args.regularity, eps_grid=eps_grid,
         seed=args.seed, delta=args.delta, k_max=args.k_max)
@@ -152,18 +152,16 @@ def cmd_delta_opt(args):
 
 def cmd_dynamics(args):
     import numpy as np
-    from . import dynamics, operators
+    from . import dynamics, spectra
 
     if args.energy_mode is not None:
-        if args.steps < 0:
-            raise ValueError("--steps must be >= 0")
-        operators.check_count("--steps", args.steps)
+        steps = spectra._count(args.steps, "--steps", 0, spectra.K_MAX_LIMIT)
         if args.dt is not None and not 0.0 < args.dt < np.inf:
             raise ValueError("--dt must be finite and positive")
         state = dynamics.single_mode_state(args.eps, args.k_max, args.energy_mode)
         dt = 0.5 * dynamics.max_stable_dt(args.eps, args.k_max) if args.dt is None else args.dt
         rows = []
-        for i in range(args.steps + 1):
+        for i in range(steps + 1):
             if i:
                 state = dynamics.step(state, dt, args.scheme)
             rows.append((i, state.t, dynamics.energy(state)))
@@ -174,16 +172,14 @@ def cmd_dynamics(args):
 
 def cmd_profile(args):
     import numpy as np
-    from . import operators, profiles, spectra
+    from . import profiles, spectra
 
-    if args.points < 1:
-        raise ValueError("--points must be >= 1")
-    operators.check_count("--points", args.points)
+    points = spectra._count(args.points, "--points", 1, spectra.K_MAX_LIMIT)
     if not np.isfinite(args.r_mult):
         raise ValueError("--r-mult must be finite")
     mode = spectra.Mode(args.k, args.eps)
     sol = profiles.solve_mode(args.direction, mode)
-    r = np.linspace(args.eps, args.eps * args.r_mult, args.points)
+    r = np.linspace(args.eps, args.eps * args.r_mult, points)
     prof = profiles.evaluate_profile(sol, r)
     cols = profiles._PROFILES[args.direction].columns
     parts = [part for c in cols for part in (prof[c].real, prof[c].imag)]

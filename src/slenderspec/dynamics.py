@@ -22,8 +22,8 @@ import numpy as np
 
 from .bessel import _as_float
 from .experiments import _bisect, fit_slope
-from .operators import PeriodicField, check_count
-from .spectra import _check_eps, _int_k, eigenvalues, pde_family
+from .operators import PeriodicField
+from .spectra import K_MAX_LIMIT, _check_eps, _count, _int_k, eigenvalues, pde_family
 
 _NORMAL_PDE = pde_family("normal")
 
@@ -58,9 +58,9 @@ class DynamicsState(PeriodicField):
 
 def single_mode_state(eps, k_max, k, amplitude=1.0):
     """A state holding one conjugate-symmetric mode pair in the x component."""
-    if not (isinstance(k_max, (int, np.integer)) and 1 <= abs(k) <= k_max):
+    k_max = _count(k_max, "k_max", 1, K_MAX_LIMIT)
+    if not 1 <= abs(k) <= k_max:
         raise ValueError(f"mode k must satisfy 1 <= |k| <= k_max = {k_max}")
-    check_count("k_max", k_max)
     if not _as_float(abs(amplitude), math.inf) < math.inf:  # nan too, and an int past the range
         raise ValueError("the amplitude must be a finite double")
     k = abs(_int_k(k))
@@ -111,15 +111,13 @@ def _energy(coeffs, k, t):  # energy() of a table over wavenumbers k, at time t
 
 
 def grid_spacing(k_max):
-    """ds of the synthesis grid holding modes up to K_max: 2/(2 K_max + 2)."""
-    return 2.0 / (2 * k_max + 2)
+    """ds = 2/(2 K_max + 2) of the synthesis grid, as an int division: 0.0 past the double range."""
+    return 1 / (_count(k_max, "k_max", 0, math.inf) + 1)
 
 
 def _rate(eps, k_max):
-    """nu at the stiffest mode of a K_max >= 8 truncation."""
-    if k_max < 8:
-        raise ValueError("k_max >= 8 required")
-    return nu(eps, k_max)
+    """nu at the stiffest mode of a K_max >= 8 truncation; no cap, as nu reads one mode."""
+    return nu(eps, _count(k_max, "k_max", 8, math.inf))
 
 
 def _bisect_dt(rate):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _as_float
-from .operators import K_MAX_LIMIT, PeriodicField, apply_operator, make_test_field, sobolev_norm
-from .spectra import _DIRECTIONS, EigenFamily, _setting, _wavenumber
+from .operators import PeriodicField, apply_operator, make_test_field, sobolev_norm
+from .spectra import _DIRECTIONS, K_MAX_LIMIT, EigenFamily, _setting, _wavenumber
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(10**-1.5, 1e-3, 6))
 DEFAULT_SEEDS = (11, 23, 47)
@@ -51,7 +51,9 @@ def _required_k_max(eps_min):
 
 
 def _input_field(setting, regularity, k_max, seed):
-    profile, s = {"H1": ("h1_rough", 1), "H2": ("h2_rough", 2)}[regularity]
+    if regularity not in (rough := {"H1": ("h1_rough", 1), "H2": ("h2_rough", 2)}):
+        raise ValueError(f"regularity must be 'H1' or 'H2', not {regularity!r}")
+    profile, s = rough[regularity]
     u = make_test_field(profile, k_max, seed=seed, n_components=_setting(setting).n_components)
     return PeriodicField(np.divide(u.coeffs, sobolev_norm(u, s), out=u.coeffs))  # u is fresh
 
@@ -109,6 +111,8 @@ def wellposedness_constant(setting, eps_grid=None, seed=11, profile="h1_rough",
                            k_max=None):
     """Per-eps values of ||L_eps^{-1} u||_{L^2} |log eps| / ||u||_{H^1}."""
     eps_grid = tuple(eps_grid) if eps_grid is not None else DEFAULT_EPS_GRID
+    if not eps_grid:
+        raise ValueError("eps_grid must hold at least one eps")
     if k_max is None:
         k_max = _required_k_max(min(eps_grid))
     entry = _setting(setting)

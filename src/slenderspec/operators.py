@@ -17,21 +17,11 @@ a single unit mode has L2 norm sqrt(2) and H1 norm sqrt(2(1 + pi^2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectra import EigenFamily, PoleError, _int_k, eigenvalues
-
-#: largest K_max a field or state may hold: each component stores 2 K_max + 1
-#: complex coefficients, about 34 MB per component at 2**20
-K_MAX_LIMIT = 2**20
-
-
-def check_count(name, n):
-    """Reject a count above K_MAX_LIMIT, before the count sizes anything."""
-    if n > K_MAX_LIMIT:
-        raise ValueError(f"{name} = {n} exceeds K_MAX_LIMIT = {K_MAX_LIMIT}")
+from .spectra import K_MAX_LIMIT, PoleError, _count, _int_k, eigenvalues
 
 
 class MeanModeError(ValueError):
@@ -85,14 +75,6 @@ def sobolev_norm(field, s):
     return math.sqrt(2.0 * float(np.sum(sq)))
 
 
-def _component_family(family, component_index, n_components):
-    if n_components == 1:
-        return family
-    direction = "tangential" if component_index == 2 else "normal"
-    return EigenFamily(family.setting, direction, family.method,
-                       cutoff=family.cutoff, delta=family.delta)
-
-
 def apply_operator(family, field, eps, inverse):
     """Apply the diagonal map: multiply by lambda (inverse) or 1/lambda (forward).
 
@@ -112,8 +94,8 @@ def apply_operator(family, field, eps, inverse):
     if not field.mean_free:
         raise MeanModeError("k = 0 coefficient must vanish before applying operators")
     k_max = field.k_max
-    fams = [_component_family(family, ci, field.n_components)
-            for ci in range(field.n_components)]
+    fams = [family] if field.n_components == 1 else [
+        replace(family, direction=d) for d in ("normal", "normal", "tangential")]
     distinct = tuple(dict.fromkeys(fams))
     spectra = dict(zip(distinct, eigenvalues(distinct, eps, np.arange(1, k_max + 1))))
     c = field.coeffs
@@ -130,8 +112,12 @@ def apply_operator(family, field, eps, inverse):
                 # truncated families legitimately zero out the high band;
                 # forward application there is division by zero = a pole hit
                 raise PoleError(f"forward map undefined at k in {k_bad[:5].tolist()} (1/lambda = 0)")
-        op(c[ci, k_max + 1:], lam, out=out[ci, k_max + 1:])
-        op(c[ci, :k_max], lam[::-1], out=out[ci, :k_max])
+        try:
+            with np.errstate(over="raise"):
+                op(c[ci, k_max + 1:], lam, out=out[ci, k_max + 1:])
+                op(c[ci, :k_max], lam[::-1], out=out[ci, :k_max])
+        except FloatingPointError:
+            raise OverflowError("a coefficient times (or over) lambda overflows a double") from None
     return PeriodicField(out)
 
 
@@ -144,12 +130,8 @@ def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
     single_mode: unit amplitude at k = +/- mode_k only
     All are real-valued (conjugate-symmetric) with zero mean.
     """
-    if not k_max >= 8:  # nan too
-        raise ValueError("k_max >= 8 required")
-    check_count("k_max", k_max)
-    if not isinstance(k_max, (int, np.integer)):
-        raise ValueError(f"k_max must be an integer, not {k_max!r}")
-    k_max = int(k_max)
+    k_max = _count(k_max, "k_max", 8, K_MAX_LIMIT)
+    n_components = _count(n_components, "n_components", 1, 3)
     if profile == "single_mode":
         if mode_k is None or not (k := abs(_int_k(mode_k))) <= k_max:
             raise ValueError("single_mode needs mode_k with 1 <= |mode_k| <= k_max")

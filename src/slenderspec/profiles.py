@@ -148,15 +148,6 @@ def evaluate_profile(sol, r):
     return _fields(sol, r, *np.ldexp(bessel_k(_PROFILES[sol.direction].orders, a * r), -sol.scale))
 
 
-def _fd_step(eps, rel):
-    """The step eps * rel; a subnormal one loses bits and overflows the quotients."""
-    h = eps * rel
-    if h < sys.float_info.min:
-        raise AccuracyError(f"finite-difference step eps*{rel:g} is subnormal; "
-                            f"eps must be >= {sys.float_info.min / rel:.4g}")
-    return h
-
-
 def traction_eigenvalue_numeric(direction, mode):
     """Surface-traction recomputation of the pde eigenvalue.
 
@@ -198,7 +189,9 @@ def incompressibility_residual(sol, r):
         raise ValueError("incompressibility applies to the Stokes directions")
     r = np.atleast_1d(_as_float(r))
     eps, k = sol.mode.eps, sol.mode.k
-    h = _fd_step(eps, 1e-6)
+    if (h := eps * 1e-6) < sys.float_info.min:  # a subnormal step overflows the quotients
+        raise AccuracyError("finite-difference step eps*1e-06 is subnormal; "
+                            f"eps must be >= {sys.float_info.min / 1e-6:.4g}")
     # centered stencil; nudge boundary points inward so r - h stays >= eps
     r = np.maximum(r, eps + h)
     up, dn, mid = (evaluate_profile(sol, rr) for rr in (r + h, r - h, r))

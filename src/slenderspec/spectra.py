@@ -113,6 +113,23 @@ def _int_k(k, degree=False):
     return int(k)
 
 
+#: largest K_max a field or state may hold: each component stores 2 K_max + 1
+#: complex coefficients, about 34 MB per component at 2**20
+K_MAX_LIMIT = 2**20
+
+
+def _count(n, name, floor, cap):
+    """n as a Python int in [floor, cap], the one reader of a count.  It refuses a float (even
+    16.0) first, then a count past the cap (before it sizes anything), then one under the floor."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {n!r}")
+    if n > cap:
+        raise ValueError(f"{name} = {n} exceeds {'K_MAX_LIMIT = ' * (cap == K_MAX_LIMIT)}{cap}")
+    if n < floor:
+        raise ValueError(f"{name} must be >= {floor}")
+    return int(n)
+
+
 def _all(cond):  # a bool as it is, an array reduced
     return cond.all() if isinstance(cond, np.ndarray) else cond
 
@@ -182,6 +199,8 @@ class EigenFamily:
                                  f"delta > {threshold:.4f}")
         elif self.delta is not None:
             raise ValueError("delta only applies to delta_reg")
+        if self.cutoff is not None:
+            _count(self.cutoff, "cutoff", 0, math.inf)
 
     def default_cutoff(self, eps):
         """Standard truncation default, the sbt difference window (N or M in the paper)."""
@@ -295,26 +314,29 @@ def b_function(fam, z, delta=None, allow_past_singularity=False):
 
 
 def ode_rhs(fam, z, b_value, delta=None):
-    """Right-hand side of dB/dz for the named family, at (z, B)."""
+    """Right-hand side of dB/dz for the named family at (z, B); ValueError past the double range."""
     z, b = (np.asarray(_as_float(x, math.inf)) for x in (z, b_value))
     if not (np.all((Z_MIN <= z) & (z < math.inf)) and np.all(np.isfinite(b))):
         raise ValueError(f"ode_rhs requires finite z >= {Z_MIN:.4g} and a finite B")
-    if fam == "B":
-        out = (b * b - z * z) / z
-    elif fam == "B_t":
-        out = 2.0 * b * b / z - 2.0 * ratio_A(z) * b
-    elif fam == "B_n":
-        out = 0.5 * b * b / z - h_function(z)
-    elif fam in _LOG_FAMILIES:
-        # B = num / (c0 + m L) gives B' = -(m/num) B^2 L'
-        method, _, (num, _, m) = _LOG_FAMILIES[fam]
-        if method == "sbt":
-            out = m / num * b * b / z
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
+        if fam == "B":
+            out = (b * b - z * z) / z
+        elif fam == "B_t":
+            out = 2.0 * b * b / z - 2.0 * ratio_A(z) * b
+        elif fam == "B_n":
+            out = 0.5 * b * b / z - h_function(z)
+        elif fam in _LOG_FAMILIES:
+            # B = num / (c0 + m L) gives B' = -(m/num) B^2 L'
+            method, _, (num, _, m) = _LOG_FAMILIES[fam]
+            if method == "sbt":
+                out = m / num * b * b / z
+            else:
+                delta = _delta(fam, delta, z)
+                out = m / num * (delta * bessel_k(1, delta * z)) * b * b
         else:
-            delta = _delta(fam, delta, z)
-            out = m / num * (delta * bessel_k(1, delta * z)) * b * b
-    else:
-        raise ValueError(f"unknown B-family {fam!r}")
+            raise ValueError(f"unknown B-family {fam!r}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"dB/dz of {fam} is past the double range at this (z, B)")
     return _shape_rows([np.atleast_1d(out)], True, np.ndim(out) == 0)
 
 
@@ -536,9 +558,8 @@ def s_transform_apply(phi, resolution=512):
     Legendre polynomials are eigenfunctions: S[P_k] = -mu_k P_k with
     mu_k = 2 sum_{j<=k} 1/j.
     """
-    resolution = int(resolution)
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
+    # three resolution x resolution temporaries: 0.4 GB at the cap
+    resolution = _count(resolution, "resolution", 8, 2**12)
     warning = ("resolution below 64; expect > few-percent eigen-residuals"
                if resolution < 64 else None)
     h = 2.0 / resolution
@@ -612,10 +633,10 @@ def periodic_kernel_apply_mode(k, resolution=4096):
 
     Returns the ratio (applied value)/(f value) at s = 0, which should be
     close to -mu_k^per.  Midpoint rule on the torus; the evaluation point
-    sits on the node grid, offset half a step from the quadrature grid.
-    """
-    if not abs(_int_k(k)) < resolution // 2:  # past it the grid aliases e^{i pi k s}
-        raise ValueError(f"resolution = {resolution} resolves |k| < {resolution // 2} only")
+    sits on the node grid, offset half a step from the quadrature grid: ``resolution``
+    is even, and at least 2|k| + 2, below which the grid aliases e^{i pi k s}."""
+    if (resolution := _count(resolution, "resolution", 2 * abs(_int_k(k)) + 2, K_MAX_LIMIT)) % 2:
+        raise ValueError(f"resolution = {resolution} is odd: a midpoint would sit at s = 0")
     h = 2.0 / resolution
     mids = -1.0 + h * (np.arange(resolution) + 0.5)
     f_mid = np.exp(1j * math.pi * k * mids)

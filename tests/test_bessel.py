@@ -607,6 +607,35 @@ def test_oracle_at_the_lower_edges(order, z):
             assert np.array_equal(row, bessel.oracle_bessel_k(o, z))
 
 
+#: the 26 of the 2000 points of np.geomspace(Z_MIN, 705, 2000), each called alone, where the
+#: oracle's old deep log form (t + log(z/2), two terms of size ~700) stalled for K1
+_K1_DEEP_STALLS = (6, 23, 24, 39, 48, 64, 81, 82, 92, 116, 117, 137, 145, 181, 222, 230, 245,
+                   264, 265, 291, 299, 333, 387, 395, 440, 470)
+
+
+def _deep_oracle_error(order, z):
+    """Relative error of the oracle against mpmath's K at 50 digits, over the points z."""
+    mpmath = pytest.importorskip("mpmath")
+    got = [bessel.oracle_bessel_k(order, float(x)) for x in z]
+    with mpmath.workdps(50):
+        return max(float(abs(mpmath.mpf(g) / mpmath.besselk(order, float(x)) - 1))
+                   for g, x in zip(got, z))
+
+
+def test_deep_oracle_certifies_where_the_log_form_stalled():
+    # each point raised BesselAccuracyError (1.009e-14, 1.489e-14, ... against 1e-14)
+    grid = np.geomspace(bessel.Z_MIN, bessel.UNDERFLOW_Z, 2000)
+    assert _deep_oracle_error(1, grid[list(_K1_DEEP_STALLS)]) <= bessel._ORACLE_RTOL
+    assert _deep_oracle_error(2, [1.0859582503275125e-153]) <= bessel._ORACLE_RTOL
+    assert _deep_oracle_error(0, grid[:480:16]) <= bessel._ORACLE_RTOL
+
+
+def test_deep_oracle_k2_on_a_dense_grid():
+    # order 2 reaches the deep form only between Z_MIN_K2 and _ORACLE_DEEP_Z
+    z = np.geomspace(bessel.Z_MIN_K2, bessel._ORACLE_DEEP_Z, 150, endpoint=False)
+    assert _deep_oracle_error(2, z) <= bessel._ORACLE_RTOL
+
+
 def test_oracle_at_the_upper_edge():
     # past UNDERFLOW_Z K is subnormal: the oracle stalled (2.082e-08 at z = 720)
     # and from z ~ 740 returned a "certified" 0.0 where bessel_k gives 2e-323

@@ -157,6 +157,10 @@ def test_dynamics_energy_mode_outside_k_max_exit_2(capsys, mode):
     (["profile", "--direction", "tangential", "--eps", "5e-324", "--k", str(2**63),
       "--points", "1"], "the tangential profile constants overflow a double at "
                         "eps = 4.941e-324, k = 9223372036854775808"),
+    # numpy's own "Number of samples, -1, must be non-negative."
+    (["converge", "--setting", "laplace", "--method", "sbt_truncated", "--eps-points=-1"],
+     "--eps-points must be >= 0"),
+    (["dynamics", "--eps", "0.01", "--sweep", "7,8"], "k_max must be >= 8"),
 ])
 def test_degenerate_count_or_step_exit_2(capsys, argv, message):
     # zero or negative sizes used to fall back to defaults or print a bare header
@@ -422,6 +426,25 @@ def test_spectrum_loads_neither_checks_nor_profiles():
               + _LOADED)
     loaded = _fresh(script).splitlines()[-1]
     assert "'numpy'" in loaded and "checks" not in loaded and "profiles" not in loaded
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--setting", "laplace", "--direction", "longitudinal", "--eps", "0.01",
+     "--k", "1..3"],
+    ["profile", "--direction", "normal", "--eps", "0.05", "--k", "3", "--points", "3"],
+], ids=["spectrum", "profile"])
+def test_a_run_loads_what_the_readme_import_table_says(argv):
+    # both loaded operators for its count cap alone, which now lives in spectra
+    row = re.search(rf"^\| `{argv[0]}` \| (.*) \|$", _README.read_text(), re.M).group(1)
+    also = [f"slenderspec.{m}" for m in re.findall(r"`(\w+)`", row)]
+    script = ("import contextlib, io, sys\nfrom slenderspec.cli import main\n"
+              f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+              + _LOADED)
+    base = ["numpy", "slenderspec", "slenderspec.bessel", "slenderspec.cli", "slenderspec.spectra"]
+    assert _fresh(script) == f"{sorted(base + also)}\n"
 
 
 _HELP = Path(__file__).resolve().parent / "cli_help"

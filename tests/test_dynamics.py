@@ -76,7 +76,7 @@ def test_a_state_is_a_two_component_field(cls, shape, n_components):
 
 @pytest.mark.parametrize("call, match", [
     (lambda: dynamics.single_mode_state(0.01, 8, 2.5), "k must be a nonzero integer"),
-    (lambda: dynamics.single_mode_state(0.01, 8.5, 2), "k_max = 8.5"),
+    (lambda: dynamics.single_mode_state(0.01, 8.5, 2), "k_max must be an integer, not 8.5"),
     (lambda: dynamics.single_mode_state(0.01, 8, 3, math.inf), "amplitude must be a finite"),
     (lambda: dynamics.single_mode_state(0.01, 8, 3, 10**400), "amplitude must be a finite"),
     (lambda: dynamics.step(dynamics.single_mode_state(0.01, 8, 3), 10**400, "implicit_exact"),
@@ -223,6 +223,32 @@ def test_energy_single_mode():
 
 def test_grid_spacing():
     assert dynamics.grid_spacing(15) == pytest.approx(2.0 / 32.0, rel=1e-15)
+
+
+def test_grid_spacing_keeps_the_bits_of_two_over_two_k_max_plus_two():
+    ks = [0, 1, 8, 15, 128, 2**20, 2**52 - 1,
+          *np.random.default_rng(5).integers(0, 2**52, 2000, dtype=np.int64)]
+    assert all(dynamics.grid_spacing(k) == 2.0 / (2 * int(k) + 2) for k in ks)
+    assert dynamics.grid_spacing(10**400) == 0.0  # 2.0 / (2 k + 2) raised OverflowError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dynamics.stability_sweep(0.01, [16.5]), "k_max must be an integer, not 16.5"),
+    (lambda: dynamics.max_stable_dt(0.01, math.nan), "k_max must be an integer, not nan"),
+    (lambda: dynamics.max_stable_dt(0.01, 7), "k_max must be >= 8"),
+    (lambda: dynamics.grid_spacing(-1), "k_max must be >= 0"),
+    (lambda: dynamics.grid_spacing(16.0), "k_max must be an integer, not 16.0"),
+    (lambda: dynamics.single_mode_state(0.01, 0, 1), "k_max must be >= 1"),
+    (lambda: dynamics.single_mode_state(0.01, 16.5, 0), "k_max must be an integer, not 16.5"),
+], ids=["sweep_16.5", "max_stable_dt_nan", "max_stable_dt_7", "grid_spacing_-1",
+        "grid_spacing_16.0", "single_mode_state_0", "single_mode_state_16.5_before_k"])
+def test_k_max_is_read_by_the_count_gate(call, message):
+    # a sweep printed K_max 16 with the ds and dt of 16.5, nan reached b_function, -1 raised
+    # ZeroDivisionError, and a float or 0 was read as it came
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_max_stable_dt_analytic():

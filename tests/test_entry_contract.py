@@ -13,9 +13,10 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from slenderspec import dynamics, profiles, spectra
+from slenderspec import bessel, dynamics, profiles, spectra
 from slenderspec import experiments as xp
-from slenderspec.spectra import EigenFamily, Mode
+from slenderspec import operators as ops
+from slenderspec.spectra import K_MAX_LIMIT, EigenFamily, Mode
 
 #: what Python and numpy say on their own; an error in these words was never checked
 _FOREIGN_TEXTS = ("division by zero", "too large to convert", "cannot convert float",
@@ -28,10 +29,21 @@ _EPS = st.sampled_from(_EDGES + (0.01, 0.1, 0.3, np.float64(0.05)))
 _Z = st.sampled_from(_EDGES + (1e-3, 2.0, 30.0))
 _INTEGERS = (1, -3, 40, np.int64(7), np.int32(-2))
 _K = st.sampled_from(_EDGES + _INTEGERS + (2.5, 3.0))
-#: ode_rhs overflows, with a RuntimeWarning, at z or B from ~1.34e154 (its z * z and B * B);
-#: CHANGES.md records it as FOUND, so that draw stays out here
-_ODE_Z = st.sampled_from(tuple(x for x in _EDGES if x != 1e308) + (1e-3, 2.0, 30.0))
-_K_MAX = st.sampled_from(_EDGES + (7, 8, 16, 64, 16.5))
+#: a count (K_max, a resolution, a component count): ints from -3 to 10**400 with the cap's
+#: edge as cap + 1 only, and floats, even integral ones
+_COUNTS = (-3, -1, 0, 1, 2, 3, 7, 8, 9, 16, np.int64(16), 64, K_MAX_LIMIT + 1, 10**400, 16.5,
+           16.0, math.nan, math.inf)
+_COUNT = st.sampled_from(_COUNTS)
+#: s_transform_apply allocates three resolution**2 arrays: the draws it runs stop at 1024 (each
+#: count above it is past its cap 2**12), and the cap is tried as 2**12 + 1
+_S_RESOLUTION = st.sampled_from(_COUNTS + (512, 1024, 2**12 + 1))
+#: the oracle's deep form (below 1.3e-152), with the points where its log form stalled
+_ORACLE_Z = st.sampled_from(_EDGES + (1e-3, 2.0, 30.0, 705.0, 1e-200, 1.5e-154, 1e-153,
+                                      1.0859582503275125e-153, 1.9024486780306385e-307))
+_FIELD = st.sampled_from([ops.make_test_field("h1_rough", 8), ops.PeriodicField([1, 0, 1]),
+                          ops.make_test_field("smooth", 8, n_components=3),
+                          ops.PeriodicField([1e308, 0, -1e308]), ops.PeriodicField([1, 1, 1]),
+                          dynamics.single_mode_state(0.01, 8, 3)])
 _SETTING = st.sampled_from(("laplace", "stokes"))
 _DIRECTION = st.sampled_from(profiles.DIRECTIONS)
 _STOKES_DIRECTION = st.sampled_from(("tangential", "normal"))
@@ -64,18 +76,19 @@ _ENTRIES = {
     "convergence_study": (
         lambda eps, k_max: xp.convergence_study("laplace", "sbt_truncated", "H1",
                                                 eps_grid=(0.4, 0.3, 0.2, eps), k_max=k_max),
-        (_EPS, st.one_of(st.none(), _K_MAX))),
+        (_EPS, st.one_of(st.none(), _COUNT))),
     "wellposedness_constant": (
         lambda eps: xp.wellposedness_constant("laplace", eps_grid=(0.3, eps), k_max=16), (_EPS,)),
     "measured_delta_error": (lambda eps: xp.measured_delta_error("laplace", eps, [2.0]), (_EPS,)),
     # integer wavenumbers
     "periodic_kernel_eigenvalue": (spectra.periodic_kernel_eigenvalue, (_K,)),
     "periodic_kernel_apply_mode": (
-        lambda k: spectra.periodic_kernel_apply_mode(k, resolution=256), (_K,)),
+        lambda k, resolution: spectra.periodic_kernel_apply_mode(k, resolution=resolution),
+        (_K, st.one_of(_COUNT, st.just(256)))),
     "legendre_mu": (spectra.legendre_mu, (_K,)),
     # numbers -> floats
     "ode_rhs": (spectra.ode_rhs, (st.sampled_from(("B", "B_t", "B_n", "B_SB", "B_delta")),
-                                  _ODE_Z, _ODE_Z, _DELTA)),
+                                  _Z, _Z, _DELTA)),
     "h_function": (spectra.h_function, (_Z,)),
     "appendix_c_margins": (spectra.appendix_c_margins, (_Z,)),
     "evaluate_profile": (lambda d, r: profiles.evaluate_profile(_SOLUTIONS[d], r),
@@ -97,14 +110,29 @@ _ENTRIES = {
     "traction_vs_closed_form": (lambda d, k, eps: profiles.traction_vs_closed_form(d, Mode(k, eps)),
                                 (_DIRECTION, _K, _EPS)),
     "optimal_delta": (xp.optimal_delta, (_SETTING, _Z)),
-    "max_stable_dt": (dynamics.max_stable_dt, (_EPS, _K_MAX)),
+    "max_stable_dt": (dynamics.max_stable_dt, (_EPS, _COUNT, st.booleans())),
     "stability_slope": (dynamics.stability_slope,
                         (_EPS, st.lists(st.sampled_from((8, 16, 32, 7, 2.5)), max_size=3))),
+    "stability_sweep": (dynamics.stability_sweep, (_EPS, st.lists(_COUNT, max_size=3))),
+    "grid_spacing": (dynamics.grid_spacing, (_COUNT,)),
     "DynamicsState": (lambda c, eps, t: dynamics.DynamicsState([[c, 0, c], [0, 0, c]], eps, t),
                       (_Z, _EPS, _Z)),
-    "single_mode_state": (dynamics.single_mode_state, (_EPS, _K_MAX, _K, _Z)),
+    "single_mode_state": (dynamics.single_mode_state, (_EPS, _COUNT, _K, _Z)),
     "step": (lambda amplitude, dt, scheme: dynamics.step(
         dynamics.single_mode_state(0.01, 8, 3, amplitude), dt, scheme), (_Z, _Z, _SCHEME)),
+    "energy": (lambda amplitude: dynamics.energy(dynamics.single_mode_state(0.01, 8, 3, amplitude)),
+               (_Z,)),
+    # counts
+    "make_test_field": (
+        lambda profile, k_max, n_components, mode_k: ops.make_test_field(
+            profile, k_max, n_components=n_components, mode_k=mode_k),
+        (st.sampled_from(("h1_rough", "h2_rough", "smooth", "single_mode")), _COUNT, _COUNT,
+         st.one_of(st.none(), _K))),
+    "s_transform_apply": (lambda resolution: spectra.s_transform_apply(np.cos, resolution),
+                          (_S_RESOLUTION,)),
+    "apply_operator": (ops.apply_operator, (_FAMILY, _FIELD, _EPS, st.booleans())),
+    "oracle_bessel_k": (bessel.oracle_bessel_k,
+                        (st.sampled_from((0, 1, 2, (0, 1, 2), (0, 2), 3, 1.0)), _ORACLE_Z)),
 }
 
 
@@ -121,7 +149,7 @@ def _finite(value):
     return bool(np.all(np.isfinite(value)))
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
+@settings(max_examples=850, deadline=None, derandomize=True)
 @given(st.data())
 def test_every_entry_returns_finite_values_or_its_own_typed_error(data):
     name = data.draw(st.sampled_from(sorted(_ENTRIES)), label="entry")

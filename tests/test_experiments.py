@@ -170,6 +170,18 @@ def test_convergence_study_guards():
         xp.convergence_study("laplace", "midpoint", "H1")
 
 
+def test_unknown_regularity_is_a_typed_error():
+    # a raw KeyError: 'H3'
+    with pytest.raises(ValueError, match="regularity must be 'H1' or 'H2', not 'H3'"):
+        xp.convergence_study("laplace", "sbt_truncated", "H3")
+
+
+def test_wellposedness_constant_needs_an_eps():
+    # Python's "min() arg is an empty sequence"
+    with pytest.raises(ValueError, match="eps_grid must hold at least one eps"):
+        xp.wellposedness_constant("laplace", eps_grid=[])
+
+
 @pytest.mark.parametrize("setting", ["laplace", "stokes"])
 def test_wellposedness_bounded(setting):
     eps, vals = xp.wellposedness_constant(setting)

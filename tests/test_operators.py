@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -185,15 +186,26 @@ def test_band_limited_inverse_exact():
 
 
 @pytest.mark.parametrize("k_max, message", [
-    (math.nan, "k_max >= 8 required"), (-math.inf, "k_max >= 8 required"),
-    (math.inf, "k_max = inf exceeds K_MAX_LIMIT"), (1e308, "k_max = 1e[+]308 exceeds K_MAX_LIMIT"),
+    (math.nan, "k_max must be an integer, not nan"),
+    (-math.inf, "k_max must be an integer, not -inf"),
+    (math.inf, "k_max must be an integer, not inf"),
+    (1e308, "k_max must be an integer, not 1e[+]308"),
     (16.5, "k_max must be an integer, not 16.5"),
     (np.float64(16.0), "k_max must be an integer, not ")])
 def test_make_test_field_rejects_non_finite_k_max(k_max, message):
     # int(k_max) raised "cannot convert float NaN (infinity) to integer", and truncated
-    # 16.5 to 16 without a word
+    # 16.5 to 16 without a word; the count gate refuses any float before its cap and floor
     with pytest.raises(ValueError, match=message):
         ops.make_test_field("h1_rough", k_max)
+
+
+@pytest.mark.parametrize("n_components, message", [
+    (2.5, "n_components must be an integer, not 2.5"), (4, "n_components = 4 exceeds 3"),
+    (0, "n_components must be >= 1")])
+def test_make_test_field_reads_its_component_count_through_the_gate(n_components, message):
+    # 2.5 raised numpy's TypeError, and 4 filled a table of 4 rows before the field refused it
+    with pytest.raises(ValueError, match=message):
+        ops.make_test_field("h1_rough", 16, n_components=n_components)
 
 
 def test_apply_operator_rejects_a_dynamics_state_before_any_spectrum(monkeypatch):
@@ -206,6 +218,17 @@ def test_apply_operator_rejects_a_dynamics_state_before_any_spectrum(monkeypatch
     with pytest.raises(ValueError, match="apply_operator takes a scalar or vector field, "
                                          "not a DynamicsState of 2 components"):
         ops.apply_operator(EigenFamily("stokes", "normal", "pde"), state, 0.01, True)
+
+
+def test_apply_operator_past_the_double_range_is_a_typed_error():
+    # lambda * 1e308 overflowed with a RuntimeWarning into inf coefficients
+    field = ops.PeriodicField([1e308, 0, -1e308])
+    family = EigenFamily("laplace", "longitudinal", "pde")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="lambda overflows a double"):
+            ops.apply_operator(family, field, 0.3, True)
+        assert np.isfinite(ops.apply_operator(family, field, 0.3, False).coeffs).all()
 
 
 @pytest.mark.parametrize("mode_k", [None, 0, 17, -17, 2.5])

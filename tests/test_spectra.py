@@ -112,9 +112,57 @@ def test_apply_mode_needs_a_resolution_past_twice_k():
     # at |k| >= resolution/2 the midpoint grid aliases e^{i pi k s}; at |k| = 10**400 the
     # phase overflowed: "int too large to convert to float"
     assert math.isfinite(spectra.periodic_kernel_apply_mode(-7, resolution=16).real)
-    for k in (8, -8, 10**400):
-        with pytest.raises(ValueError, match=r"resolution = 16 resolves \|k\| < 8 only"):
+    for k in (8, -8):
+        with pytest.raises(ValueError, match="resolution must be >= 18$"):
             spectra.periodic_kernel_apply_mode(k, resolution=16)
+    with pytest.raises(ValueError, match=f"resolution must be >= {2 * 10**400 + 2}$"):
+        spectra.periodic_kernel_apply_mode(10**400, resolution=16)
+
+
+@pytest.mark.parametrize("n, floor, cap, message", [
+    (16.0, 8, 16, "n must be an integer, not 16.0"),
+    (math.nan, 100, 16, "n must be an integer, not nan"),
+    (17, 100, 16, "n = 17 exceeds 16$"),
+    (2**20 + 1, 0, spectra.K_MAX_LIMIT, "n = 1048577 exceeds K_MAX_LIMIT = 1048576$"),
+    (np.int64(7), 8, 16, "n must be >= 8$"),
+])
+def test_count_gate_refuses_a_float_then_the_cap_then_the_floor(n, floor, cap, message):
+    with pytest.raises(ValueError, match=message):
+        spectra._count(n, "n", floor, cap)
+
+
+def test_count_gate_returns_a_python_int():
+    assert type(spectra._count(np.int64(16), "n", 8, 16)) is int
+    assert spectra._count(10**400, "n", 0, math.inf) == 10**400
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectra.s_transform_apply(np.cos, resolution=512.7),
+     "resolution must be an integer, not 512.7"),
+    (lambda: spectra.s_transform_apply(np.cos, resolution=math.nan),
+     "resolution must be an integer, not nan"),
+    (lambda: spectra.s_transform_apply(np.cos, resolution=10**5),
+     "resolution = 100000 exceeds 4096"),
+    (lambda: spectra.s_transform_apply(np.cos, resolution=2**12 + 1),
+     "resolution = 4097 exceeds 4096"),
+    (lambda: spectra.periodic_kernel_apply_mode(1, resolution=9), "resolution = 9 is odd"),
+    (lambda: spectra.periodic_kernel_apply_mode(1, resolution=100.5),
+     "resolution must be an integer, not 100.5"),
+    (lambda: spectra.periodic_kernel_apply_mode(1, resolution=10**12),
+     "resolution = 1000000000000 exceeds K_MAX_LIMIT = 1048576"),
+    (lambda: EigenFamily("laplace", "longitudinal", "sbt_truncated", cutoff=20.5),
+     "cutoff must be an integer, not 20.5"),
+], ids=["s_transform_512.7", "s_transform_nan", "s_transform_1e5", "s_transform_cap+1",
+        "apply_mode_odd", "apply_mode_100.5", "apply_mode_1e12", "cutoff_20.5"])
+def test_quadrature_resolutions_and_cutoffs_are_read_by_the_count_gate(call, message):
+    # s_transform_apply ran 512.7 at 512, raised Python's "cannot convert float NaN to
+    # integer" and a MemoryError at 10**5 (74.5 GiB), and took 0.4 GB at 4097; the periodic
+    # kernel gave nan+nanj with a RuntimeWarning at 9 (a midpoint at s = 0), -6.165+0.093j at
+    # 100.5 and a MemoryError at 10**12; a float cutoff was compared as it was
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_family_validation():
@@ -525,6 +573,18 @@ def test_pde_eigenvalue_past_the_double_range_raises(direction):
             with pytest.raises(OverflowError, match=r"overflows a double; z = pi eps \|k\| "
                                                     r"reaches 3\.142e\+307"):
                 spectra.eigenvalues(family, 0.1, k)
+
+
+@pytest.mark.parametrize("fam, z, b", [
+    ("B", bessel.Z_MIN, 3.0), ("B", 2.0, 1e155), ("B_SB", 1e-300, 1e5), ("B", 1e308, 1e308),
+    ("B_t", 30.0, 1e308), ("B_n", 2.0, 1e308), ("B_n", 1e100, 1.0)])
+def test_ode_rhs_past_the_double_range_is_a_typed_error(fam, z, b):
+    # B * B, z * z and B * B / z overflowed with a RuntimeWarning to inf or nan (and h at
+    # z = 1e100 to nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"dB/dz of {fam} is past the double range"):
+            spectra.ode_rhs(fam, z, b)
 
 
 def test_ode_rhs_rejects_non_finite_z():
