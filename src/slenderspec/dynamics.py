@@ -50,22 +50,20 @@ class DynamicsState(PeriodicField):
     def __post_init__(self):
         _check_eps(self.eps)
         super().__post_init__()
-        if not (math.isfinite(_as_float(self.t, math.inf)) and np.isfinite(self.coeffs).all()):
-            raise ValueError("t and every coefficient must be finite doubles")
+        if not math.isfinite(_as_float(self.t, math.inf)):
+            raise ValueError("t must be a finite double")
         if not self.mean_free:
             raise ValueError("the k = 0 coefficient must vanish (zero-mean constraint)")
 
 
-def single_mode_state(eps, k_max, k, amplitude=1.0):
-    """A state holding one conjugate-symmetric mode pair in the x component."""
+def single_mode_state(eps, k_max, k):
+    """A state holding the unit mode pair at +/-k in the x component."""
     k_max = _count(k_max, "k_max", 1, K_MAX_LIMIT)
     if not 1 <= abs(k) <= k_max:
         raise ValueError(f"mode k must satisfy 1 <= |k| <= k_max = {k_max}")
-    if not _as_float(abs(amplitude), math.inf) < math.inf:  # nan too, and an int past the range
-        raise ValueError("the amplitude must be a finite double")
     k = abs(_int_k(k))
     coeffs = np.zeros((2, 2 * k_max + 1), dtype=complex)
-    coeffs[0, [k_max - k, k_max + k]] = np.conj(amplitude), amplitude
+    coeffs[0, [k_max - k, k_max + k]] = 1.0
     return DynamicsState(coeffs, eps)
 
 

@@ -3,11 +3,11 @@
 Fields live on the period-2 torus with convention f(z) = sum_k fhat_k
 e^{i pi k z}, stored densely for -K_max <= k <= K_max.  ``PeriodicField`` is
 the one coefficient-table type (``dynamics.DynamicsState`` adds eps and t),
-and each class states the component counts it holds.  Every operator is
-diagonal in this basis: a forward or inverse map multiplies by 1/lambda or
-lambda.  The k = 0 mode (the 2D fundamental solution, which does not decay)
-is excluded from all operators; a field with nonzero mean is a hard error
-there rather than a silent drop.
+and each class states the component counts it holds; every coefficient is a
+finite double.  The velocity-to-force map is diagonal in this basis: it
+multiplies each coefficient by the eigenvalue lambda of its wavenumber.  The
+k = 0 mode (the 2D fundamental solution, which does not decay) is excluded;
+a field with nonzero mean is a hard error there rather than a silent drop.
 
 Sobolev convention: ||f||_{H^s}^2 = 2 sum_k (1 + pi^2 k^2)^s |fhat_k|^2,
 the factor 2 being Parseval's constant for the length-2 period, so that
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectra import K_MAX_LIMIT, PoleError, _count, _int_k, eigenvalues
+from .spectra import K_MAX_LIMIT, _count, eigenvalues
 
 
 class MeanModeError(ValueError):
@@ -45,6 +45,8 @@ class PeriodicField:
             raise ValueError(f"a {type(self).__name__} has {counts} components")
         if c.shape[1] % 2 == 0 or c.shape[1] < 3:
             raise ValueError("coefficient axis must have odd length 2*K_max+1 >= 3")
+        if not np.isfinite(c).all():
+            raise ValueError("every coefficient must be a finite double")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -75,13 +77,12 @@ def sobolev_norm(field, s):
     return math.sqrt(2.0 * float(np.sum(sq)))
 
 
-def apply_operator(family, field, eps, inverse):
-    """Apply the diagonal map: multiply by lambda (inverse) or 1/lambda (forward).
+def apply_operator(family, field, eps):
+    """The velocity-to-force map: multiply each coefficient by lambda of its wavenumber.
 
     Scalar fields use ``family`` as given.  Vector fields resolve the
     direction per component: z -> tangential, x/y -> normal, with the
-    family's setting/method/parameters shared.  ``inverse=True`` is the
-    velocity-to-force direction.
+    family's setting/method/parameters shared.
 
     Eigenvalues depend on |k| only: the distinct component families (x and
     y share the normal one) are evaluated together on k = 1..K_max, and
@@ -101,60 +102,33 @@ def apply_operator(family, field, eps, inverse):
     c = field.coeffs
     out = np.empty_like(c)
     out[:, k_max] = 0.0
-    op = np.multiply if inverse else np.divide
     for ci, fam in enumerate(fams):
         lam = spectra[fam]
-        if not inverse:
-            bad = (lam == 0.0) | ~np.isfinite(lam)
-            if np.any(bad):
-                k_bad = np.flatnonzero(bad) + 1
-                k_bad = np.concatenate([-k_bad[::-1], k_bad])
-                # truncated families legitimately zero out the high band;
-                # forward application there is division by zero = a pole hit
-                raise PoleError(f"forward map undefined at k in {k_bad[:5].tolist()} (1/lambda = 0)")
         try:
             with np.errstate(over="raise"):
-                op(c[ci, k_max + 1:], lam, out=out[ci, k_max + 1:])
-                op(c[ci, :k_max], lam[::-1], out=out[ci, :k_max])
+                np.multiply(c[ci, k_max + 1:], lam, out=out[ci, k_max + 1:])
+                np.multiply(c[ci, :k_max], lam[::-1], out=out[ci, :k_max])
         except FloatingPointError:
-            raise OverflowError("a coefficient times (or over) lambda overflows a double") from None
+            raise OverflowError("a coefficient times lambda overflows a double") from None
     return PeriodicField(out)
 
 
-def make_test_field(profile, k_max, seed=0, n_components=1, mode_k=None):
-    """Deterministic synthetic input fields for the experiments.
+def make_test_field(profile, k_max, seed=0, n_components=1):
+    """Deterministic rough input fields for the experiments.
 
     h1_rough:  |fhat_k| = |k|^{-1.6}, random unit-modulus phases (H1 not H2)
     h2_rough:  |fhat_k| = |k|^{-2.6}  (H2 not H3)
-    smooth:    |fhat_k| = e^{-|k|/4}
-    single_mode: unit amplitude at k = +/- mode_k only
-    All are real-valued (conjugate-symmetric) with zero mean.
+    Both are real-valued (conjugate-symmetric) with zero mean.
     """
     k_max = _count(k_max, "k_max", 8, K_MAX_LIMIT)
     n_components = _count(n_components, "n_components", 1, 3)
-    if profile == "single_mode":
-        if mode_k is None or not (k := abs(_int_k(mode_k))) <= k_max:
-            raise ValueError("single_mode needs mode_k with 1 <= |mode_k| <= k_max")
-        amp = np.zeros(k_max)
-        amp[k - 1] = 1.0
-        phase = np.zeros((n_components, k_max))
-    else:
-        kpos = np.arange(1, k_max + 1)
-        if profile == "h1_rough":
-            amp = kpos.astype(float) ** -1.6
-        elif profile == "h2_rough":
-            amp = kpos.astype(float) ** -2.6
-        elif profile == "smooth":
-            amp = np.exp(-kpos / 4.0)
-        else:
-            raise ValueError(f"unknown profile {profile!r}")
-        # one draw of n rows is the stream of n draws of one row each
-        phase = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (n_components, k_max))
+    if profile not in (powers := {"h1_rough": -1.6, "h2_rough": -2.6}):
+        raise ValueError(f"unknown profile {profile!r}")
+    amp = np.arange(1, k_max + 1).astype(float) ** powers[profile]
+    # one draw of n rows is the stream of n draws of one row each
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (n_components, k_max))
     coeffs = np.zeros((n_components, 2 * k_max + 1), dtype=complex)
     for ci in range(n_components):
-        # e^{i phase} times amp in place, one operand order at every size: the order fixes the
-        # sign of a zero part where amp is subnormal, and numpy's temporary elision would
-        # give `amp * e` this order from 2**14 points on only
         pos = np.exp(1j * phase[ci], out=coeffs[ci, k_max + 1:])
         pos *= amp
         np.conj(pos[::-1], out=coeffs[ci, :k_max])

@@ -545,40 +545,28 @@ def eigen_difference_margin(setting, direction, eps, k, method2, delta=None):
 class STransformResult:
     points: np.ndarray
     values: np.ndarray
-    warning: str | None = None
 
 
 def s_transform_apply(phi, resolution=512):
     """Apply S[phi](s) = int_-1^1 (phi(s') - phi(s))/|s - s'| ds' numerically.
 
-    ``phi`` is a callable or an array of samples at the evaluation nodes.
-    Evaluation nodes are the interior uniform grid points; the quadrature
-    uses the midpoint rule on the half-step-offset midpoints, so the
-    bounded (singularity-subtracted) integrand is never sampled at s'=s.
-    Legendre polynomials are eigenfunctions: S[P_k] = -mu_k P_k with
-    mu_k = 2 sum_{j<=k} 1/j.
+    ``phi`` is a callable on arrays of s.  Evaluation nodes are the interior
+    uniform grid points; the quadrature uses the midpoint rule on the
+    half-step-offset midpoints, so the bounded (singularity-subtracted)
+    integrand is never sampled at s'=s.  Legendre polynomials are
+    eigenfunctions: S[P_k] = -mu_k P_k with mu_k = 2 sum_{j<=k} 1/j.
     """
     # three resolution x resolution temporaries: 0.4 GB at the cap
     resolution = _count(resolution, "resolution", 8, 2**12)
-    warning = ("resolution below 64; expect > few-percent eigen-residuals"
-               if resolution < 64 else None)
     h = 2.0 / resolution
     s_eval = -1.0 + h * np.arange(1, resolution)
     mids = -1.0 + h * (np.arange(resolution) + 0.5)
-    if callable(phi):
-        phi_mid = np.asarray(phi(mids), dtype=float)
-        phi_eval = np.asarray(phi(s_eval), dtype=float)
-    else:
-        phi_eval = np.asarray(phi, dtype=float)
-        if phi_eval.shape != s_eval.shape:
-            raise ValueError(
-                f"expected {s_eval.size} samples at the interior grid nodes"
-            )
-        phi_mid = np.interp(mids, s_eval, phi_eval)
+    phi_mid = np.asarray(phi(mids), dtype=float)
+    phi_eval = np.asarray(phi(s_eval), dtype=float)
     diff = phi_mid[None, :] - phi_eval[:, None]
     dist = np.abs(s_eval[:, None] - mids[None, :])
     values = h * np.sum(diff / dist, axis=1)
-    return STransformResult(s_eval, values, warning)
+    return STransformResult(s_eval, values)
 
 
 #: past this n the harmonic sums below take their asymptotic series, within 2 ulps of the

@@ -6,9 +6,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -629,7 +631,8 @@ def test_converge_cells_read_back_to_the_library_bits(capsys):
 
 # ---------------------------------------------------------------------------
 # the CLI contract, fuzzed: every argv exits 0 or 2, never with a traceback, a
-# RuntimeWarning or a non-finite number, and prints the same bytes twice
+# RuntimeWarning or a non-finite number, prints the same bytes twice, and prints
+# nothing to stdout when --output is given
 # ---------------------------------------------------------------------------
 
 _EDGE_FLOATS = [
@@ -700,6 +703,33 @@ def _converge_argv(draw):
 
 _delta_opt_argv = st.builds(lambda setting, ratio: ["delta-opt"] + _flags(
     setting=setting, ratio=ratio), _setting, _maybe_float)
+_verify_argv = st.builds(lambda suite: ["verify", suite], st.sampled_from(["appendixC", "nosuch"]))
+#: config lines besides the moved flags: a comment and a blank line (skipped), an unknown
+#: key and a line without '=' (refused)
+_config_noise = st.sampled_from(["# a comment", "", "colour = red", "eps 0.01"])
+
+
+@st.composite
+def _argv(draw):
+    """(argv, config lines or None, whether --output is given).  In argv, {out} stands for
+    SLENDERSPEC_OUTDIR's directory and {config} for the file of the config lines, into which
+    some of the drawn flags move as key = value lines."""
+    argv = list(draw(st.one_of(_spectrum_argv(), _profile_argv(), _dynamics_argv(),
+                               _converge_argv(), _delta_opt_argv, _verify_argv)))
+    # a bare name goes under SLENDERSPEC_OUTDIR; a directory path cannot be opened
+    if (output := draw(st.sampled_from([None, "table.out", "{out}"]))) is not None:
+        argv.append(f"--output={output}")
+    form = draw(st.sampled_from([None, "--config FILE", "--config=FILE", "missing", "no file"]))
+    if form is None:
+        return argv, None, output is not None
+    moved = [a for a in argv[1:] if a.startswith("--") and draw(st.booleans())]
+    lines = [a[2:].replace("=", " = ", 1) for a in moved] + draw(st.lists(_config_noise,
+                                                                          max_size=2))
+    argv = [a for a in argv if a not in moved]
+    config = {"--config FILE": ["--config", "{config}"], "--config=FILE": ["--config={config}"],
+              "missing": ["--config", "{out}/missing.cfg"], "no file": ["--config"]}[form]
+    at = len(argv) if form == "no file" else draw(st.integers(0, len(argv)))
+    return argv[:at] + config + argv[at:], lines, output is not None
 
 
 def _call(argv):
@@ -712,14 +742,22 @@ def _call(argv):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.one_of(_spectrum_argv(), _profile_argv(), _dynamics_argv(), _converge_argv(),
-                 _delta_opt_argv))
-def test_cli_contract_fuzz(argv):
-    code, out, err = first = _call(argv)
-    assert code in (0, 2)
-    assert "Traceback" not in err
-    if code == 0:
-        assert not re.search(r"(?i)\b(nan|inf)", out)
-    else:
-        assert out == ""
-    assert _call(argv) == first
+@given(_argv())
+def test_cli_contract_fuzz(drawn):
+    argv, config, output = drawn
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"SLENDERSPEC_OUTDIR": tmp}):
+        cfg, table = Path(tmp, "args.cfg"), Path(tmp, "table.out")
+        if config is not None:
+            cfg.write_text("".join(f"{line}\n" for line in config))
+        argv = [a.replace("{out}", tmp).replace("{config}", str(cfg)) for a in argv]
+        code, out, err = first = _call(argv)
+        written = table.read_text() if table.exists() else None
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert not re.search(r"(?i)\b(nan|inf)", out if written is None else written)
+        if code or output:
+            assert out == ""
+        assert _call(argv) == first
+        assert (table.read_text() if table.exists() else None) == written

@@ -145,6 +145,7 @@ def test_count_gate_returns_a_python_int():
      "resolution = 100000 exceeds 4096"),
     (lambda: spectra.s_transform_apply(np.cos, resolution=2**12 + 1),
      "resolution = 4097 exceeds 4096"),
+    (lambda: spectra.s_transform_apply(np.cos, resolution=4), "resolution must be >= 8"),
     (lambda: spectra.periodic_kernel_apply_mode(1, resolution=9), "resolution = 9 is odd"),
     (lambda: spectra.periodic_kernel_apply_mode(1, resolution=100.5),
      "resolution must be an integer, not 100.5"),
@@ -153,7 +154,7 @@ def test_count_gate_returns_a_python_int():
     (lambda: EigenFamily("laplace", "longitudinal", "sbt_truncated", cutoff=20.5),
      "cutoff must be an integer, not 20.5"),
 ], ids=["s_transform_512.7", "s_transform_nan", "s_transform_1e5", "s_transform_cap+1",
-        "apply_mode_odd", "apply_mode_100.5", "apply_mode_1e12", "cutoff_20.5"])
+        "s_transform_4",        "apply_mode_odd", "apply_mode_100.5", "apply_mode_1e12", "cutoff_20.5"])
 def test_quadrature_resolutions_and_cutoffs_are_read_by_the_count_gate(call, message):
     # s_transform_apply ran 512.7 at 512, raised Python's "cannot convert float NaN to
     # integer" and a MemoryError at 10**5 (74.5 GiB), and took 0.4 GB at 4097; the periodic
@@ -736,7 +737,6 @@ def test_legendre_mu_values():
 def test_s_transform_constant_is_zero():
     res = spectra.s_transform_apply(lambda s: np.ones_like(s), resolution=256)
     assert np.max(np.abs(res.values)) < 1e-12
-    assert res.warning is None
 
 
 def test_s_transform_legendre_eigenfunctions():
@@ -749,24 +749,6 @@ def test_s_transform_legendre_eigenfunctions():
         mask = np.abs(pk(res.points)) > 0.2
         rel = np.abs(res.values[mask] - target[mask]) / np.abs(target[mask])
         assert np.max(rel) < 0.02
-
-
-def test_s_transform_low_resolution_warning():
-    res = spectra.s_transform_apply(lambda s: s, resolution=32)
-    assert res.warning is not None
-    with pytest.raises(ValueError):
-        spectra.s_transform_apply(lambda s: s, resolution=4)
-
-
-def test_s_transform_sample_input():
-    h = 2.0 / 512
-    s = -1.0 + h * np.arange(1, 512)
-    res = spectra.s_transform_apply(1.5 * s**2 - 0.5, resolution=512)
-    target = -spectra.legendre_mu(2) * (1.5 * res.points**2 - 0.5)
-    mask = np.abs(target) > 0.5
-    assert np.max(np.abs(res.values[mask] - target[mask]) / np.abs(target[mask])) < 0.02
-    with pytest.raises(ValueError):
-        spectra.s_transform_apply(np.ones(10), resolution=512)
 
 
 def test_periodic_kernel_eigenvalues():
