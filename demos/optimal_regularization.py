@@ -9,7 +9,7 @@ two decades to show the optimum barely moves.
 import numpy as np
 
 from slenderspec.experiments import cdelta_profile, optimal_delta
-from slenderspec.spectra import SQRT_E
+from slenderspec.tables import SQRT_E
 
 for setting, lo in (("stokes", SQRT_E), ("laplace", 1.0)):
     print(f"--- {setting} (threshold delta > {lo:.4f}) ---")

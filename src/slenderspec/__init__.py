@@ -2,6 +2,7 @@
 
 Modules:
     bessel      from-scratch K0/K1/K2 with a quadrature oracle
+    tables      the paper's constant tables and the CLI's choice lists, numpy-free
     spectra     closed-form eigenvalue families and their ODE machinery
     profiles    exterior radial mode solutions and the traction oracle
     operators   periodic Fourier fields and diagonal operator application

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bessel, dynamics, spectra
+from . import bessel, dynamics, spectra, tables
 
 
 @dataclass
@@ -145,11 +145,11 @@ def verify_dynamics():
     return res
 
 
-SUITES = {
-    "bessel": verify_bessel,
-    "oracle": verify_oracle,
-    "inequalities": verify_inequalities,
-    "appendixC": verify_appendix_c,
-    "differences": verify_difference_bounds,
-    "dynamics": verify_dynamics,
-}
+SUITES = dict(zip(tables.SUITE_NAMES, (
+    verify_bessel,
+    verify_oracle,
+    verify_inequalities,
+    verify_appendix_c,
+    verify_difference_bounds,
+    verify_dynamics,
+)))

@@ -61,20 +61,19 @@ def _emit(text, path):
 
 
 def _apply_config_defaults(argv):
-    """The parser of argv's subcommand, and argv with --config key=value files expanded
-    into leading defaults.  Each key must name an option of the subcommand: files shared
-    between subcommands are not supported."""
+    """The parser, and argv with --config key=value files expanded into leading defaults.
+    Each key must name an option of argv's subcommand, so a file serves one subcommand."""
     # --config=FILE means --config FILE, as --opt=value does for every other flag
     argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
     i = argv.index("--config") if "--config" in argv else len(argv)
     if i == len(argv) - 1:
         raise UsageError("--config needs a file path")
     rest = argv[:i] + argv[i + 2:]
-    # the subcommand is the first argument once --config FILE is taken out
-    command = rest[1] if len(rest) > 1 else None
-    parser = build_parser(command)
+    parser = build_parser()
     if i == len(argv):
         return parser, rest
+    # the subcommand is the first argument once --config FILE is taken out
+    command = rest[1] if len(rest) > 1 else None
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices.get(command)  # None: argparse reports the command
     extra = []
@@ -186,9 +185,10 @@ def cmd_profile(args):
     return _csv("r," + ",".join(f"{c}_re,{c}_im" for c in cols), zip(r, *parts)), 0
 
 
-def build_parser(command):
-    """The parser of every subcommand's name and help, with the arguments of ``command``
-    only: the choice lists of the others would import modules this run does not use."""
+def build_parser():
+    """Every subcommand with all its arguments, the choice lists from the numpy-free ``tables``."""
+    from .tables import _DIRECTIONS, _SETTINGS, PROFILE_DIRECTIONS, SUITE_NAMES
+
     p = argparse.ArgumentParser(
         prog="slenderspec",
         description="Spectra of the slender-fiber inverse problem: tables, "
@@ -196,69 +196,58 @@ def build_parser(command):
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalue tables as CSV")
-    if command == "spectrum":
-        from .spectra import _DIRECTIONS, _SETTINGS
-        sp.add_argument("--setting", choices=list(_SETTINGS), required=True)
-        sp.add_argument("--direction", choices=list(_DIRECTIONS), required=True)
-        sp.add_argument("--eps", type=float, required=True)
-        sp.add_argument("--k", default="1..50", help="k range, e.g. 1..50 or 3 or 1,4,9")
-        sp.add_argument("--methods", default="pde,sbt,delta_reg")
-        sp.add_argument("--delta", type=float, default=2.0)
-        sp.set_defaults(func=cmd_spectrum)
+    sp.add_argument("--setting", choices=list(_SETTINGS), required=True)
+    sp.add_argument("--direction", choices=list(_DIRECTIONS), required=True)
+    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--k", default="1..50", help="k range, e.g. 1..50 or 3 or 1,4,9")
+    sp.add_argument("--methods", default="pde,sbt,delta_reg")
+    sp.add_argument("--delta", type=float, default=2.0)
+    sp.set_defaults(func=cmd_spectrum)
 
     vp = sub.add_parser("verify", help="run a verification suite")
-    if command == "verify":
-        from .checks import SUITES
-        vp.add_argument("suite", choices=list(SUITES) + ["all"])
-        vp.set_defaults(func=cmd_verify)
+    vp.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
+    vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("converge", help="convergence-rate study")
-    if command == "converge":
-        from .spectra import _SETTINGS
-        cp.add_argument("--setting", choices=list(_SETTINGS), required=True)
-        cp.add_argument("--method", choices=["sbt_truncated", "delta_reg"], required=True)
-        cp.add_argument("--regularity", choices=["H1", "H2"], default="H1")
-        cp.add_argument("--eps-max", type=float, default=10**-1.5)
-        cp.add_argument("--eps-min", type=float, default=1e-3)
-        cp.add_argument("--eps-points", type=int, default=6)
-        cp.add_argument("--seed", type=int, default=11)
-        cp.add_argument("--delta", type=float, default=2.0)
-        cp.add_argument("--k-max", type=int, default=None)
-        cp.add_argument("--format", choices=["json", "csv"], default="json")
-        cp.set_defaults(func=cmd_converge)
+    cp.add_argument("--setting", choices=list(_SETTINGS), required=True)
+    cp.add_argument("--method", choices=["sbt_truncated", "delta_reg"], required=True)
+    cp.add_argument("--regularity", choices=["H1", "H2"], default="H1")
+    cp.add_argument("--eps-max", type=float, default=10**-1.5)
+    cp.add_argument("--eps-min", type=float, default=1e-3)
+    cp.add_argument("--eps-points", type=int, default=6)
+    cp.add_argument("--seed", type=int, default=11)
+    cp.add_argument("--delta", type=float, default=2.0)
+    cp.add_argument("--k-max", type=int, default=None)
+    cp.add_argument("--format", choices=["json", "csv"], default="json")
+    cp.set_defaults(func=cmd_converge)
 
     dp = sub.add_parser("delta-opt", help="optimal regularization parameter")
-    if command == "delta-opt":
-        from .spectra import _SETTINGS
-        dp.add_argument("--setting", choices=list(_SETTINGS), required=True)
-        dp.add_argument("--ratio", type=float, required=True)
-        dp.set_defaults(func=cmd_delta_opt)
+    dp.add_argument("--setting", choices=list(_SETTINGS), required=True)
+    dp.add_argument("--ratio", type=float, required=True)
+    dp.set_defaults(func=cmd_delta_opt)
 
     yp = sub.add_parser("dynamics", help="stability sweep or per-step energy CSV")
-    if command == "dynamics":
-        yp.add_argument("--eps", type=float, required=True)
-        yp.add_argument("--sweep", default="8,16,32,64,128",
-                        help="K_max values for the stability sweep")
-        yp.add_argument("--energy-mode", type=int, default=None,
-                        help="emit per-step energy of this single mode instead")
-        yp.add_argument("--k-max", type=int, default=64)
-        yp.add_argument("--steps", type=int, default=200)
-        yp.add_argument("--dt", type=float, default=None)
-        yp.add_argument("--scheme", choices=["explicit_euler", "implicit_exact"],
-                        default="implicit_exact")
-        yp.set_defaults(func=cmd_dynamics)
+    yp.add_argument("--eps", type=float, required=True)
+    yp.add_argument("--sweep", default="8,16,32,64,128",
+                    help="K_max values for the stability sweep")
+    yp.add_argument("--energy-mode", type=int, default=None,
+                    help="emit per-step energy of this single mode instead")
+    yp.add_argument("--k-max", type=int, default=64)
+    yp.add_argument("--steps", type=int, default=200)
+    yp.add_argument("--dt", type=float, default=None)
+    yp.add_argument("--scheme", choices=["explicit_euler", "implicit_exact"],
+                    default="implicit_exact")
+    yp.set_defaults(func=cmd_dynamics)
 
     pp = sub.add_parser("profile", help="radial velocity/pressure profiles as CSV")
-    if command == "profile":
-        from .profiles import DIRECTIONS
-        pp.add_argument("--direction", choices=list(DIRECTIONS), required=True)
-        pp.add_argument("--eps", type=float, required=True)
-        pp.add_argument("--k", type=int, required=True)
-        pp.add_argument("--r-mult", type=float, default=10.0)
-        pp.add_argument("--points", type=int, default=100)
-        pp.set_defaults(func=cmd_profile)
-    if command in sub.choices:
-        sub.choices[command].add_argument("--output")
+    pp.add_argument("--direction", choices=list(PROFILE_DIRECTIONS), required=True)
+    pp.add_argument("--eps", type=float, required=True)
+    pp.add_argument("--k", type=int, required=True)
+    pp.add_argument("--r-mult", type=float, default=10.0)
+    pp.add_argument("--points", type=int, default=100)
+    pp.set_defaults(func=cmd_profile)
+    for subparser in sub.choices.values():
+        subparser.add_argument("--output")
     return p
 
 

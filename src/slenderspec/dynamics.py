@@ -59,9 +59,9 @@ class DynamicsState(PeriodicField):
 def single_mode_state(eps, k_max, k):
     """A state holding the unit mode pair at +/-k in the x component."""
     k_max = _count(k_max, "k_max", 1, K_MAX_LIMIT)
-    if not 1 <= abs(k) <= k_max:
+    k = abs(_int_k(k)) if k != 0 else 0  # k = 0 fails the range test, in its words
+    if not 1 <= k <= k_max:
         raise ValueError(f"mode k must satisfy 1 <= |k| <= k_max = {k_max}")
-    k = abs(_int_k(k))
     coeffs = np.zeros((2, 2 * k_max + 1), dtype=complex)
     coeffs[0, [k_max - k, k_max + k]] = 1.0
     return DynamicsState(coeffs, eps)

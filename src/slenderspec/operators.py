@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bessel import _as_float
 from .spectra import K_MAX_LIMIT, _count, eigenvalues
 
 
@@ -67,14 +68,19 @@ class PeriodicField:
 
 
 def sobolev_norm(field, s):
-    """H^s norm under the (1 + pi^2 k^2)^s weight, Parseval constant 2.  |fhat_k|^2 is the one
-    temporary, weighted in place for s > 0; at s = 0 the weight is 1.0 and x * 1.0 = x."""
-    if s < 0:
-        raise ValueError("s >= 0 required")
-    sq = np.abs(field.coeffs) ** 2
-    if s:
-        sq *= (1.0 + (math.pi * field.k_values) ** 2) ** s
-    return math.sqrt(2.0 * float(np.sum(sq)))
+    """H^s norm under the (1 + pi^2 k^2)^s weight, Parseval constant 2, for finite s >= 0.
+    |fhat_k|^2 is the one temporary, weighted in place for s > 0; at s = 0 the weight is 1.0
+    and x * 1.0 = x.  OverflowError where the squared norm or a weight leaves the double range."""
+    if not 0.0 <= _as_float(s, math.inf) < math.inf:
+        raise ValueError("s must be finite and >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        sq = np.abs(field.coeffs) ** 2
+        if s:
+            sq *= (1.0 + (math.pi * field.k_values) ** 2) ** s
+        total = 2.0 * float(np.sum(sq))
+    if not math.isfinite(total):
+        raise OverflowError(f"the squared H^{s} norm or its weight overflows a double")
+    return math.sqrt(total)
 
 
 def apply_operator(family, field, eps):

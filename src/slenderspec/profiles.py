@@ -29,21 +29,20 @@ import numpy as np
 
 from .bessel import Z_MAX, _as_float, bessel_k, bessel_k_detail
 from .spectra import Mode, eigenvalue, pde_family
+from .tables import PROFILE_DIRECTIONS as DIRECTIONS
 
 
 #: direction -> its closed-form family, the K orders it reads (only ``normal``
 #: needs K2, and so Z_MIN_K2), its boundary targets at r = eps and the columns
 #: ``slenderspec profile`` prints
 _Profile = namedtuple("_Profile", "family orders targets columns")
-_PROFILES = {
-    "laplace_scalar": _Profile(pde_family("longitudinal"), (0, 1), {"U": 1.0}, ("U", "p")),
-    "tangential": _Profile(pde_family("tangential"), (0, 1), {"U_r": 0.0, "U_z": 1.0},
-                           ("U_r", "U_z", "p")),
-    "normal": _Profile(pde_family("normal"), (0, 1, 2),
-                       {"U_minus": 0.0, "U_plus": 2.0, "U_z": 0.0}, ("U_r", "U_theta", "U_z", "p")),
-}
-
-DIRECTIONS = tuple(_PROFILES)
+_PROFILES = dict(zip(DIRECTIONS, (
+    _Profile(pde_family("longitudinal"), (0, 1), {"U": 1.0}, ("U", "p")),
+    _Profile(pde_family("tangential"), (0, 1), {"U_r": 0.0, "U_z": 1.0},
+             ("U_r", "U_z", "p")),
+    _Profile(pde_family("normal"), (0, 1, 2),
+             {"U_minus": 0.0, "U_plus": 2.0, "U_z": 0.0}, ("U_r", "U_theta", "U_z", "p")),
+)))
 
 
 class UnderflowError(ArithmeticError):

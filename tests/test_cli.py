@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slenderspec
-from slenderspec import dynamics, experiments, profiles
+from slenderspec import checks, dynamics, experiments, profiles, spectra, tables
 from slenderspec.cli import main
-from slenderspec.spectra import SQRT_E, EigenFamily, Mode, eigenvalues
+from slenderspec.spectra import EigenFamily, Mode, eigenvalues
+from slenderspec.tables import SQRT_E
 
 
 def run(capsys, *args):
@@ -395,7 +397,7 @@ def _fresh(script, **env):
 
 
 _LOADED = "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('slenderspec')))"
-_CLI_ONLY = ["slenderspec", "slenderspec.cli"]
+_CLI_ONLY = ["slenderspec", "slenderspec.cli", "slenderspec.tables"]
 
 
 def test_cli_never_imports_scipy():
@@ -409,10 +411,12 @@ def test_cli_never_imports_scipy():
 
 @pytest.mark.parametrize("statement, loaded", [
     ("import slenderspec", ["slenderspec"]),
-    ("import slenderspec.cli", _CLI_ONLY),
+    ("import slenderspec.cli", ["slenderspec", "slenderspec.cli"]),
     ("from slenderspec.cli import main; assert main(['--help']) == 0", _CLI_ONLY),
     ("from slenderspec.cli import main; assert main([]) == 2", _CLI_ONLY),
     ("from slenderspec.cli import main; assert main(['nonsense']) == 2", _CLI_ONLY),
+    *((f"from slenderspec.cli import main; assert main([{command!r}, '--help']) == 0", _CLI_ONLY)
+      for command in ("spectrum", "verify", "converge", "delta-opt", "dynamics", "profile")),
 ])
 def test_help_and_top_level_usage_errors_load_no_numpy(statement, loaded):
     script = ("import contextlib, io, sys\n"
@@ -445,7 +449,8 @@ def test_a_run_loads_what_the_readme_import_table_says(argv):
     script = ("import contextlib, io, sys\nfrom slenderspec.cli import main\n"
               f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
               + _LOADED)
-    base = ["numpy", "slenderspec", "slenderspec.bessel", "slenderspec.cli", "slenderspec.spectra"]
+    base = ["numpy", "slenderspec", "slenderspec.bessel", "slenderspec.cli", "slenderspec.spectra",
+            "slenderspec.tables"]
     assert _fresh(script) == f"{sorted(base + also)}\n"
 
 
@@ -457,12 +462,21 @@ _HELP = Path(__file__).resolve().parent / "cli_help"
 @pytest.mark.parametrize("command", ["", "spectrum", "verify", "converge", "delta-opt",
                                      "dynamics", "profile"])
 def test_help_text_is_unchanged(command):
-    # recorded from a parser that added every subcommand's arguments at once; build_parser
-    # now adds only those of the subcommand it runs
+    # recorded from a parser that added every subcommand's arguments at once, as build_parser
+    # does again
     argv = [command, "--help"] if command else ["--help"]
     script = f"import sys; from slenderspec.cli import main; sys.exit(main({argv!r}))"
     out = _fresh(script, COLUMNS="80")
     assert out == (_HELP / f"{command or 'slenderspec'}.txt").read_text()
+
+
+def test_the_parser_and_the_library_read_one_table_module():
+    assert spectra._DIRECTIONS is tables._DIRECTIONS and spectra._SETTINGS is tables._SETTINGS
+    assert profiles.DIRECTIONS == ("laplace_scalar", "tangential", "normal")
+    assert profiles._PROFILES["normal"].columns == ("U_r", "U_theta", "U_z", "p")
+    assert list(checks.SUITES) == ["bessel", "oracle", "inequalities", "appendixC",
+                                   "differences", "dynamics"]
+    assert checks.SUITES["appendixC"] is checks.verify_appendix_c
 
 
 def test_output_file_and_outdir(tmp_path, capsys, monkeypatch):
@@ -708,23 +722,68 @@ _verify_argv = st.builds(lambda suite: ["verify", suite], st.sampled_from(["appe
 #: key and a line without '=' (refused)
 _config_noise = st.sampled_from(["# a comment", "", "colour = red", "eps 0.01"])
 
+# In-domain grammars, one per subcommand, each meant to exit 0: small eps and wavenumbers keep
+# z = pi eps |k| below every sbt pole, and converge keeps a grid of 4 or more points that its
+# K_max resolves.  The bessel suite (a third of a second) is left to `verify all` elsewhere.
+_ok_spectrum = st.builds(
+    lambda d, eps, lo, n, methods, delta: ["spectrum"] + _flags(
+        setting=tables._DIRECTIONS[d].setting, direction=d, eps=eps, k=f"{lo}..{lo + n}",
+        methods=",".join(methods), delta=delta),
+    st.sampled_from(sorted(tables._DIRECTIONS)), st.floats(1e-3, 0.01).map(repr),
+    st.integers(1, 5), st.integers(0, 10),
+    st.lists(st.sampled_from(["pde", "sbt", "delta_reg"]), min_size=1, max_size=3, unique=True),
+    st.none() | st.floats(2.0, 5.0).map(repr))
+_ok_verify = st.builds(lambda suite: ["verify", suite],
+                       st.sampled_from([n for n in tables.SUITE_NAMES if n != "bessel"]))
+_ok_converge = st.builds(
+    lambda setting, method, regularity, points, k_max, fmt: ["converge"] + _flags(
+        setting=setting, method=method, regularity=regularity, eps_max="0.1", eps_min="0.02",
+        eps_points=points, k_max=k_max, format=fmt),
+    st.sampled_from(sorted(tables._SETTINGS)), st.sampled_from(["sbt_truncated", "delta_reg"]),
+    st.sampled_from(["H1", "H2"]), st.integers(4, 6), st.integers(32, 64),
+    st.sampled_from(["json", "csv"]))
+_ok_delta_opt = st.builds(lambda setting, ratio: ["delta-opt"] + _flags(
+    setting=setting, ratio=ratio), st.sampled_from(sorted(tables._SETTINGS)),
+    st.floats(0.01, 50.0).map(repr))
+_ok_dynamics = st.one_of(
+    st.builds(lambda eps, ks: ["dynamics"] + _flags(eps=eps, sweep=",".join(map(str, ks))),
+              st.floats(1e-3, 0.3).map(repr),
+              st.lists(st.integers(8, 128), min_size=1, max_size=5)),
+    st.builds(lambda eps, k_max, k, steps, scheme: ["dynamics"] + _flags(
+        eps=eps, energy_mode=min(k, k_max), k_max=k_max, steps=steps, scheme=scheme),
+        st.floats(1e-3, 0.3).map(repr), st.integers(8, 64), st.integers(1, 64),
+        st.integers(0, 32), st.sampled_from(["explicit_euler", "implicit_exact"])))
+_ok_profile = st.builds(
+    lambda d, eps, k, r_mult, points: ["profile"] + _flags(
+        direction=d, eps=eps, k=k, r_mult=r_mult, points=points),
+    st.sampled_from(tables.PROFILE_DIRECTIONS), st.floats(0.01, 0.3).map(repr),
+    st.integers(1, 20), st.none() | st.floats(1.5, 20.0).map(repr), st.integers(1, 64))
+#: (edge grammar, in-domain grammar) of each subcommand
+_GRAMMARS = {
+    "spectrum": (_spectrum_argv(), _ok_spectrum), "profile": (_profile_argv(), _ok_profile),
+    "dynamics": (_dynamics_argv(), _ok_dynamics), "converge": (_converge_argv(), _ok_converge),
+    "delta-opt": (_delta_opt_argv, _ok_delta_opt), "verify": (_verify_argv, _ok_verify)}
+
 
 @st.composite
-def _argv(draw):
-    """(argv, config lines or None, whether --output is given).  In argv, {out} stands for
-    SLENDERSPEC_OUTDIR's directory and {config} for the file of the config lines, into which
-    some of the drawn flags move as key = value lines."""
-    argv = list(draw(st.one_of(_spectrum_argv(), _profile_argv(), _dynamics_argv(),
-                               _converge_argv(), _delta_opt_argv, _verify_argv)))
+def _argv(draw, command, in_domain):
+    """(argv, config lines or None, whether --output is given) for ``command``, from its
+    in-domain grammar (with a valid --output and config form) or from its edge grammar.  In
+    argv, {out} stands for SLENDERSPEC_OUTDIR's directory and {config} for the file of the
+    config lines, into which some of the drawn flags move as key = value lines."""
+    argv = list(draw(_GRAMMARS[command][in_domain]))
     # a bare name goes under SLENDERSPEC_OUTDIR; a directory path cannot be opened
-    if (output := draw(st.sampled_from([None, "table.out", "{out}"]))) is not None:
+    outputs, forms = [None, "table.out"], [None, "--config FILE", "--config=FILE"]
+    if not in_domain:
+        outputs, forms = outputs + ["{out}"], forms + ["missing", "no file"]
+    if (output := draw(st.sampled_from(outputs))) is not None:
         argv.append(f"--output={output}")
-    form = draw(st.sampled_from([None, "--config FILE", "--config=FILE", "missing", "no file"]))
+    form = draw(st.sampled_from(forms))
     if form is None:
         return argv, None, output is not None
     moved = [a for a in argv[1:] if a.startswith("--") and draw(st.booleans())]
-    lines = [a[2:].replace("=", " = ", 1) for a in moved] + draw(st.lists(_config_noise,
-                                                                          max_size=2))
+    noise = st.sampled_from(["# a comment", ""]) if in_domain else _config_noise
+    lines = [a[2:].replace("=", " = ", 1) for a in moved] + draw(st.lists(noise, max_size=2))
     argv = [a for a in argv if a not in moved]
     config = {"--config FILE": ["--config", "{config}"], "--config=FILE": ["--config={config}"],
               "missing": ["--config", "{out}/missing.cfg"], "no file": ["--config"]}[form]
@@ -741,23 +800,37 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(_argv())
-def test_cli_contract_fuzz(drawn):
-    argv, config, output = drawn
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.dict(os.environ, {"SLENDERSPEC_OUTDIR": tmp}):
-        cfg, table = Path(tmp, "args.cfg"), Path(tmp, "table.out")
-        if config is not None:
-            cfg.write_text("".join(f"{line}\n" for line in config))
-        argv = [a.replace("{out}", tmp).replace("{config}", str(cfg)) for a in argv]
-        code, out, err = first = _call(argv)
-        written = table.read_text() if table.exists() else None
-        assert code in (0, 2)
-        assert "Traceback" not in err
-        if code == 0:
-            assert not re.search(r"(?i)\b(nan|inf)", out if written is None else written)
-        if code or output:
-            assert out == ""
-        assert _call(argv) == first
-        assert (table.read_text() if table.exists() else None) == written
+#: examples per subcommand from its edge grammar and from its in-domain one, so that the
+#: success path is 2/7 of the run; and the exits 0 each subcommand must reach
+_EDGE_EXAMPLES, _IN_DOMAIN_EXAMPLES, _SUCCESS_FLOOR = 30, 12, 10
+
+
+def test_cli_contract_fuzz():
+    successes = dict.fromkeys(_GRAMMARS, 0)
+    for command, in_domain in itertools.product(_GRAMMARS, (False, True)):
+        @settings(max_examples=_IN_DOMAIN_EXAMPLES if in_domain else _EDGE_EXAMPLES,
+                  derandomize=True, deadline=None)
+        @given(_argv(command, in_domain))
+        def fuzz(drawn):
+            argv, config, output = drawn
+            with tempfile.TemporaryDirectory() as tmp, \
+                    mock.patch.dict(os.environ, {"SLENDERSPEC_OUTDIR": tmp}):
+                cfg, table = Path(tmp, "args.cfg"), Path(tmp, "table.out")
+                if config is not None:
+                    cfg.write_text("".join(f"{line}\n" for line in config))
+                argv = [a.replace("{out}", tmp).replace("{config}", str(cfg)) for a in argv]
+                code, out, err = first = _call(argv)
+                written = table.read_text() if table.exists() else None
+                assert code in (0, 2)
+                assert "Traceback" not in err
+                if code == 0:
+                    assert not re.search(r"(?i)\b(nan|inf)", out if written is None else written)
+                if code or output:
+                    assert out == ""
+                assert _call(argv) == first
+                assert (table.read_text() if table.exists() else None) == written
+            successes[command] += code == 0
+
+        fuzz()
+    # the success path of every subcommand is drawn, not only its error path
+    assert min(successes.values()) >= _SUCCESS_FLOOR, successes

@@ -76,6 +76,8 @@ def test_a_state_is_a_two_component_field(cls, shape, n_components):
 
 @pytest.mark.parametrize("call, match", [
     (lambda: dynamics.single_mode_state(0.01, 8, 2.5), "k must be a nonzero integer"),
+    (lambda: dynamics.single_mode_state(0.01, 8, None), "k must be a nonzero integer, not None"),
+    (lambda: dynamics.single_mode_state(0.01, 8, "3"), "k must be a nonzero integer, not '3'"),
     (lambda: dynamics.single_mode_state(0.01, 8.5, 2), "k_max must be an integer, not 8.5"),
     (lambda: dynamics.step(dynamics.single_mode_state(0.01, 8, 3), 10**400, "implicit_exact"),
      "dt must be finite and positive"),
@@ -84,10 +86,10 @@ def test_a_state_is_a_two_component_field(cls, shape, n_components):
     (lambda: dynamics.DynamicsState([[0, 0, math.inf], [0, 0, 0]], 0.01), "every coefficient"),
     (lambda: dynamics.DynamicsState(np.zeros((2, 3)), 0.01, math.nan), "t must be a finite"),
     (lambda: dynamics.DynamicsState(np.zeros((2, 3)), 0.01, 10**400), "t must be a finite"),
-], ids=["k_2.5", "k_max_8.5", "dt_int", "field_int",
+], ids=["k_2.5", "k_None", "k_str", "k_max_8.5", "dt_int", "field_int",
         "state_int", "state_inf", "t_nan", "t_int"])
 def test_dynamics_entries_give_typed_errors(call, match):
-    # an IndexError, a TypeError, Python's "int too large to convert to float", or a state
+    # an IndexError, a TypeError (abs() of None or of a string), Python's "int too large to convert to float", or a state
     # that held a non-finite number
     with pytest.raises(ValueError, match=match):
         call()

@@ -123,7 +123,8 @@ _ENTRIES = {
     "grid_spacing": (dynamics.grid_spacing, (_COUNT,)),
     "DynamicsState": (lambda c, eps, t: dynamics.DynamicsState([[c, 0, c], [0, 0, c]], eps, t),
                       (_Z, _EPS, _Z)),
-    "single_mode_state": (dynamics.single_mode_state, (_EPS, _COUNT, _K)),
+    "single_mode_state": (dynamics.single_mode_state,
+                          (_EPS, _COUNT, st.one_of(_K, st.sampled_from((None, "3"))))),
     "step": (lambda amplitude, dt, scheme: dynamics.step(_mode_state(amplitude), dt, scheme),
              (_Z, _Z, _SCHEME)),
     "energy": (lambda amplitude: dynamics.energy(_mode_state(amplitude)), (_Z,)),
@@ -136,6 +137,7 @@ _ENTRIES = {
     "s_transform_apply": (lambda resolution: spectra.s_transform_apply(np.cos, resolution),
                           (_S_RESOLUTION,)),
     "apply_operator": (ops.apply_operator, (_FAMILY, _FIELD, _EPS)),
+    "sobolev_norm": (ops.sobolev_norm, (_FIELD, _Z)),
     "oracle_bessel_k": (bessel.oracle_bessel_k,
                         (st.sampled_from((0, 1, 2, (0, 1, 2), (0, 2), 3, 1.0)), _ORACLE_Z)),
 }

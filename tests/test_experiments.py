@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slenderspec import experiments as xp
 from slenderspec import operators as ops
-from slenderspec.spectra import SQRT_E, EigenFamily, eigenvalues
+from slenderspec.spectra import EigenFamily, eigenvalues
+from slenderspec.tables import SQRT_E
 
 # eps regimes where each configuration sits in its asymptotic window; the
 # truncated method needs small eps while the delta H1 error needs eps large

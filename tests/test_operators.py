@@ -58,6 +58,24 @@ def test_sobolev_single_mode():
         ops.sobolev_norm(f, -1)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, 10**400, -1, -math.inf],
+                         ids=["nan", "inf", "int_10**400", "-1", "-inf"])
+def test_sobolev_norm_needs_a_finite_s_of_at_least_0(s):
+    # nan gave nan, inf and 10**400 gave inf or Python's "int too large to convert to float"
+    with pytest.raises(ValueError, match="s must be finite and >= 0"):
+        ops.sobolev_norm(ops.PeriodicField([1, 0, 1]), s)
+
+
+@pytest.mark.parametrize("coeffs, s", [([1e308, 0, 1e308], 0), ([1e200, 0, 1e200], 2),
+                                       ([0, 1, 0], 1e4)])
+def test_sobolev_norm_past_the_double_range_is_an_overflow_error(coeffs, s):
+    # |fhat_k|**2 and the weight overflowed with a RuntimeWarning, and the norm read inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="overflows a double"):
+            ops.sobolev_norm(ops.PeriodicField(coeffs), s)
+
+
 def test_sobolev_norm_regularity_split():
     # the k^{-1.6} profile is H1 but not H2: H1 norm converges with K_max,
     # H2 norm diverges
