@@ -27,9 +27,9 @@ there, then goes point by point through ``_k0_k1_point``, one Python float from
 the series or the continued fraction to the result; larger batches run
 ``_k0_k1`` on arrays.  The bits are the same: each point makes the same + - * /,
 abs, sqrt, comparisons, np.log and np.exp calls in the same order (math.log and
-math.exp need not round alike).  A continued-fraction point stops on its own
-test; every series point of a batch takes the term count of the batch's
-largest t = z^2/4 (``_series_terms``).
+math.exp need not round alike).  A continued-fraction point stops on its own test,
+and an array runs ``_CF_BLOCK`` points at a time; the series is not blocked: every
+point of a batch takes the term count of its largest t = z^2/4 (``_series_terms``).
 
 All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure.
 """
@@ -64,6 +64,7 @@ Z_MIN_K2 = 2.0**-511
 Z_MAX = 2.0**1023
 
 _CF_MAX_ITER = 4000
+_CF_BLOCK = 8192
 _SERIES_MAX_TERMS = 64
 #: relative agreement of two successive panel levels that certifies the oracle
 _ORACLE_RTOL = 1e-14
@@ -167,11 +168,14 @@ def _cf(z, with_s):
     retires once its own test passes, |dels| <= 1e-17 |s| with s and
     |delh| <= 1e-17 |h| without (~90 steps just above z = 2, 6-12 for most
     z): what it would still add is below half an ulp.  One float stops
-    there.  In an array large z retires first, so on an ascending grid the
-    retired elements are a suffix and the live arrays shrink by slicing;
-    otherwise by boolean compaction.
+    there; an array runs ``_CF_BLOCK`` points at a time.  In a block large z
+    retires first, so on an ascending grid the retired elements are a suffix
+    and the live arrays shrink by slicing; otherwise by boolean compaction.
     """
     point = isinstance(z, float)
+    if not point and z.size > _CF_BLOCK:  # each block runs the one loop below
+        parts = [_cf(z[lo:lo + _CF_BLOCK], with_s) for lo in range(0, z.size, _CF_BLOCK)]
+        return tuple(map(np.concatenate, zip(*parts))) if with_s else np.concatenate(parts)
     if not point:
         live, h_out, s_out = np.arange(z.size), np.empty_like(z), np.empty_like(z)
     b = 2.0 * (1.0 + z)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _as_float
-from .operators import PeriodicField, apply_operator, make_test_field, sobolev_norm
+from .operators import (PeriodicField, _multiply_row, _spectra, apply_operator, make_test_field,
+                        sobolev_norm)
 from .spectra import _DIRECTIONS, K_MAX_LIMIT, EigenFamily, _setting, _wavenumber
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(10**-1.5, 1e-3, 6))
@@ -67,10 +68,14 @@ def _families(setting, method, delta):
 
 
 def approximation_error(setting, method, u, eps, delta=None):
-    """||L_eps^{-1} u - approx^{-1} u||_{L^2} for one input field."""
+    """||L_eps^{-1} u - approx^{-1} u||_{L^2} for one input field, from one full-size table:
+    the exact map's output less c lambda_approx row by row, bit for bit the two-field form."""
     pde, approx = _families(setting, method, delta)
-    diff = apply_operator(pde, u, eps)  # fresh: f_approx is subtracted in place
-    np.subtract(diff.coeffs, apply_operator(approx, u, eps).coeffs, out=diff.coeffs)
+    lams, diff = _spectra(approx, u, eps), apply_operator(pde, u, eps)  # diff is fresh
+    buffer = np.zeros_like(diff.coeffs[0])  # its k = 0 entry stays 0: 0 - 0 = +0
+    for row, lam, diff_row in zip(u.coeffs, lams, diff.coeffs):
+        np.subtract(diff_row, _multiply_row(row, lam, buffer), out=diff_row)
+    del lams, buffer  # freed before the norm's temporaries
     return sobolev_norm(diff, 0)
 
 

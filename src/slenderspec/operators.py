@@ -83,6 +83,30 @@ def sobolev_norm(field, s):
     return math.sqrt(total)
 
 
+def _spectra(family, field, eps):
+    """Each component's lambda on k = 1..K_max, from one ``eigenvalues`` call on a checked field."""
+    if field.n_components not in PeriodicField._COMPONENTS:
+        raise ValueError(f"apply_operator takes a scalar or vector field, not a "
+                         f"{type(field).__name__} of {field.n_components} components")
+    if not field.mean_free:
+        raise MeanModeError("k = 0 coefficient must vanish before applying operators")
+    fams = (family,) if field.n_components == 1 else tuple(
+        replace(family, direction=d) for d in ("normal", "tangential"))
+    rows = list(eigenvalues(fams, eps, np.arange(1, field.k_max + 1)))
+    return rows if len(rows) == 1 else [rows[0], *rows]  # x and y share the normal row
+
+
+def _multiply_row(row, lam, out):
+    """``out`` = ``row`` times lam at k > 0 and lam reversed at k < 0; out's k = 0 is kept."""
+    try:
+        with np.errstate(over="raise"):
+            np.multiply(row[-lam.size:], lam, out=out[-lam.size:])
+            np.multiply(row[:lam.size], lam[::-1], out=out[:lam.size])
+    except FloatingPointError:
+        raise OverflowError("a coefficient times lambda overflows a double") from None
+    return out
+
+
 def apply_operator(family, field, eps):
     """The velocity-to-force map: multiply each coefficient by lambda of its wavenumber.
 
@@ -90,32 +114,14 @@ def apply_operator(family, field, eps):
     direction per component: z -> tangential, x/y -> normal, with the
     family's setting/method/parameters shared.
 
-    Eigenvalues depend on |k| only: the distinct component families (x and
-    y share the normal one) are evaluated together on k = 1..K_max, and
-    each spectrum is written to k > 0 as is and to k < 0 reversed, straight into
-    the output (no other full-size array is made), whose k = 0 column is zeroed.
+    Eigenvalues depend on |k| only: ``_spectra`` checks the field, then evaluates the distinct
+    component families together on k = 1..K_max, and ``_multiply_row`` writes each spectrum to
+    k > 0 as is and to k < 0 reversed, straight into the output, whose k = 0 column is zeroed.
     """
-    if field.n_components not in PeriodicField._COMPONENTS:
-        raise ValueError(f"apply_operator takes a scalar or vector field, not a "
-                         f"{type(field).__name__} of {field.n_components} components")
-    if not field.mean_free:
-        raise MeanModeError("k = 0 coefficient must vanish before applying operators")
-    k_max = field.k_max
-    fams = [family] if field.n_components == 1 else [
-        replace(family, direction=d) for d in ("normal", "normal", "tangential")]
-    distinct = tuple(dict.fromkeys(fams))
-    spectra = dict(zip(distinct, eigenvalues(distinct, eps, np.arange(1, k_max + 1))))
-    c = field.coeffs
-    out = np.empty_like(c)
-    out[:, k_max] = 0.0
-    for ci, fam in enumerate(fams):
-        lam = spectra[fam]
-        try:
-            with np.errstate(over="raise"):
-                np.multiply(c[ci, k_max + 1:], lam, out=out[ci, k_max + 1:])
-                np.multiply(c[ci, :k_max], lam[::-1], out=out[ci, :k_max])
-        except FloatingPointError:
-            raise OverflowError("a coefficient times lambda overflows a double") from None
+    lams, out = _spectra(family, field, eps), np.empty_like(field.coeffs)
+    out[:, field.k_max] = 0.0
+    for row, lam, out_row in zip(field.coeffs, lams, out):
+        _multiply_row(row, lam, out_row)
     return PeriodicField(out)
 
 

@@ -286,7 +286,7 @@ def _compacting_cf(z, with_s):
 
 
 def _cf_grids():
-    rng = np.random.default_rng(20201)
+    rng, block = np.random.default_rng(20201), bessel._CF_BLOCK
     spectrum = [math.pi * eps * np.arange(1, 20001) for eps in (0.01, 0.003, 0.0316)]
     ascending = [z[z > bessel.SERIES_CUTOFF] for z in spectrum]
     near = np.sort(bessel.SERIES_CUTOFF + rng.uniform(0.0, 1e-6, 200))
@@ -294,7 +294,11 @@ def _cf_grids():
     return (ascending + [near, wide]                    # retirements are suffixes
             + [z[::-1] for z in ascending[:1] + [wide]]  # prefixes: compaction
             + [rng.permutation(np.concatenate([near, wide]))]
-            + [np.array([x]) for x in (np.nextafter(2.0, 3.0), 2.5, 30.0, 700.0, 1500.0)])
+            + [np.array([x]) for x in (np.nextafter(2.0, 3.0), 2.5, 30.0, 700.0, 1500.0)]
+            # sizes about a block's edge, and a shuffle longer than a block
+            # whose retirements compact within each block
+            + [ascending[0][:n] for n in (block - 1, block, block + 1, 2 * block + 7)]
+            + [rng.permutation(np.concatenate([near, wide, ascending[2]]))])
 
 
 @pytest.mark.parametrize("z", _cf_grids(), ids=lambda z: f"{z.size}pts")

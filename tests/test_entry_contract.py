@@ -86,6 +86,9 @@ _ENTRIES = {
     "wellposedness_constant": (
         lambda eps: xp.wellposedness_constant("laplace", eps_grid=(0.3, eps), k_max=16), (_EPS,)),
     "measured_delta_error": (lambda eps: xp.measured_delta_error("laplace", eps, [2.0]), (_EPS,)),
+    "approximation_error": (xp.approximation_error,
+                            (_SETTING, st.sampled_from(("sbt_truncated", "delta_reg", "sbt")),
+                             _FIELD, _EPS, _DELTA)),
     # integer wavenumbers
     "periodic_kernel_eigenvalue": (spectra.periodic_kernel_eigenvalue, (_K,)),
     "periodic_kernel_apply_mode": (

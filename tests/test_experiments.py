@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from slenderspec import bessel, dynamics
 from slenderspec import experiments as xp
 from slenderspec import operators as ops
 from slenderspec.spectra import EigenFamily, eigenvalues
@@ -32,7 +34,7 @@ def test_single_mode_error_is_exact():
 
 @pytest.mark.parametrize("setting,n_components", [("laplace", 1), ("stokes", 3)])
 def test_approximation_error_leaves_the_field_unchanged(setting, n_components):
-    # f_approx is subtracted in place, into the fresh output of the exact map
+    # c lambda_approx is subtracted row by row, into the fresh output of the exact map
     u = ops.make_test_field("h1_rough", 64, seed=5, n_components=n_components)
     before = u.coeffs.tobytes()
     errors = [xp.approximation_error(setting, method, u, 0.01, delta=delta)
@@ -40,6 +42,63 @@ def test_approximation_error_leaves_the_field_unchanged(setting, n_components):
     assert u.coeffs.tobytes() == before
     assert errors == [xp.approximation_error(setting, method, u, 0.01, delta=delta)
                       for method, delta in (("sbt_truncated", None), ("delta_reg", 2.0))]
+
+
+@pytest.mark.parametrize("k_max", [64, bessel._CF_BLOCK + 1000])  # the latter runs two blocks
+@pytest.mark.parametrize("method,delta", [("sbt_truncated", None), ("delta_reg", 2.0)])
+@pytest.mark.parametrize("setting", ["laplace", "stokes"])
+def test_approximation_error_matches_the_two_field_form_bitwise(monkeypatch, setting, method,
+                                                                delta, k_max):
+    # one full-size output, from which c lambda_approx is subtracted row by row, against
+    # each map into its own field and one subtract
+    u = xp._input_field(setting, "H2", k_max, 11)
+    pde, approx = xp._families(setting, method, delta)
+    want = ops.PeriodicField(ops.apply_operator(pde, u, 0.01).coeffs
+                             - ops.apply_operator(approx, u, 0.01).coeffs)
+    seen, norm = [], xp.sobolev_norm
+    monkeypatch.setattr(xp, "sobolev_norm", lambda field, s: seen.append(field) or norm(field, s))
+    err = xp.approximation_error(setting, method, u, 0.01, delta=delta)
+    (diff,) = seen
+    assert diff.coeffs.tobytes() == want.coeffs.tobytes()
+    assert diff.coeffs[:, k_max].tobytes() == np.zeros(u.n_components, complex).tobytes()  # +0j
+    assert err.hex() == norm(want, 0).hex()
+
+
+@pytest.mark.parametrize("setting,bound", [("stokes", 2.0), ("laplace", 4.0)])
+def test_approximation_error_working_set(setting, bound):
+    # the peak above entry, in units of the field's bytes: the two-field form with an unblocked
+    # continued fraction read 2.84 (Stokes) and 6.37 (Laplace); one full-size output, 1.67
+    # and 3.25
+    u = xp._input_field(setting, "H2", 60_000, 11)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        xp.approximation_error(setting, "delta_reg", u, 1e-4, delta=2.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * u.coeffs.nbytes, peak / u.coeffs.nbytes
+
+
+@pytest.mark.parametrize("field,error,text", [
+    (dynamics.single_mode_state(0.01, 8, 3), ValueError,
+     "apply_operator takes a scalar or vector field, not a DynamicsState of 2 components"),
+    (ops.PeriodicField([[1, 1, 1]] * 3), ops.MeanModeError, "k = 0 coefficient must vanish")])
+def test_approximation_error_rejects_a_field_before_any_spectrum(monkeypatch, field, error, text):
+    monkeypatch.setattr(ops, "eigenvalues", lambda *_: pytest.fail("a spectrum was evaluated"))
+    with pytest.raises(error, match=text):
+        xp.approximation_error("stokes", "delta_reg", field, 0.01, delta=2.0)
+
+
+def test_approximation_error_takes_the_approximate_spectrum_first():
+    # both maps fail here; the approximate spectrum's error comes before the exact map's
+    # overflow, which the two-field form raised first
+    u = ops.PeriodicField([1e308, 0, -1e308])
+    with pytest.raises(ValueError, match=r"delta \* z = inf \* 0.314159 overflows a double"):
+        xp.approximation_error("laplace", "delta_reg", u, 0.1, delta=10**400)
+    with pytest.raises(OverflowError, match="a coefficient times lambda overflows a double"):
+        ops.apply_operator(EigenFamily("laplace", "longitudinal", "pde"), u, 0.1)
 
 
 def test_convergence_study_leaves_its_field_unchanged(monkeypatch):
