@@ -12,16 +12,15 @@ normal          U_r(eps) = 1, U_th(eps) = 1,    Stokes, cos/sin theta structure
 The traction of the solution, integrated over the cross-section, is an
 independent numerical route to the same eigenvalues that spectra.py writes
 down in closed form; matching the two (to ~5e-13; the tests gate it at
-1e-6) is the module's central oracle property.  The derivatives at r = eps
-are exact, from K0' = -K1, K1' = -K0 - K1/x and K2' = -K1 - 2 K2/x on the
-K values that ``solve_mode`` computed at the boundary.
+1e-6) is the module's central oracle property.  Every derivative is exact, from
+K0' = -K1, K1' = -K0 - K1/x and K2' = -K1 - 2 K2/x: at r = eps on the boundary K values
+of ``solve_mode`` for the traction, on one kernel pass at any r >= eps for the residuals.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ class UnderflowError(ArithmeticError):
 
 
 class AccuracyError(ArithmeticError):
-    """A finite-difference step below the precision floor, or a traction eigenvalue not real."""
+    """A traction eigenvalue that is not real."""
 
 
 @dataclass(frozen=True)
@@ -107,32 +106,30 @@ def solve_mode(direction, mode):
     return RadialModeSolution(mode, direction, scale, boundary_k, *consts)
 
 
-def _fields(sol, r, k0r, k1r, k2r=None):
-    """The fields at radii r from K_nu(pi |k| r) * 2**-scale."""
+def _fields(sol, r, k, rk=None):
+    """The fields at radii r from the rows K_nu(pi |k| r) * 2**-scale; the terms multiplied
+    by r read the rows ``rk`` (K0, K1) instead, the same ``k`` by default."""
+    (k0r, k1r), (rk0, rk1) = k[:2], (k if rk is None else rk)[:2]
     sgn = 1.0 if sol.mode.k > 0 else -1.0
     if sol.direction == "laplace_scalar":
         return {"U": sol.c0 * k0r, "p": 0j * k0r}  # complex zeros: K0 >= 0 is finite
 
     if sol.direction == "tangential":
         p = sol.c_p * k0r
-        u_r = sol.c1 * k1r + 0.5 * sol.c_p * r * k0r
-        u_z = sol.c0 * k0r - 0.5j * sol.c_p * r * k1r * sgn
+        u_r = sol.c1 * k1r + 0.5 * sol.c_p * r * rk0
+        u_z = sol.c0 * k0r - 0.5j * sol.c_p * r * rk1 * sgn
         return {"U_r": u_r, "U_z": u_z, "p": p}
 
     p = sol.c_p * k1r
-    u_z = sol.c1 * k1r - 0.5j * sol.c_p * r * k0r * sgn
-    u_plus = sol.c0 * k0r + 0.5 * sol.c_p * r * k1r
-    u_minus = sol.c2 * k2r + 0.5 * sol.c_p * r * k1r
+    u_z = sol.c1 * k1r - 0.5j * sol.c_p * r * rk0 * sgn
+    u_plus = sol.c0 * k0r + 0.5 * sol.c_p * r * rk1
+    u_minus = sol.c2 * k[2] + 0.5 * sol.c_p * r * rk1
     return {"U_r": 0.5 * (u_plus + u_minus), "U_theta": 0.5 * (u_plus - u_minus), "U_z": u_z,
             "U_plus": u_plus, "U_minus": u_minus, "p": p}
 
 
-def evaluate_profile(sol, r):
-    """Profile values at radii r >= eps.
-
-    Returns a dict of arrays.  Keys: laplace_scalar -> U, p (p = 0);
-    tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p.
-    """
+def _radial_k(sol, r):
+    """Checked radii r, x = pi |k| r and the rows K_nu(x) * 2**-scale the direction reads."""
     r = np.asarray(_as_float(r))
     if not np.all(np.isfinite(r)):
         raise ValueError("profile radii must be finite")
@@ -144,7 +141,36 @@ def evaluate_profile(sol, r):
     if z >= Z_MAX:
         raise ValueError(f"profiles need z = pi |k| r < 2**1023 ~ {Z_MAX:.4g}; "
                          f"the largest radius gives z = {z:.4g}")
-    return _fields(sol, r, *np.ldexp(bessel_k(_PROFILES[sol.direction].orders, a * r), -sol.scale))
+    x = a * r
+    return r, x, np.ldexp(bessel_k(_PROFILES[sol.direction].orders, x), -sol.scale)
+
+
+def evaluate_profile(sol, r):
+    """Profile values at radii r >= eps.
+
+    Returns a dict of arrays.  Keys: laplace_scalar -> U, p (p = 0);
+    tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p.
+    """
+    r, _, k = _radial_k(sol, r)
+    return _fields(sol, r, k)
+
+
+def _derivative_fields(sol, r, order):
+    """Radii r >= eps, x = pi |k| r, the fields D^j f, j = 0..order, D = r d/dr, and for order 2
+    (D + 1) p.  Each field is A K(x) + r B K(x), D (r K) = r (D + 1) K, and no row cancels at
+    small x: D K = -nu K - x K_(nu-1) (x K0' = -x K1), so (D + 1) K1 = -x K0 exactly."""
+    r, x, k = _radial_k(sol, np.atleast_1d(_as_float(r)))
+    nu = np.array(_PROFILES[sol.direction].orders)[:, None]
+    xk = x * np.vstack((k[1], k[:-1]))
+    rk = (1 - nu) * k - xk
+    out = [_fields(sol, r, k), _fields(sol, r, -nu * k - xk, rk)]
+    if order == 2:
+        # D^2 K = (x^2 + nu^2) K, x^2 K as x (x K): past r ~ 1e154 x^2 overflows, where every
+        # K is 0.0; (D + 1)^2 K = x^2 K - 2 x K_(nu-1) + (1 - nu)^2 K
+        x2k = x * (x * k)
+        out += [_fields(sol, r, x2k + nu * nu * k, x2k - 2.0 * xk + (1 - nu) ** 2 * k),
+                _fields(sol, r, rk)["p"]]
+    return r, x, out
 
 
 def traction_eigenvalue_numeric(direction, mode):
@@ -183,70 +209,40 @@ def boundary_residuals(sol):
 
 
 def incompressibility_residual(sol, r):
-    """Relative divergence residual at interior radii r (centered differences)."""
+    """Relative residual of r div U = D U_r + U_r (- U_theta, normal) + i pi k r U_z at radii
+    r >= eps, D = r d/dr, against its largest term; the derivatives are exact."""
     if sol.direction == "laplace_scalar":
         raise ValueError("incompressibility applies to the Stokes directions")
-    r = np.atleast_1d(_as_float(r))
-    eps, k = sol.mode.eps, sol.mode.k
-    if (h := eps * 1e-6) < sys.float_info.min:  # a subnormal step overflows the quotients
-        raise AccuracyError("finite-difference step eps*1e-06 is subnormal; "
-                            f"eps must be >= {sys.float_info.min / 1e-6:.4g}")
-    # centered stencil; nudge boundary points inward so r - h stays >= eps
-    r = np.maximum(r, eps + h)
-    up, dn, mid = (evaluate_profile(sol, rr) for rr in (r + h, r - h, r))
-    dUr = (up["U_r"] - dn["U_r"]) / (2.0 * h)
-    if sol.direction == "tangential":
-        div = dUr + mid["U_r"] / r + 1j * math.pi * k * mid["U_z"]
-    else:
-        div = dUr + (mid["U_r"] - mid["U_theta"]) / r + 1j * math.pi * k * mid["U_z"]
-    scale = np.maximum.reduce([np.abs(dUr), np.abs(mid["U_r"] / r),
-                               np.abs(math.pi * k * mid["U_z"]), np.full_like(r, 1e-300)])
-    return np.abs(div) / scale
+    r, _, (f, df) = _derivative_fields(sol, r, 1)
+    u_r = f["U_r"] if sol.direction == "tangential" else f["U_r"] - f["U_theta"]
+    ikr_u_z = 1j * math.pi * sol.mode.k * r * f["U_z"]
+    scale = np.maximum.reduce([np.abs(df["U_r"]), np.abs(f["U_r"]), np.abs(ikr_u_z),
+                               np.full_like(r, 1e-300)])
+    return np.abs(df["U_r"] + u_r + ikr_u_z) / scale
 
 
 def residual_momentum(sol, r):
-    """Relative residuals of the radial momentum/pressure equations at r > eps.
+    """Relative residuals of the radial momentum/pressure equations at r >= eps.
 
-    Each profile satisfies a modified-Bessel-type operator
-    L_m = d^2/dr^2 + (1/r) d/dr - m^2/r^2 - (pi k)^2 forced by the
-    pressure gradient; pressure itself is harmonic (L_0 or L_1 annihilates
-    it).  Residuals are measured against the magnitude of the largest term.
-    """
-    r = np.atleast_1d(_as_float(r))
-    if np.any(r <= sol.mode.eps):
-        raise ValueError("residual_momentum needs strictly interior radii r > eps")
-    # step resolves both the K-function oscillation scale 1/(pi|k|) and 1/r terms
-    h = 1e-3 * np.minimum(r, 1.0 / (math.pi * abs(sol.mode.k)))
-    h = np.minimum(h, 0.5 * (r - sol.mode.eps))
-    a2 = (math.pi * sol.mode.k) ** 2
-    k = sol.mode.k
-    dn, mid, up = (evaluate_profile(sol, rr) for rr in (r - h, r, r + h))
-
-    def d1(key):
-        return (up[key] - dn[key]) / (2.0 * h)
-
-    # (m, forcing) of each profile's equation L_m f = forcing
-    dp, p = d1("p"), mid["p"]
+    Each profile f satisfies L_m f = forcing from the pressure gradient, with L_m = d^2/dr^2
+    + (1/r) d/dr - m^2/r^2 - (pi k)^2; pressure itself is harmonic (L_0 or L_1 annihilates it).
+    A residual is |r^2 (L_m f - forcing)| = |D^2 f - m^2 f - x^2 f - r^2 forcing|, D = r d/dr,
+    x = pi |k| r, over the sum of those four terms' magnitudes; the derivatives are exact."""
+    r, x, (f, df, d2f, dp_plus_p) = _derivative_fields(sol, r, 2)
+    # (m, r^2 forcing) of each profile's equation L_m f = forcing
+    r_p, r_dp, kr = r * f["p"], r * df["p"], math.pi * sol.mode.k * r
     if sol.direction == "laplace_scalar":
         equations = {"U": (0, 0.0)}
     elif sol.direction == "tangential":
-        equations = {"p": (0, 0.0), "U_r": (1, dp), "U_z": (0, 1j * math.pi * k * p)}
+        equations = {"p": (0, 0.0), "U_r": (1, r_dp), "U_z": (0, 1j * kr * r_p)}
     else:
-        equations = {"p": (1, 0.0), "U_plus": (0, dp + p / r), "U_minus": (2, dp - p / r),
-                     "U_z": (1, 1j * math.pi * k * p)}
-
-    res = {}
-    for key, (m, rhs) in equations.items():
-        val, first = mid[key], d1(key)
-        d2 = (up[key] - 2.0 * val + dn[key]) / (h * h)
-        out = d2 + first / r - ((m / r) ** 2 + a2) * val
-        # scale from the pre-cancellation term sizes: for small pi|k|r the
-        # Laplacian pieces cancel to O((pi k r)^2) of their own magnitude,
-        # and a residual relative to that cancellation is the honest FD
-        # figure of merit
-        scale = np.abs(d2) + np.abs(first) / r + ((m / r) ** 2 + a2) * np.abs(val)
-        res[key] = np.abs(out - rhs) / np.maximum(scale + np.abs(rhs), 1e-300)
-    return res
+        equations = {"p": (1, 0.0), "U_plus": (0, r * dp_plus_p), "U_minus": (2, r_dp - r_p),
+                     "U_z": (1, 1j * kr * r_p)}
+    # the terms of r^2 (L_m f - forcing), x^2 f as x (x f) as in _derivative_fields
+    terms = {key: (d2f[key], -m * m * f[key], -x * (x * f[key]), -rhs)
+             for key, (m, rhs) in equations.items()}
+    return {key: np.abs(sum(t)) / np.maximum(sum(map(np.abs, t)), 1e-300)
+            for key, t in terms.items()}
 
 
 def traction_vs_closed_form(direction, mode):

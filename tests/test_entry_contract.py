@@ -11,6 +11,7 @@ import warnings
 from dataclasses import fields, is_dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from slenderspec import bessel, dynamics, profiles, spectra
@@ -48,7 +49,8 @@ _SETTING = st.sampled_from(("laplace", "stokes"))
 _DIRECTION = st.sampled_from(profiles.DIRECTIONS)
 _STOKES_DIRECTION = st.sampled_from(("tangential", "normal"))
 _DELTA = st.sampled_from(_EDGES + (None, 2.0, 3.0))
-_RADIUS = st.sampled_from(_EDGES + (0.05, 0.2, 3.0))
+#: the profile solutions' eps = 0.05 exactly, and a radius just below eps (1 - 1e-12)
+_RADIUS = st.sampled_from(_EDGES + (0.05, 0.05 * (1.0 - 2e-12), 0.2, 3.0))
 _GRID = st.one_of(_Z, st.lists(_Z, min_size=1, max_size=3))
 _FAMILY = st.sampled_from([
     EigenFamily(entry.setting, d, method, delta=2.0 if method == "delta_reg" else None)
@@ -174,3 +176,17 @@ def test_every_entry_returns_finite_values_or_its_own_typed_error(data):
             assert text and not any(t in text for t in _FOREIGN_TEXTS), (name, args, text)
             return
     assert _finite(value), (name, args, value)
+
+
+@pytest.mark.parametrize("name", ["evaluate_profile", "incompressibility_residual",
+                                  "residual_momentum"])
+def test_profile_entries_take_r_from_eps_on(name):
+    # every profile entry accepts r = eps exactly and rejects a radius below eps (1 - 1e-12)
+    call, _ = _ENTRIES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for direction in ("tangential", "normal"):
+            eps = _SOLUTIONS[direction].mode.eps
+            assert _finite(call(direction, eps)), (name, direction)
+            with pytest.raises(ValueError, match="r >= eps"):
+                call(direction, eps * (1.0 - 2e-12))

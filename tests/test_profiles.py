@@ -78,7 +78,7 @@ def test_incompressibility():
         sol = profiles.solve_mode(direction, mode)
         r = np.linspace(mode.eps, 0.5, 40)
         res = profiles.incompressibility_residual(sol, r)
-        assert np.max(res) < 1e-6
+        assert np.max(res) <= 1e-12
     sol = profiles.solve_mode("laplace_scalar", Mode(2, 0.1))
     with pytest.raises(ValueError):
         profiles.incompressibility_residual(sol, np.array([0.2]))
@@ -91,7 +91,17 @@ def test_momentum_residuals(direction):
     r = np.linspace(2.0 * mode.eps, 0.8, 20)
     res = profiles.residual_momentum(sol, r)
     for key, vals in res.items():
-        assert np.max(vals) < 1e-5, (key, float(np.max(vals)))
+        assert np.max(vals) <= 1e-12, (key, float(np.max(vals)))
+    # near the fiber at small x = pi |k| r, where forming K1 + x K1' = -x K0 as a difference
+    # of two ~1/x terms would leave a relative residual of about 1e-16 / (x^2 ln(1/x))
+    for eps in (1e-3, 1e-5, 1e-7, 1e-9):
+        sol = profiles.solve_mode(direction, Mode(1, eps))
+        r = eps * np.array([1.0, 2.0, 10.0])
+        res = profiles.residual_momentum(sol, r)
+        if direction != "laplace_scalar":
+            res["div"] = profiles.incompressibility_residual(sol, r)
+        for key, vals in res.items():
+            assert np.max(vals) <= 1e-12, (eps, key, float(np.max(vals)))
 
 
 @pytest.mark.parametrize("direction", profiles.DIRECTIONS)
@@ -110,8 +120,12 @@ def test_domain_guards():
     sol = profiles.solve_mode("tangential", mode)
     with pytest.raises(ValueError):
         profiles.evaluate_profile(sol, np.array([0.05]))
-    with pytest.raises(ValueError):
-        profiles.residual_momentum(sol, np.array([0.1]))
+    # r = eps is in the momentum check's domain, as in evaluate_profile's; below it is not
+    res = profiles.residual_momentum(sol, np.array([0.1]))
+    assert all(np.all(np.isfinite(vals)) for vals in res.values())
+    for r in (0.05, 0.1 * (1.0 - 2e-12)):
+        with pytest.raises(ValueError, match="r >= eps"):
+            profiles.residual_momentum(sol, np.array([r]))
     with pytest.raises(ValueError):
         profiles.solve_mode("sideways", mode)
 
@@ -219,10 +233,15 @@ def test_finite_difference_step_floor(direction):
     with pytest.raises(bessel.BesselDomainError):
         profiles.traction_vs_closed_form(direction, Mode(1, 0.5 * bessel.Z_MIN / math.pi))
     if direction == "tangential":
-        # the divergence keeps its centred differences, of step eps * 1e-6
-        sol = profiles.solve_mode(direction, Mode(1, 1.1e-302))
-        with pytest.raises(profiles.AccuracyError, match="finite-difference step"):
-            profiles.incompressibility_residual(sol, np.array([sol.mode.eps]))
+        # the residuals differentiate exactly too, with no step to floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for eps in (1.1e-302, 2.3e-308):
+                sol = profiles.solve_mode(direction, Mode(1, eps))
+                r = eps * np.array([1.0, 2.0, 10.0, 1e6])
+                residuals = [profiles.incompressibility_residual(sol, r),
+                             *profiles.residual_momentum(sol, r).values()]
+                assert all(np.all(np.isfinite(v)) and np.max(v) <= 1e-12 for v in residuals)
 
 
 @settings(max_examples=300, deadline=None)
