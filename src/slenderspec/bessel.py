@@ -19,17 +19,15 @@ Two evaluation routes are kept deliberately independent:
   representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt, refined per
   entry (order, z) until it agrees with the level below to 1e-14 relative.
 
-The series (``_series_sums``) and the continued fraction (``_cf``) are each
-one loop, run on a numpy array or on one Python float.  ``_kernel``, at the
-entry of ``bessel_k``, ``ratio_A`` and ``ratio_B``, is the one switch: a
-scalar or a batch of at most ``_SMALL`` points is checked against the domain
-there, then goes point by point through ``_k0_k1_point``, one Python float from
-the series or the continued fraction to the result; larger batches run
-``_k0_k1`` on arrays.  The bits are the same: each point makes the same + - * /,
-abs, sqrt, comparisons, np.log and np.exp calls in the same order (math.log and
-math.exp need not round alike).  A continued-fraction point stops on its own test,
-and an array runs ``_CF_BLOCK`` points at a time; the series is not blocked: every
-point of a batch takes the term count of its largest t = z^2/4 (``_series_terms``).
+The series (``_series_sums``) and the continued fraction (``_cf``) are each one loop, run
+on a numpy array or on one Python float.  ``_kernel``, at the entry of ``bessel_k``,
+``ratio_A`` and ``ratio_B``, is the one switch: a scalar or a batch of at most ``_SMALL``
+points is checked against the domain there, then goes point by point through
+``_k0_k1_point``; larger batches run ``_k0_k1`` on arrays, ``_KERNEL_BLOCK`` points at a
+time.  The bits are the same: each point makes the same + - * /, abs, sqrt, comparisons,
+np.log and np.exp calls in the same order (math.log and math.exp need not round alike).  A
+continued-fraction point stops on its own test; a series point takes the term count of its
+block's largest t = z^2/4 (``_series_terms``), and any count from its own to 13 gives its bits.
 
 All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX) and are pure.
 """
@@ -64,7 +62,7 @@ Z_MIN_K2 = 2.0**-511
 Z_MAX = 2.0**1023
 
 _CF_MAX_ITER = 4000
-_CF_BLOCK = 8192
+_KERNEL_BLOCK = 8192
 _SERIES_MAX_TERMS = 64
 #: relative agreement of two successive panel levels that certifies the oracle
 _ORACLE_RTOL = 1e-14
@@ -114,10 +112,9 @@ def _series_k(z, log_half_z, i0, k0_sum, i1_sum, k1_sum):
 
 
 def _series_terms(t):
-    """The series' term count at t = z^2/4: the first m whose I0 term is at most
-    1e-18 of its partial sum.  On [0, 1] it never falls as t grows (1 to 13
-    terms), so a batch's largest t gives the count at which every point's
-    own test has passed."""
+    """The series' term count at t = z^2/4: the first m whose I0 term is at most 1e-18
+    of its partial sum.  On [0, 1] it never falls as t grows (1 to 13 terms), so a
+    block's largest t gives a count at which every point's own test has passed."""
     i0_term = i0 = 1.0
     for m in range(1, _SERIES_MAX_TERMS):
         i0_term = i0_term * t / (m * m)
@@ -160,22 +157,18 @@ _CF_STEPS = _cf_steps()
 
 
 def _cf(z, with_s):
-    """Temme/Thompson-Barnett continued fraction (modified Lentz, order 0), on
-    an array or on one Python float.
+    """Temme/Thompson-Barnett continued fraction (modified Lentz, order 0), on an array
+    or on one Python float.
 
-    Returns h, with K1/K0 = (z + 1/2 - h/4)/z, and with ``with_s`` also s,
-    with K0 = sqrt(pi/(2z)) e^{-z} / s, for z >= SERIES_CUTOFF.  A point
-    retires once its own test passes, |dels| <= 1e-17 |s| with s and
-    |delh| <= 1e-17 |h| without (~90 steps just above z = 2, 6-12 for most
-    z): what it would still add is below half an ulp.  One float stops
-    there; an array runs ``_CF_BLOCK`` points at a time.  In a block large z
-    retires first, so on an ascending grid the retired elements are a suffix
-    and the live arrays shrink by slicing; otherwise by boolean compaction.
+    Returns h, with K1/K0 = (z + 1/2 - h/4)/z, and with ``with_s`` also s, with
+    K0 = sqrt(pi/(2z)) e^{-z} / s, for z >= SERIES_CUTOFF.  A point retires once its own
+    test passes, |dels| <= 1e-17 |s| with s and |delh| <= 1e-17 |h| without (~90 steps
+    just above z = 2, 6-12 for most z): what it would still add is below half an ulp.  One
+    float stops there, an array (one block of ``_k0_k1``) once its last point has.  Large z
+    retires first, so on an ascending grid the retired elements are a suffix and the live
+    arrays shrink by slicing; otherwise by boolean compaction.
     """
     point = isinstance(z, float)
-    if not point and z.size > _CF_BLOCK:  # each block runs the one loop below
-        parts = [_cf(z[lo:lo + _CF_BLOCK], with_s) for lo in range(0, z.size, _CF_BLOCK)]
-        return tuple(map(np.concatenate, zip(*parts))) if with_s else np.concatenate(parts)
     if not point:
         live, h_out, s_out = np.arange(z.size), np.empty_like(z), np.empty_like(z)
     b = 2.0 * (1.0 + z)
@@ -221,12 +214,20 @@ def _cf(z, with_s):
 
 def _k0_k1(z, with_k2=False, ratio=False):
     """K0 and K1, or with ``ratio`` K1/K0 in one array: k1/k0 at series points and
-    (z + 1/2 - h/4)/z at continued-fraction points, which skip s and exp(-z), so
-    K1/K0 stays finite far past the underflow point of K itself."""
+    (z + 1/2 - h/4)/z at continued-fraction points, which skip s and exp(-z), so K1/K0
+    stays finite far past the underflow point of K itself.  z is checked once; each block of
+    ``_KERNEL_BLOCK`` points (rows of a 2-d z) then frees its temporaries before the next."""
     z = np.atleast_1d(_validate_z(z, with_k2))
     k0 = np.empty_like(z)  # K1/K0 with ``ratio``
     k1 = None if ratio else np.zeros(z.shape)  # calloc'd: no page is touched before it is written
-    small = z <= SERIES_CUTOFF
+    for at in (slice(lo, lo + _KERNEL_BLOCK) for lo in range(0, len(z), _KERNEL_BLOCK)):
+        _k0_k1_block(z[at], k0[at], None if ratio else k1[at])
+    return k0 if ratio else (k0, k1)
+
+
+def _k0_k1_block(z, k0, k1):
+    """One block of ``_k0_k1``, into its slices k0 and k1 (K1/K0 into k0 if k1 is None)."""
+    small, ratio = z <= SERIES_CUTOFF, k1 is None
     if np.any(small):
         zs = z[small]
         t = 0.25 * zs * zs
@@ -247,7 +248,6 @@ def _k0_k1(z, with_k2=False, ratio=False):
             with np.errstate(under="ignore"):
                 k0[large] = np.sqrt(np.pi / (2.0 * zl)) * k0[large] / s
             k1[large] = k0[large] * (zl + 0.5 - 0.25 * h) / zl
-    return k0 if ratio else (k0, k1)
 
 
 def _k0_k1_point(x, ratio, terms):

@@ -146,11 +146,8 @@ def _radial_k(sol, r):
 
 
 def evaluate_profile(sol, r):
-    """Profile values at radii r >= eps.
-
-    Returns a dict of arrays.  Keys: laplace_scalar -> U, p (p = 0);
-    tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p.
-    """
+    """Profile values at radii r >= eps, a dict of arrays.  Keys: laplace_scalar -> U, p
+    (p = 0); tangential -> U_r, U_z, p; normal -> U_r, U_theta, U_z, U_plus, U_minus, p."""
     r, _, k = _radial_k(sol, r)
     return _fields(sol, r, k)
 
@@ -210,7 +207,9 @@ def boundary_residuals(sol):
 
 def incompressibility_residual(sol, r):
     """Relative residual of r div U = D U_r + U_r (- U_theta, normal) + i pi k r U_z at radii
-    r >= eps, D = r d/dr, against its largest term; the derivatives are exact."""
+    r >= eps, D = r d/dr, against its largest term; the derivatives are exact.  At r = eps the
+    O(z^2) parts of D U_r cancel, z = pi eps |k|, and the residual grows to about z^2 ulps:
+    4e-12 at z = 100, 2e-11 at 314 and 1.1e-10 at 700 (normal; tangential 2.8e-12 at 100)."""
     if sol.direction == "laplace_scalar":
         raise ValueError("incompressibility applies to the Stokes directions")
     r, _, (f, df) = _derivative_fields(sol, r, 1)

@@ -251,6 +251,37 @@ def test_property_array_call_matches_scalar_calls_bitwise(z):
         assert np.array_equal(fn(z), np.array([fn(float(x)) for x in z]))
 
 
+def test_blocks_give_each_point_the_bits_of_its_own_scalar_call():
+    # _k0_k1 runs series and continued fraction block by block: in a shuffle over
+    # three blocks each series point takes its own block's term count
+    rng, block = np.random.default_rng(36), bessel._KERNEL_BLOCK
+    z = rng.permutation(np.concatenate([
+        np.geomspace(1e-8, bessel.SERIES_CUTOFF, block), rng.uniform(1e-3, 2.0, 500),
+        bessel.SERIES_CUTOFF + rng.uniform(0.0, 1e-6, 100), rng.uniform(2.0, 1500.0, block)]))
+    assert z.size > 2 * block
+    rows = bessel.bessel_k((0, 1, 2), z)
+    scalar = np.array([bessel.bessel_k((0, 1, 2), x) for x in z.tolist()]).T
+    assert rows.tobytes() == np.ascontiguousarray(scalar).tobytes()
+    ratios = np.array([bessel.ratio_A(x) for x in z.tolist()])
+    assert bessel.ratio_A(z).tobytes() == ratios.tobytes()
+
+
+def test_series_bits_hold_from_a_point_own_term_count_to_13():
+    # a block's largest t sets the term count of all its series points: no K0 or K1
+    # bit may depend on it
+    z = np.concatenate([np.geomspace(bessel.Z_MIN, 1e-4, 1000), np.geomspace(1e-4, 2.0, 10_000),
+                        np.linspace(0.0, 2.0, 10_001)[1:]])
+    t, log_half_z = 0.25 * z * z, np.log(0.5 * z)
+    own = np.array([bessel._series_terms(x) for x in t.tolist()])
+    assert (own.min(), own.max()) == (1, 13)
+    k = np.array([bessel._series_k(z, log_half_z, *bessel._series_sums(t, n))
+                  for n in range(1, 14)])
+    want = k[own - 1, :, np.arange(z.size)].T  # (K0, K1) at each point's own count
+    for n in range(1, 14):
+        at = own <= n
+        assert k[n - 1][:, at].tobytes() == want[:, at].tobytes(), n
+
+
 def _compacting_cf(z, with_s):
     """The continued-fraction loop as it was before suffix slicing: every
     retirement compacts the live arrays with a boolean mask."""
@@ -286,7 +317,7 @@ def _compacting_cf(z, with_s):
 
 
 def _cf_grids():
-    rng, block = np.random.default_rng(20201), bessel._CF_BLOCK
+    rng, block = np.random.default_rng(20201), bessel._KERNEL_BLOCK
     spectrum = [math.pi * eps * np.arange(1, 20001) for eps in (0.01, 0.003, 0.0316)]
     ascending = [z[z > bessel.SERIES_CUTOFF] for z in spectrum]
     near = np.sort(bessel.SERIES_CUTOFF + rng.uniform(0.0, 1e-6, 200))
@@ -295,8 +326,8 @@ def _cf_grids():
             + [z[::-1] for z in ascending[:1] + [wide]]  # prefixes: compaction
             + [rng.permutation(np.concatenate([near, wide]))]
             + [np.array([x]) for x in (np.nextafter(2.0, 3.0), 2.5, 30.0, 700.0, 1500.0)]
-            # sizes about a block's edge, and a shuffle longer than a block
-            # whose retirements compact within each block
+            # sizes about the kernel's block edge, and a shuffle longer than a
+            # block, each run as one loop
             + [ascending[0][:n] for n in (block - 1, block, block + 1, 2 * block + 7)]
             + [rng.permutation(np.concatenate([near, wide, ascending[2]]))])
 

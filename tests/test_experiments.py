@@ -44,7 +44,7 @@ def test_approximation_error_leaves_the_field_unchanged(setting, n_components):
                       for method, delta in (("sbt_truncated", None), ("delta_reg", 2.0))]
 
 
-@pytest.mark.parametrize("k_max", [64, bessel._CF_BLOCK + 1000])  # the latter runs two blocks
+@pytest.mark.parametrize("k_max", [64, bessel._KERNEL_BLOCK + 1000])  # the latter runs two blocks
 @pytest.mark.parametrize("method,delta", [("sbt_truncated", None), ("delta_reg", 2.0)])
 @pytest.mark.parametrize("setting", ["laplace", "stokes"])
 def test_approximation_error_matches_the_two_field_form_bitwise(monkeypatch, setting, method,
@@ -64,11 +64,11 @@ def test_approximation_error_matches_the_two_field_form_bitwise(monkeypatch, set
     assert err.hex() == norm(want, 0).hex()
 
 
-@pytest.mark.parametrize("setting,bound", [("stokes", 2.0), ("laplace", 4.0)])
+@pytest.mark.parametrize("setting,bound", [("stokes", 1.9), ("laplace", 2.6)])
 def test_approximation_error_working_set(setting, bound):
     # the peak above entry, in units of the field's bytes: the two-field form with an unblocked
     # continued fraction read 2.84 (Stokes) and 6.37 (Laplace); one full-size output, 1.67
-    # and 3.25
+    # and 3.25; the whole Bessel kernel run in blocks, 1.67 (the norm's square sets it) and 2.32
     u = xp._input_field(setting, "H2", 60_000, 11)
     tracemalloc.start()
     try:
@@ -167,11 +167,16 @@ def test_optimal_delta_ratio_past_the_double_range():
         xp.optimal_delta("laplace", 10**400)
 
 
-_FINITE = st.floats(min_value=-1e300, max_value=1e300)
+@st.composite
+def _sorted_distinct_triples(draw):
+    """lo < threshold < hi in [-1e300, 1e300], drawn in order: no draw is filtered out."""
+    threshold = draw(st.floats(-1e300, 1e300, exclude_min=True, exclude_max=True))
+    return (draw(st.floats(-1e300, threshold, exclude_max=True)), threshold,
+            draw(st.floats(threshold, 1e300, exclude_min=True)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_FINITE, min_size=3, max_size=3, unique=True).map(sorted), st.booleans())
+@given(_sorted_distinct_triples(), st.booleans())
 def test_property_bisect_ends_on_adjacent_doubles(points, through_atan):
     # below holds up to the threshold and fails from it on: x < t, or atan x < atan t
     lo, threshold, hi = points
