@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _as_float
-from .operators import (PeriodicField, _multiply_row, _spectra, apply_operator, make_test_field,
-                        sobolev_norm)
+from .operators import (PeriodicField, _multiply, _sides, _spectra, apply_operator,
+                        make_test_field, sobolev_norm)
 from .spectra import _DIRECTIONS, K_MAX_LIMIT, EigenFamily, _setting, _wavenumber
 
 DEFAULT_EPS_GRID = tuple(np.geomspace(10**-1.5, 1e-3, 6))
@@ -69,13 +69,15 @@ def _families(setting, method, delta):
 
 def approximation_error(setting, method, u, eps, delta=None):
     """||L_eps^{-1} u - approx^{-1} u||_{L^2} for one input field, from one full-size table:
-    the exact map's output less c lambda_approx row by row, bit for bit the two-field form."""
+    the exact map's output less c lambda_approx one side of a row at a time (``_sides``), bit for
+    bit the two-field form."""
     pde, approx = _families(setting, method, delta)
     lams, diff = _spectra(approx, u, eps), apply_operator(pde, u, eps)  # diff is fresh
-    buffer = np.zeros_like(diff.coeffs[0])  # its k = 0 entry stays 0: 0 - 0 = +0
+    half = np.empty_like(u.coeffs[0, :u.k_max])  # one side of a row; diff's k = 0 stays +0
     for row, lam, diff_row in zip(u.coeffs, lams, diff.coeffs):
-        np.subtract(diff_row, _multiply_row(row, lam, buffer), out=diff_row)
-    del lams, buffer  # freed before the norm's temporaries
+        for at, lam_at in _sides(lam):
+            np.subtract(diff_row[at], _multiply(row[at], lam_at, half), out=diff_row[at])
+    del lams, half  # freed before the norm's temporaries
     return sobolev_norm(diff, 0)
 
 

@@ -96,15 +96,18 @@ def _spectra(family, field, eps):
     return rows if len(rows) == 1 else [rows[0], *rows]  # x and y share the normal row
 
 
-def _multiply_row(row, lam, out):
-    """``out`` = ``row`` times lam at k > 0 and lam reversed at k < 0; out's k = 0 is kept."""
+def _sides(lam):
+    """A row's k > 0 and k < 0 columns, each with its spectrum: lam, and lam reversed."""
+    return (slice(-lam.size, None), lam), (slice(lam.size), lam[::-1])
+
+
+def _multiply(coeffs, lam, out):
+    """``out`` = ``coeffs`` times lam; OverflowError where a product leaves the double range."""
     try:
         with np.errstate(over="raise"):
-            np.multiply(row[-lam.size:], lam, out=out[-lam.size:])
-            np.multiply(row[:lam.size], lam[::-1], out=out[:lam.size])
+            return np.multiply(coeffs, lam, out=out)
     except FloatingPointError:
         raise OverflowError("a coefficient times lambda overflows a double") from None
-    return out
 
 
 def apply_operator(family, field, eps):
@@ -115,13 +118,14 @@ def apply_operator(family, field, eps):
     family's setting/method/parameters shared.
 
     Eigenvalues depend on |k| only: ``_spectra`` checks the field, then evaluates the distinct
-    component families together on k = 1..K_max, and ``_multiply_row`` writes each spectrum to
-    k > 0 as is and to k < 0 reversed, straight into the output, whose k = 0 column is zeroed.
+    component families together on k = 1..K_max, and each spectrum multiplies k > 0 as is and
+    k < 0 reversed (``_sides``), straight into the output, whose k = 0 column is zeroed.
     """
     lams, out = _spectra(family, field, eps), np.empty_like(field.coeffs)
     out[:, field.k_max] = 0.0
     for row, lam, out_row in zip(field.coeffs, lams, out):
-        _multiply_row(row, lam, out_row)
+        for at, lam_at in _sides(lam):
+            _multiply(row[at], lam_at, out_row[at])
     return PeriodicField(out)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slenderspec import bessel
+from slenderspec import bessel, spectra
 
 # independently frozen oracle values (adaptive quadrature of the integral
 # representation, self-estimated error below 1e-14 relative)
@@ -766,3 +766,111 @@ def test_exp_underflow_band_raises_no_flag_on_the_point_route():
         ratio_b = [bessel.ratio_B(x) for x in z.tolist()]
     assert scalars.tobytes() == want.tobytes() and batches.tobytes() == want.tobytes()
     assert np.array(ratio_b).tobytes() == (z * ratio).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the K1/K0 table cache
+# ---------------------------------------------------------------------------
+
+def _ratio_outputs(z):
+    """Every reader of the ratio route at z: ratio_A, ratio_B, both margins of
+    check_ratio_bounds, and the B, B_t and B_n rows of b_function."""
+    return [bessel.ratio_A(z), bessel.ratio_B(z), *bessel.check_ratio_bounds(z),
+            *spectra.b_function(("B", "B_t", "B_n"), z)]
+
+
+def _cold(outputs, z):
+    bessel._ratio_tables.clear()
+    return outputs(z)
+
+
+def _cache_grids():
+    z = np.geomspace(1e-3, 900.0, 6000)  # series and continued-fraction points, past UNDERFLOW_Z
+    wide = np.random.default_rng(37).uniform(1e-6, 50.0, (3, 2 * bessel._KERNEL_BLOCK))
+    return [("1d", z), ("2d", z[:5400].reshape(60, 90)), ("2d-two-blocks", wide),
+            ("strided", z[::3]), ("reversed", z[::-1]), ("fortran", z[:5400].reshape(90, 60).T)]
+
+
+@pytest.mark.parametrize("name, z", _cache_grids(), ids=[name for name, _ in _cache_grids()])
+def test_warm_and_cold_calls_give_the_same_bits(name, z):
+    cold = _cold(_ratio_outputs, z)
+    assert len(bessel._ratio_tables) == 1
+    with mock.patch.object(bessel, "_k0_k1_block", side_effect=AssertionError("recomputed")):
+        warm = _ratio_outputs(z)
+        copy = _ratio_outputs(np.array(z, order="C"))  # the same bytes hit the same table
+    for a, b, c in zip(cold, warm, copy):
+        assert a.shape == z.shape and a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_a_table_belongs_to_its_shape():
+    z = np.geomspace(1e-3, 900.0, 600)
+    flat, square = bessel.ratio_B(z), bessel.ratio_B(z.reshape(20, 30))
+    assert len(bessel._ratio_tables) >= 2 and square.shape == (20, 30)
+    assert square.tobytes() == flat.tobytes() == _cold(bessel.ratio_B, z).tobytes()
+
+
+def test_a_z_one_ulp_away_misses():
+    z = np.geomspace(1e-3, 900.0, 600)
+    bessel.ratio_A(z)
+    for at in (0, 299, 599):
+        near = z.copy()
+        near[at] = np.nextafter(near[at], math.inf)
+        with mock.patch.object(bessel, "_k0_k1_block", wraps=bessel._k0_k1_block) as block:
+            got = bessel.ratio_A(near)
+        assert block.call_count == 1
+        assert got.tobytes() == _cold(bessel.ratio_A, near).tobytes()
+
+
+def test_a_hit_is_read_only_and_the_caller_z_stays_its_own():
+    z = np.geomspace(1e-3, 900.0, 600)
+    want = _cold(_ratio_outputs, z.copy())
+    for table in (bessel._k0_k1(z, ratio=True), bessel._k0_k1(z, ratio=True)):  # a miss, a hit
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    assert all(out.flags.writeable for out in _ratio_outputs(z))
+    z[100:200] = 5.0  # the caller's array changes after its table was kept
+    mutated = _ratio_outputs(z)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(mutated, _cold(_ratio_outputs, z)))
+    z[100:200] = np.geomspace(1e-3, 900.0, 600)[100:200]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_ratio_outputs(z), want))
+
+
+def test_a_stream_of_distinct_arrays_keeps_at_most_the_byte_cap():
+    # 5000 points fill the cap: each new table evicts the least recently used ones, and
+    # one past the cap alone is returned but not kept
+    cap, rng = 40_000, np.random.default_rng(38)
+    bessel._ratio_tables.clear()
+    with mock.patch.object(bessel, "_RATIO_CACHE_BYTES", cap):
+        first = rng.uniform(0.1, 50.0, 400)
+        for size in (40, 500, 1200, 5001, 64, 3000, 40, 700, 4600, 2000, 9000):
+            bessel.ratio_A(first)  # the most recently used, so never evicted
+            z = rng.uniform(0.1, 50.0, size)
+            assert bessel.ratio_A(z).tobytes() == (1.0 / bessel._k0_k1(z, ratio=True)).tobytes()
+            sizes = [t.size for t in bessel._ratio_tables.values()]  # least recently used first
+            assert 8 * sum(sizes) == bessel._ratio_tables.nbytes <= cap
+            assert sizes[-2:] == [first.size, size] if size <= 5000 else sizes[-1] == first.size
+
+
+def test_the_k0_k1_route_keeps_no_table():
+    bessel._ratio_tables.clear()
+    z = np.geomspace(1e-3, 900.0, 600)
+    bessel.bessel_k((0, 1, 2), z), bessel.check_small_z_bounds(z[z < 1.0])
+    assert not bessel._ratio_tables
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, bessel.Z_MAX])
+def test_a_domain_error_is_the_same_with_a_table_of_that_shape_kept(bad):
+    z = np.geomspace(1e-3, 900.0, 600)
+    wrong = z.copy()
+    wrong[300] = bad
+    for fn in (bessel.ratio_A, bessel.ratio_B, bessel.check_ratio_bounds):
+        messages = []
+        for warm in (False, True):
+            bessel._ratio_tables.clear()
+            if warm:
+                fn(z)
+            with pytest.raises(bessel.BesselDomainError) as err:
+                fn(wrong)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
