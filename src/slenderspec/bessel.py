@@ -30,17 +30,19 @@ continued-fraction point stops on its own test; a series point takes the term co
 block's largest t = z^2/4 (``_series_terms``), and any count from its own to 13 gives its bits.
 
 All functions accept scalars or numpy arrays of z in [Z_MIN, Z_MAX), and the same z gives
-the same bits.  The ratio route keeps its tables: ``_k0_k1(z, ratio=True)``, behind
-``ratio_A``, ``ratio_B`` and ``check_ratio_bounds`` past ``_SMALL`` points, stores each K1/K0
-table read-only under z's shape and the SHA-256 of its C-contiguous bytes, least recently used
-out first once the tables together pass ``_RATIO_CACHE_BYTES`` (16 MiB).  z is checked before
-every lookup, so every error stays; a hit returns the stored array, which its callers only
-read.  The criterion-07 sweeps repeat their z arrays (Laplace and Stokes share each (eps,
-K_max)), so most of their calls hit.  The K0/K1 route, ``bessel_k`` and with it the delta
-families' K0(delta z), keeps nothing: with its tables kept as well, one approximation error on
-a cold cache peaked at 1.92x its Stokes field, past the 1.9x its working-set test allows.  A
-call that never repeats pays the hash, 0.33 ms per 60 000 points against 3.4-6.0 ms for
-``ratio_B`` there, and once per process the hashlib import (2.6 ms).
+the same bits.  Two routes keep their tables: past ``_SMALL`` points, ``_k0_k1`` stores each
+K1/K0 table (``kept="K1/K0"``, behind ``ratio_A``, ``ratio_B`` and ``check_ratio_bounds``) and
+each K0 table (``kept="K0"``, behind ``bessel_k`` for order 0 alone, and with it the delta
+families' K0(delta z)) read-only under the row's name, z's shape and the SHA-256 of its
+C-contiguous bytes, least recently used out first once the tables together pass
+``_RATIO_CACHE_BYTES`` (16 MiB, each table's bookkeeping counted).  z is checked before every
+lookup, so every error stays.  A K1/K0 hit returns the stored array, which its callers only
+read; ``bessel_k`` returns a fresh copy of a K0 table, so no caller holds a kept one.  Other
+order sets keep nothing: no criterion-07 sweep asks for them.  The criterion-07
+sweeps repeat their z arrays (Laplace and Stokes share each (eps, K_max), and the delta pairs
+each (eps, K_max, delta)), so most of their calls hit.  A call that never repeats pays the
+hash, 0.33 ms per 60 000 points against 3.4-6.0 ms for ``ratio_B`` there, and once per process
+the hashlib import (2.6 ms).
 """
 
 from __future__ import annotations
@@ -75,9 +77,12 @@ Z_MAX = 2.0**1023
 _CF_MAX_ITER = 4000
 _KERNEL_BLOCK = 8192
 _SERIES_MAX_TERMS = 64
-#: bytes of K1/K0 tables ``_k0_k1`` keeps (see the module docstring); one pass of the
-#: criterion-07 sweeps keeps 18 tables, 4.58 MiB
+#: bytes of the K1/K0 and K0 tables ``_k0_k1`` keeps (see the module docstring); one pass of
+#: the criterion-07 sweeps keeps 18 K1/K0 tables, 4.58 MiB, and 22 K0 tables, 1.81 MiB
 _RATIO_CACHE_BYTES = 16 * 2**20
+#: what each kept table costs past its own bytes, counted against the cap: its array object,
+#: its key (a tuple, z's shape and a 32-byte digest) and its dict slot
+_TABLE_BOOKKEEPING = 512
 #: relative agreement of two successive panel levels that certifies the oracle
 _ORACLE_RTOL = 1e-14
 #: below here (cosh(2T) overflows from z ~ 1.27e-152 down, 120/z and cosh T
@@ -227,9 +232,10 @@ def _cf(z, with_s):
 
 
 class _Tables(dict):
-    """K1/K0 tables under (z.shape, SHA-256 of z's bytes), least recently used first, and
-    ``nbytes``, their bytes together: kept as a running total, since summing the tables on
-    every call made a stream of distinct small arrays quadratic in its length."""
+    """Kept tables under (row, z.shape, SHA-256 of z's bytes), the row "K1/K0" or "K0", least
+    recently used first, and ``nbytes``, their cost together: each table's bytes plus
+    ``_TABLE_BOOKKEEPING``.  A running total, since summing the tables on every call made a
+    stream of distinct small arrays quadratic in its length."""
     nbytes = 0
 
     def clear(self):
@@ -240,48 +246,57 @@ class _Tables(dict):
 _ratio_tables = _Tables()
 
 
-def _k0_k1(z, with_k2=False, ratio=False):
-    """K0 and K1, or with ``ratio`` K1/K0 in one read-only array: k1/k0 at series points and
-    (z + 1/2 - h/4)/z at continued-fraction points, which skip s and exp(-z), so K1/K0
-    stays finite far past the underflow point of K itself.  z is checked once; each block of
-    ``_KERNEL_BLOCK`` points (rows of a 2-d z) then frees its temporaries before the next.
-    A K1/K0 table is kept (``_keep``) under z's shape and the SHA-256 of its bytes, and a
-    later call on the same z returns it."""
+def _k0_k1(z, with_k2=False, kept=None):
+    """K0 and K1; with ``kept`` = "K1/K0" K1/K0 in one read-only array, k1/k0 at series points and
+    (z + 1/2 - h/4)/z at continued-fraction points, which skip s and exp(-z), so K1/K0 stays
+    finite far past the underflow point of K itself; with ``kept`` = "K0" (K0, None).  z is
+    checked once; each block of ``_KERNEL_BLOCK`` points (rows of a 2-d z) then frees its
+    temporaries before the next.  A ``kept`` row is kept (``_keep``) under its name, z's shape and
+    the SHA-256 of z's bytes, and a later call on the same z reads it: the K1/K0 table itself,
+    which its callers only read, or a fresh copy of the K0 table, which ``bessel_k`` hands out."""
     z = np.atleast_1d(_validate_z(z, with_k2))
-    if ratio:
-        import hashlib
-        key = (z.shape, hashlib.sha256(np.ascontiguousarray(z)).digest())
-        if (table := _ratio_tables.pop(key, None)) is not None:
-            _ratio_tables[key] = table  # now the most recently used
-            return table
-    k0 = np.empty_like(z)  # K1/K0 with ``ratio``
-    k1 = None if ratio else np.zeros(z.shape)  # calloc'd: no page is touched before it is written
+    if not kept:  # k1 calloc'd: no page is touched before it is written
+        return _k0_k1_blocks(z, np.zeros(z.shape), False)
+    import hashlib
+    key = (kept, z.shape, hashlib.sha256(np.ascontiguousarray(z)).digest())
+    if (table := _ratio_tables.pop(key, None)) is None:
+        table = _keep(key, _k0_k1_blocks(z, None, kept == "K1/K0")[0])
+    else:
+        _ratio_tables[key] = table  # now the most recently used
+    return table if kept == "K1/K0" else (table.copy(), None)
+
+
+def _k0_k1_blocks(z, k1, ratio):
+    """``_k0_k1_block`` over z's blocks: (K0 or with ``ratio`` K1/K0, ``k1`` filled with K1)."""
+    k0 = np.empty_like(z)
     for at in (slice(lo, lo + _KERNEL_BLOCK) for lo in range(0, len(z), _KERNEL_BLOCK)):
-        _k0_k1_block(z[at], k0[at], None if ratio else k1[at])
-    return _keep(key, k0) if ratio else (k0, k1)
+        _k0_k1_block(z[at], k0[at], None if k1 is None else k1[at], ratio)
+    return k0, k1
 
 
 def _keep(key, table):
-    """``table``, read-only, kept as the most recently used K1/K0 table unless it alone is
-    past ``_RATIO_CACHE_BYTES``; the least recently used go while the tables are past it."""
+    """``table``, read-only, kept as the most recently used table unless its cost alone is past
+    ``_RATIO_CACHE_BYTES``; the least recently used go while the tables are past it."""
     table.flags.writeable = False
-    if table.nbytes <= _RATIO_CACHE_BYTES:
+    if (cost := table.nbytes + _TABLE_BOOKKEEPING) <= _RATIO_CACHE_BYTES:
         _ratio_tables[key] = table
-        _ratio_tables.nbytes += table.nbytes
+        _ratio_tables.nbytes += cost
         while _ratio_tables.nbytes > _RATIO_CACHE_BYTES:
-            _ratio_tables.nbytes -= _ratio_tables.pop(next(iter(_ratio_tables))).nbytes
+            gone = _ratio_tables.pop(next(iter(_ratio_tables)))
+            _ratio_tables.nbytes -= gone.nbytes + _TABLE_BOOKKEEPING
     return table
 
 
-def _k0_k1_block(z, k0, k1):
-    """One block of ``_k0_k1``, into its slices k0 and k1 (K1/K0 into k0 if k1 is None)."""
-    small, ratio = z <= SERIES_CUTOFF, k1 is None
+def _k0_k1_block(z, k0, k1, ratio):
+    """One block of ``_k0_k1``, into its slices k0 and k1: K1/K0 into k0 with ``ratio``, and no
+    K1 where k1 is None."""
+    small = z <= SERIES_CUTOFF
     if np.any(small):
         zs = z[small]
         t = 0.25 * zs * zs
         k0s, k1s = _series_k(zs, np.log(0.5 * zs), *_series_sums(t, _series_terms(float(t.max()))))
         k0[small] = k1s / k0s if ratio else k0s
-        if not ratio:
+        if k1 is not None:
             k1[small] = k1s
     if np.any(large := ~small) and ratio:
         zl = z[large]
@@ -295,7 +310,8 @@ def _k0_k1_block(z, k0, k1):
             h, s = _cf(zl, with_s=True)
             with np.errstate(under="ignore"):
                 k0[large] = np.sqrt(np.pi / (2.0 * zl)) * k0[large] / s
-            k1[large] = k0[large] * (zl + 0.5 - 0.25 * h) / zl
+            if k1 is not None:
+                k1[large] = k0[large] * (zl + 0.5 - 0.25 * h) / zl
 
 
 def _k0_k1_point(x, ratio, terms):
@@ -320,9 +336,9 @@ def _k0_k1_point(x, ratio, terms):
     return k0, k0 * (x + 0.5 - 0.25 * h) / x
 
 
-def _kernel(z, with_k2=False, ratio=False):
+def _kernel(z, with_k2=False, kept=None):
     """The module docstring's switch: z (1-d), ``_k0_k1``'s result and whether z was a scalar."""
-    z = _as_float(z)
+    z, ratio = _as_float(z), kept == "K1/K0"
     if isinstance(z, float) and _SMALL:
         if not _in_domain(z, with_k2):
             _validate_z(z, with_k2)  # the numpy path's error
@@ -330,7 +346,7 @@ def _kernel(z, with_k2=False, ratio=False):
         return [z], ([out] if ratio else ([out[0]], [out[1]])), True
     scalar, z = np.ndim(z) == 0, np.atleast_1d(z)
     if z.ndim > 1 or not 0 < z.size <= _SMALL:
-        return z, _k0_k1(z, with_k2, ratio), scalar
+        return z, _k0_k1(z, with_k2, kept), scalar
     zs = z.tolist()
     if not all(_in_domain(x, with_k2) for x in zs):
         _validate_z(z, with_k2)  # the numpy path's error for the whole batch
@@ -373,7 +389,7 @@ def bessel_k(order, z):
     K2 = K0 + 2 K1/z, which makes the recurrence residual exact.
     """
     orders, single = _check_orders(order)
-    z1, (k0, k1), scalar = _kernel(z, 2 in orders)
+    z1, (k0, k1), scalar = _kernel(z, 2 in orders, "K0" if orders == (0,) else None)
     k2 = _map(lambda a, b, x: a + 2.0 * b / x, k0, k1, z1) if 2 in orders else None
     return _shape_rows([(k0, k1, k2)[o] for o in orders], single, scalar)
 
@@ -387,13 +403,13 @@ def bessel_k_detail(order, z):
 
 def ratio_B(z):
     """B(z) = z K1(z)/K0(z); the Dirichlet-to-Neumann symbol of the Laplace map."""
-    z1, ratio, scalar = _kernel(z, ratio=True)
+    z1, ratio, scalar = _kernel(z, kept="K1/K0")
     return _shape_rows([_map(lambda x, r: x * r, z1, ratio)], True, scalar)
 
 
 def ratio_A(z):
     """A(z) = K0(z)/K1(z) in (0, 1), monotone increasing to 1."""
-    _, ratio, scalar = _kernel(z, ratio=True)
+    _, ratio, scalar = _kernel(z, kept="K1/K0")
     return _shape_rows([_map(lambda r: 1.0 / r, ratio)], True, scalar)
 
 
@@ -516,7 +532,7 @@ def check_ratio_bounds(z_grid):
     are strictly positive everywhere.
     """
     z = np.asarray(_as_float(z_grid))
-    ratio = _k0_k1(z, ratio=True)  # validates z
+    ratio = _k0_k1(z, kept="K1/K0")  # validates z
     lower = ratio - (np.sqrt(z * z + z + 1.0) + 1.0) / (z + 1.0)
     upper = 1.0 + 0.5 / z - ratio
     return lower, upper

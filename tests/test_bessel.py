@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -757,7 +759,7 @@ def test_exp_underflow_band_raises_no_flag_on_the_point_route():
     with np.errstate(under="ignore"):
         k0, k1 = bessel._k0_k1(z)
         want = np.array([k0, k1, k0 + 2.0 * k1 / z])
-    ratio = bessel._k0_k1(z, ratio=True)
+    ratio = bessel._k0_k1(z, kept="K1/K0")
     n = bessel._SMALL
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
@@ -769,14 +771,18 @@ def test_exp_underflow_band_raises_no_flag_on_the_point_route():
 
 
 # ---------------------------------------------------------------------------
-# the K1/K0 table cache
+# the K1/K0 and K0 table cache
 # ---------------------------------------------------------------------------
 
-def _ratio_outputs(z):
-    """Every reader of the ratio route at z: ratio_A, ratio_B, both margins of
-    check_ratio_bounds, and the B, B_t and B_n rows of b_function."""
+def _k0(z):
+    return bessel.bessel_k(0, z)
+
+
+def _cached_outputs(z):
+    """Every reader of a kept table at z: ratio_A, ratio_B, both margins of check_ratio_bounds,
+    and the B, B_t and B_n rows of b_function read the K1/K0 table; bessel_k(0, z) the K0 one."""
     return [bessel.ratio_A(z), bessel.ratio_B(z), *bessel.check_ratio_bounds(z),
-            *spectra.b_function(("B", "B_t", "B_n"), z)]
+            *spectra.b_function(("B", "B_t", "B_n"), z), _k0(z)]
 
 
 def _cold(outputs, z):
@@ -793,13 +799,36 @@ def _cache_grids():
 
 @pytest.mark.parametrize("name, z", _cache_grids(), ids=[name for name, _ in _cache_grids()])
 def test_warm_and_cold_calls_give_the_same_bits(name, z):
-    cold = _cold(_ratio_outputs, z)
-    assert len(bessel._ratio_tables) == 1
+    cold = _cold(_cached_outputs, z)
+    assert sorted(key[0] for key in bessel._ratio_tables) == ["K0", "K1/K0"]
     with mock.patch.object(bessel, "_k0_k1_block", side_effect=AssertionError("recomputed")):
-        warm = _ratio_outputs(z)
-        copy = _ratio_outputs(np.array(z, order="C"))  # the same bytes hit the same table
+        warm = _cached_outputs(z)
+        copy = _cached_outputs(np.array(z, order="C"))  # the same bytes hit the same table
     for a, b, c in zip(cold, warm, copy):
         assert a.shape == z.shape and a.tobytes() == b.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("delta", [1.7, 2.0, 3.0])
+def test_the_delta_families_give_the_same_bits_warm_cold_and_uncached(delta):
+    # each delta row reads K0(delta z) through bessel_k(0, .); a warm call reads the kept
+    # K0 table and computes nothing, and no row's bits depend on whether a table is kept
+    z, k = np.geomspace(1e-3, 40.0, 3000), np.arange(1, 6001)
+    families = [spectra.EigenFamily(entry.setting, direction, "delta_reg", delta=delta)
+                for direction, entry in spectra._DIRECTIONS.items()]
+
+    def outputs(_):
+        return [*spectra.b_function(("B_delta", "B_delta_t", "B_delta_n"), z, delta=delta),
+                *(spectra.eigenvalues(f, 0.01, k) for f in families)]
+
+    with mock.patch.object(bessel, "_RATIO_CACHE_BYTES", 0):
+        uncached = _cold(outputs, z)
+        assert not bessel._ratio_tables
+    cold = _cold(outputs, z)
+    assert bessel._ratio_tables and all(key[0] == "K0" for key in bessel._ratio_tables)
+    with mock.patch.object(bessel, "_k0_k1_block", side_effect=AssertionError("recomputed")):
+        warm = outputs(z)
+    for a, b, c in zip(uncached, cold, warm):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 def test_a_table_belongs_to_its_shape():
@@ -811,52 +840,97 @@ def test_a_table_belongs_to_its_shape():
 
 def test_a_z_one_ulp_away_misses():
     z = np.geomspace(1e-3, 900.0, 600)
-    bessel.ratio_A(z)
-    for at in (0, 299, 599):
-        near = z.copy()
-        near[at] = np.nextafter(near[at], math.inf)
-        with mock.patch.object(bessel, "_k0_k1_block", wraps=bessel._k0_k1_block) as block:
-            got = bessel.ratio_A(near)
-        assert block.call_count == 1
-        assert got.tobytes() == _cold(bessel.ratio_A, near).tobytes()
+    for fn in (bessel.ratio_A, _k0):  # a K1/K0 table, then a K0 one
+        fn(z)
+        for at in (0, 299, 599):
+            near = z.copy()
+            near[at] = np.nextafter(near[at], math.inf)
+            with mock.patch.object(bessel, "_k0_k1_block", wraps=bessel._k0_k1_block) as block:
+                got = fn(near)
+            assert block.call_count == 1
+            assert got.tobytes() == _cold(fn, near).tobytes()
 
 
 def test_a_hit_is_read_only_and_the_caller_z_stays_its_own():
     z = np.geomspace(1e-3, 900.0, 600)
-    want = _cold(_ratio_outputs, z.copy())
-    for table in (bessel._k0_k1(z, ratio=True), bessel._k0_k1(z, ratio=True)):  # a miss, a hit
+    want = _cold(_cached_outputs, z.copy())
+    for table in (bessel._k0_k1(z, kept="K1/K0"), bessel._k0_k1(z, kept="K1/K0")):  # a miss, a hit
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
-    assert all(out.flags.writeable for out in _ratio_outputs(z))
+    assert all(out.flags.writeable for out in _cached_outputs(z))
     z[100:200] = 5.0  # the caller's array changes after its table was kept
-    mutated = _ratio_outputs(z)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(mutated, _cold(_ratio_outputs, z)))
+    mutated = _cached_outputs(z)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(mutated, _cold(_cached_outputs, z)))
     z[100:200] = np.geomspace(1e-3, 900.0, 600)[100:200]
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(_ratio_outputs(z), want))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_cached_outputs(z), want))
+
+
+def test_bessel_k_hands_out_a_fresh_k0_array_on_a_hit():
+    z = np.geomspace(1e-3, 900.0, 600)
+    want = _cold(_k0, z)
+    (table,) = bessel._ratio_tables.values()
+    delta_row = spectra.b_function("B_delta", z, delta=2.0)
+    for got in (_k0(z), bessel.bessel_k((0,), z)[0], bessel.bessel_k((0,), z)):  # hits
+        assert got.flags.writeable
+        assert not any(np.shares_memory(got, kept) for kept in bessel._ratio_tables.values())
+        got[...] = -1.0  # writing into it changes no later result
+        assert _k0(z).tobytes() == want.tobytes()
+        assert spectra.b_function("B_delta", z, delta=2.0).tobytes() == delta_row.tobytes()
+    assert not table.flags.writeable and table.tobytes() == want.tobytes()
+
+
+def test_only_k0_alone_on_an_array_past_small_keeps_a_table():
+    bessel._ratio_tables.clear()
+    z = np.geomspace(1e-3, 900.0, 600)
+    bessel.bessel_k((0, 1, 2), z), bessel.bessel_k((0, 1), z), bessel.bessel_k(1, z)
+    bessel.bessel_k(2, z), bessel.check_small_z_bounds(z[z < 1.0])
+    _k0(z[:bessel._SMALL]), _k0(1.5), _k0([1.5])
+    assert not bessel._ratio_tables
+    _k0(z[:bessel._SMALL + 1])
+    assert [key[0] for key in bessel._ratio_tables] == ["K0"]
 
 
 def test_a_stream_of_distinct_arrays_keeps_at_most_the_byte_cap():
-    # 5000 points fill the cap: each new table evicts the least recently used ones, and
-    # one past the cap alone is returned but not kept
-    cap, rng = 40_000, np.random.default_rng(38)
+    # 400 and 4600 points fill the cap: each new table evicts the least recently used ones,
+    # and one past the cap alone is returned but not kept
+    rng, cost = np.random.default_rng(38), lambda n: 8 * n + bessel._TABLE_BOOKKEEPING
+    cap = cost(400) + cost(4600)
+    past = (cap - bessel._TABLE_BOOKKEEPING) // 8 + 1
     bessel._ratio_tables.clear()
     with mock.patch.object(bessel, "_RATIO_CACHE_BYTES", cap):
         first = rng.uniform(0.1, 50.0, 400)
-        for size in (40, 500, 1200, 5001, 64, 3000, 40, 700, 4600, 2000, 9000):
+        for size in (40, 500, 1200, past, 64, 3000, 40, 700, 4600, 2000, 9000):
             bessel.ratio_A(first)  # the most recently used, so never evicted
             z = rng.uniform(0.1, 50.0, size)
-            assert bessel.ratio_A(z).tobytes() == (1.0 / bessel._k0_k1(z, ratio=True)).tobytes()
+            assert bessel.ratio_A(z).tobytes() == (1.0 / bessel._k0_k1(z, kept="K1/K0")).tobytes()
             sizes = [t.size for t in bessel._ratio_tables.values()]  # least recently used first
-            assert 8 * sum(sizes) == bessel._ratio_tables.nbytes <= cap
-            assert sizes[-2:] == [first.size, size] if size <= 5000 else sizes[-1] == first.size
+            assert sum(map(cost, sizes)) == bessel._ratio_tables.nbytes <= cap
+            assert sizes[-2:] == [first.size, size] if cost(size) <= cap else sizes[-1] == first.size
 
 
-def test_the_k0_k1_route_keeps_no_table():
-    bessel._ratio_tables.clear()
-    z = np.geomspace(1e-3, 900.0, 600)
-    bessel.bessel_k((0, 1, 2), z), bessel.check_small_z_bounds(z[z < 1.0])
-    assert not bessel._ratio_tables
+@pytest.mark.parametrize("fn", [bessel.ratio_A, _k0], ids=["ratio_A", "K0"])
+def test_what_the_kept_tables_hold_stays_within_the_cap(fn):
+    # a 33-point table is 264 bytes, and its array object, key and dict slot about 370 more
+    # (tracemalloc, CPython 3.11, numpy 2.4): with only its bytes counted, 20 000 such
+    # tables held 12.6 MB for 5.3 MB counted
+    cap, rng = 30_000, np.random.default_rng(39)
+    zs = [rng.uniform(0.1, 50.0, bessel._SMALL + 1) for _ in range(150)]
+    with mock.patch.object(bessel, "_RATIO_CACHE_BYTES", cap):
+        bessel._ratio_tables.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for z in zs:
+                fn(z)
+            assert len(bessel._ratio_tables) > 20 and bessel._ratio_tables.nbytes <= cap
+            kept = tracemalloc.get_traced_memory()[0]
+            bessel._ratio_tables.clear()
+            gc.collect()
+            held = kept - tracemalloc.get_traced_memory()[0]  # what clearing the tables frees
+        finally:
+            tracemalloc.stop()
+    assert held <= cap, held
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, bessel.Z_MAX])

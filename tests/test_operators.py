@@ -185,6 +185,37 @@ def test_sobolev_norm_bits_match_the_weighted_formula(s, seed):
     assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
+def _full_table_sobolev_norm(field, s):
+    """sobolev_norm in its full-size form: |fhat_k|^2 as one table, weighted in place, np.sum."""
+    sq = np.abs(field.coeffs) ** 2
+    if s:
+        sq *= (1.0 + (math.pi * field.k_values) ** 2) ** s
+    return math.sqrt(2.0 * float(np.sum(sq)))
+
+
+def _leaf_edges():
+    """(components, K_max) that put the flat table, n (2 K_max + 1) values, just below and
+    just above 1, 2 and 4 leaves of ``sobolev_norm``, where its tree gains a level."""
+    for n in (1, 3):
+        yield from ((n, k) for k in (1, 2, 3, 64, 69_999))
+        for m in (1, 2, 4):
+            below = (m * ops._NORM_LEAF // n - 1) // 2
+            yield from ((n, below), (n, below + 1))
+
+
+@pytest.mark.parametrize("n, k_max", sorted(set(_leaf_edges())))
+def test_sobolev_norm_in_leaves_matches_the_full_table_sum(n, k_max):
+    # the norm squares ``_NORM_LEAF`` values at a time and sums them in numpy's pairwise tree
+    rng = np.random.default_rng(k_max)
+    scale = 10.0 ** rng.uniform(-30.0, 30.0, size=(n, 2 * k_max + 1))
+    c = scale * (rng.standard_normal(scale.shape) + 1j * rng.standard_normal(scale.shape))
+    layouts = [c, np.asfortranarray(c), np.repeat(c, 2, axis=1)[:, ::2]] if k_max < 30_000 else [c]
+    for coeffs in layouts:  # np.sum adds in memory order; a strided view is summed in C order
+        field = ops.PeriodicField(coeffs)
+        for s in (0, 1, 1.5, 2):
+            assert ops.sobolev_norm(field, s).hex() == _full_table_sobolev_norm(field, s).hex()
+
+
 def test_band_limited_inverse_exact():
     # truncated family agrees with untruncated sbt below the cutoff
     eps = 0.01
